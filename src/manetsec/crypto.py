@@ -32,7 +32,6 @@ __all__ = [
     "hash_bytes",
     "keyed_hash",
     "verify_keyed_hash",
-    "fresh_nonce",
 ]
 
 MAX_NONCE = 2**64 - 1
@@ -133,22 +132,6 @@ class Nonce:
         return Nonce(self.value + 1, self.issuer)
 
 
-def fresh_nonce(node_rng: random.Random, issuer: int, used: set[int]) -> Nonce:
-    """Draw a nonce never issued before by this node.
-
-    `used` is the issuer's record of past values and is updated in place.
-    """
-    if len(used) >= MAX_NONCE:
-        raise NonceExhausted(f"issuer {issuer} exhausted the nonce space")
-    while True:
-        v = node_rng.getrandbits(64)
-        if v == MAX_NONCE:
-            continue  # keep succ() always definable for issued nonces
-        if v not in used:
-            used.add(v)
-            return Nonce(v, issuer)
-
-
 @dataclass
 class NonceSource:
     """Per-node nonce generator with a used-value set (replay bookkeeping)."""
@@ -158,7 +141,16 @@ class NonceSource:
     used: set[int] = field(default_factory=set)
 
     def fresh(self) -> Nonce:
-        return fresh_nonce(self.rng, self.issuer, self.used)
+        """Draw a nonce this issuer never issued before and record it in `used`."""
+        if len(self.used) >= MAX_NONCE:
+            raise NonceExhausted(f"issuer {self.issuer} exhausted the nonce space")
+        while True:
+            v = self.rng.getrandbits(64)
+            if v == MAX_NONCE:
+                continue  # keep succ() always definable for issued nonces
+            if v not in self.used:
+                self.used.add(v)
+                return Nonce(v, self.issuer)
 
 
 def hash_bytes(data: bytes, hash_name: str = "sha256") -> Digest:

@@ -5,6 +5,12 @@ distance from the root over group members, a node's parent is its lowest-ID
 neighbor one level up, and the checker (a one-hop neighbor of the root) sits
 outside the tree entirely. All mutators return new trees; treat instances as
 immutable snapshots.
+
+Every traversal in the package follows one rule, implemented once in
+`bfs_parents`: breadth-first from a root, expanding each node's neighbors in
+ascending ID order, so the first (and kept) path to a node runs through its
+lowest-ID candidate parent. Tree layering, radio routes and flood components,
+and the response layer's first hops all come from it.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 NodeId = int
 
@@ -85,27 +92,44 @@ def build_tree(root: NodeId, members: set[NodeId], graph: Graph, checker: NodeId
     if root not in body:
         raise TreeError(f"root {root} is not a group member")
 
-    level: dict[NodeId, int] = {root: 0}
-    parent: dict[NodeId, NodeId] = {}
-    children: dict[NodeId, list[NodeId]] = {root: []}
-    frontier = deque([root])
-    while frontier:
-        node = frontier.popleft()
-        for nb in sorted(graph.get(node, set())):
-            if nb in body and nb not in level:
-                level[nb] = level[node] + 1
-                parent[nb] = node  # first visit comes from the lowest-ID parent candidate
-                children[nb] = []
-                children[node].append(nb)
-                frontier.append(nb)
-
-    missing = body - set(level)
+    parent = bfs_parents(graph, root, enter=body.__contains__)
+    missing = body - parent.keys()
     if missing:
         raise Unreachable(missing)
-    # BFS from sorted adjacency already appends children in ascending id order
+    del parent[root]
+    level: dict[NodeId, int] = {root: 0}
+    children: dict[NodeId, list[NodeId]] = {root: []}
+    # visit order puts every parent before its children, and a parent's
+    # children were all entered from its one sorted expansion: ascending ids
+    for node, up in parent.items():
+        level[node] = level[up] + 1
+        children[node] = []
+        children[up].append(node)
     height = max(level.values())
     return KeyTree(root=root, parent=parent, children=children,
                    level=level, height=height, checker=checker)
+
+
+def bfs_parents(graph: Graph, root: NodeId, enter: Callable[[NodeId], bool] | None = None,
+                goal: NodeId | None = None) -> dict[NodeId, NodeId]:
+    """Lowest-ID BFS from `root`: each reached node -> its parent, root -> root.
+
+    Keys are in visit order. Neighbors are expanded in ascending ID order,
+    only nodes that `enter` accepts are entered (the root always is), and the
+    search stops as soon as it reaches `goal`.
+    """
+    parent = {root: root}
+    frontier = deque([root])
+    while frontier:
+        node = frontier.popleft()
+        for nb in sorted(graph.get(node, ())):
+            if nb in parent or (enter is not None and not enter(nb)):
+                continue
+            parent[nb] = node
+            if nb == goal:
+                return parent
+            frontier.append(nb)
+    return parent
 
 
 def key_path(tree: KeyTree, node: NodeId) -> list[NodeId]:

@@ -24,7 +24,8 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 
-from .crypto import CipherSuite, IntegrityFailure, KeyMaterial, NonceSource, xor_combine
+from .crypto import (MAX_NONCE, CipherSuite, IntegrityFailure, KeyMaterial, NonceSource,
+                     xor_combine)
 from .keytree import (
     Graph,
     KeyTree,
@@ -283,7 +284,7 @@ class ProtocolNode:
 
     # -- message handling ------------------------------------------------------
 
-    def step(self, msg: ProtocolMessage, now: float = 0.0) -> list[ProtocolMessage]:
+    def step(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
         if msg.receiver not in (st.my_id, BROADCAST) or msg.sender == st.my_id:
             return []
@@ -318,7 +319,13 @@ class ProtocolNode:
             return None
 
     def _nonce_fresh(self, peer: NodeId, value: int) -> bool:
-        """Record-and-check replay defense for peer-issued nonces."""
+        """Record-and-check replay defense for peer-issued nonces.
+
+        MAX_NONCE is never issued and its +1 echo has no 64-bit encoding, so
+        it is refused even when the replay checks are disabled.
+        """
+        if value >= MAX_NONCE:
+            return False
         if self.unsafe_skip_nonce_checks:
             return True
         seen = self.state.seen_nonces.setdefault(peer, set())
@@ -633,20 +640,17 @@ class Transport:
 
     Keeps the global transcript (what a radio eavesdropper standing everywhere
     would hear), per-receiver delivery logs and the broadcast-only log used to
-    build adversary oracle inputs. `latency` is a fixed per-message delivery
-    delay; a session drops deliveries whose latency exceeds its edge timeout.
-    Subclasses override mutate()/should_drop() for fault injection, or
-    deliver() for radio semantics.
+    build adversary oracle inputs. Delivery is instantaneous: a session pumps
+    each message to its receivers as soon as it is sent. Subclasses override
+    mutate()/should_drop() for fault injection, or targets()/peek_targets()
+    for radio semantics.
     """
-
-    latency: float = 0.0
 
     def __init__(self):
         self.transcript = bytearray()
         self.messages: list[ProtocolMessage] = []
         self.delivered: dict[int, list[ProtocolMessage]] = {}
         self.broadcasts: list[ProtocolMessage] = []
-        self.clock = 0.0
 
     def mutate(self, raw: bytes, msg: ProtocolMessage) -> bytes:
         return raw
@@ -695,10 +699,8 @@ class GroupSession:
 
     def __init__(self, graph: Graph, root: NodeId, members: set[NodeId], suite: CipherSuite,
                  seed: int, checker: NodeId | None = None, transport: Transport | None = None,
-                 master_key: KeyMaterial | None = None, unsafe_skip_nonce_checks: bool = False,
-                 edge_timeout: float = 5.0):
+                 master_key: KeyMaterial | None = None, unsafe_skip_nonce_checks: bool = False):
         self.suite = suite
-        self.edge_timeout = edge_timeout
         self.seed = seed
         self.graph = {n: set(nbs) for n, nbs in graph.items()}
         self.root = root
@@ -716,7 +718,6 @@ class GroupSession:
         self._configure_all()
         self.epoch = 0
         self.keys: SessionKeys | None = None
-        self.clock = 0.0
 
     # -- plumbing -------------------------------------------------------------
 
@@ -736,17 +737,12 @@ class GroupSession:
 
     def _pump(self, initial: list[ProtocolMessage]) -> None:
         queue = deque(initial)
-        late = self.transport.latency > self.edge_timeout
         while queue:
             msg = queue.popleft()
-            self.transport.clock = self.clock
-            deliveries = self.transport.deliver(msg, self.members)
-            if late:
-                continue  # nobody waits past the edge timeout; epoch will abort
-            for rcv, delivered in deliveries:
+            for rcv, delivered in self.transport.deliver(msg, self.members):
                 node = self.nodes.get(rcv)
                 if node is not None:
-                    queue.extend(node.step(delivered, self.clock + self.transport.latency))
+                    queue.extend(node.step(delivered))
 
     def _snapshot(self):
         return (copy.deepcopy({n: p.state for n, p in self.nodes.items()}),

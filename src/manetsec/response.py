@@ -11,12 +11,11 @@ verifying receiver's routing table and reroute around it.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .crypto import CipherSuite, KeyMaterial, NonceSource
-from .keytree import Graph, NodeId
+from .keytree import Graph, NodeId, bfs_parents
 
 VERDICT_NORMAL = "normal"
 VERDICT_ATTACK = "attack"
@@ -97,17 +96,11 @@ class RoutingTable:
         self.next_hop = {}
         if self.owner in banned:
             return
-        dist = {self.owner: 0}
+        parent = bfs_parents(graph, self.owner, enter=lambda n: n not in banned)
+        del parent[self.owner]
         first: dict[NodeId, NodeId] = {}
-        frontier = deque([self.owner])
-        while frontier:
-            n = frontier.popleft()
-            for nb in sorted(graph.get(n, ())):
-                if nb in banned or nb in dist:
-                    continue
-                dist[nb] = dist[n] + 1
-                first[nb] = nb if n == self.owner else first[n]
-                frontier.append(nb)
+        for node, up in parent.items():
+            first[node] = node if up == self.owner else first[up]
         self.next_hop = first
 
     def quarantine(self, node: NodeId, graph: Graph) -> None:

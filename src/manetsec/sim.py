@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .crypto import CipherSuite, NonceSource
-from .keytree import Graph, NodeId, TreeError
+from .keytree import Graph, NodeId, TreeError, bfs_parents
 from .protocol import GroupSession, ProtocolAbort, Transport
 from . import adversary as adv
 from . import esom
@@ -105,8 +105,6 @@ class ScenarioConfig:
     replay_at: tuple[float, ...] = ()
     som: esom.SomConfig = field(default_factory=lambda: esom.SomConfig(rows=12, cols=16, epochs=10))
     coverage_window: int = 30
-    latency: float = 0.0            # fixed delivery delay, seconds
-    protocol_timeout: float = 5.0   # per-edge exchange patience, seconds
     schedule: tuple[ScheduleEvent, ...] = ()
     pause_times: tuple[float, ...] = ()      # sweep; empty = single mobility.pause_time
     dropper_counts: tuple[int, ...] = ()     # sweep; empty = the explicit droppers list
@@ -249,17 +247,6 @@ class RadioTransport(Transport):
         self.captured: dict[NodeId, list[ProtocolMessage]] = {}
         self.undelivered = 0
 
-    def _component(self, start: NodeId, graph: Graph) -> set[NodeId]:
-        seen = {start}
-        frontier = deque([start])
-        while frontier:
-            n = frontier.popleft()
-            for nb in graph.get(n, ()):
-                if nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        return seen
-
     def _capture(self, hearers, msg: ProtocolMessage) -> None:
         for nid, role in self.world.adversaries.items():
             if role.kind in (EAVESDROPPER, REPLAYER) and nid in hearers:
@@ -278,7 +265,7 @@ class RadioTransport(Transport):
     def _resolve(self, msg: ProtocolMessage, members: set[int]):
         graph = connectivity(self.world)
         if msg.receiver == BROADCAST:
-            component = self._component(msg.sender, graph) if msg.sender in graph else set()
+            component = set(bfs_parents(graph, msg.sender)) if msg.sender in graph else set()
             return (sorted(m for m in members if m != msg.sender and m in component),
                     component, True)
         route = (shortest_route(graph, msg.sender, msg.receiver)
@@ -309,20 +296,13 @@ def shortest_route(graph: Graph, src: NodeId, dst: NodeId) -> list[NodeId] | Non
     """Lowest-ID BFS route; None when the destination is unreachable."""
     if src == dst:
         return [src]
-    prev: dict[NodeId, NodeId] = {src: src}
-    frontier = deque([src])
-    while frontier:
-        n = frontier.popleft()
-        for nb in sorted(graph.get(n, ())):
-            if nb not in prev:
-                prev[nb] = n
-                if nb == dst:
-                    path = [dst]
-                    while path[-1] != src:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                frontier.append(nb)
-    return None
+    prev = bfs_parents(graph, src, goal=dst)
+    if dst not in prev:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def traffic_pairs(members: list[NodeId], traffic: TrafficConfig) -> list[tuple[NodeId, NodeId]]:
@@ -452,11 +432,10 @@ def _run_cell(config: ScenarioConfig, seed: int):
     row: dict = {c: None for c in _COLUMNS}
 
     graph = connectivity(world)
-    component = _reachable(config.root, graph)
+    component = set(bfs_parents(graph, config.root))
     members = set(world.ids) & component
     unreachable = set(world.ids) - members
     transport = RadioTransport(world)
-    transport.latency = config.latency
 
     # the checker sits outside the tree, so members that can only reach the
     # root through it would fall out of the group; the run picks the
@@ -467,8 +446,7 @@ def _run_cell(config: ScenarioConfig, seed: int):
         unreachable |= stranded
         members -= stranded
         session = GroupSession(_member_subgraph(graph, members), config.root, members,
-                               suite, seed, transport=transport, checker=checker,
-                               edge_timeout=config.protocol_timeout)
+                               suite, seed, transport=transport, checker=checker)
     else:
         members = set()
         events.append((0.0, "epoch_abort", "establish", None,
@@ -562,8 +540,7 @@ def _least_partitioning_checker(root: NodeId, graph: Graph,
     best: tuple[int, NodeId, set[NodeId]] | None = None
     for cand in candidates:
         body = members - {cand}
-        sub = {n: (graph.get(n, set()) & body) for n in body}
-        stranded = body - _reachable(root, sub)
+        stranded = body - bfs_parents(graph, root, enter=body.__contains__).keys()
         if best is None or (len(stranded), cand) < (best[0], best[1]):
             best = (len(stranded), cand, stranded)
     return best[1], best[2]
@@ -598,18 +575,6 @@ def _replayers_fire(session: GroupSession, world: World, transport: "RadioTransp
             events.append((world.time, "replay_burst", nid, None,
                            f"re-injected {len(stored)} captured messages"))
     return changes
-
-
-def _reachable(root: NodeId, graph: Graph) -> set[NodeId]:
-    seen = {root}
-    frontier = deque([root])
-    while frontier:
-        n = frontier.popleft()
-        for nb in graph.get(n, ()):
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return seen
 
 
 def _apply_schedule_event(ev: ScheduleEvent, session: GroupSession, world: World,
@@ -849,10 +814,6 @@ def _build_config(path, raw: dict[str, tuple[int, str]]) -> ScenarioConfig:
             setattr(som, attr, take(key, conv))
     if "coverage_window" in raw:
         cfg.coverage_window = take("coverage_window", int)
-    if "latency" in raw:
-        cfg.latency = take("latency", float)
-    if "protocol_timeout" in raw:
-        cfg.protocol_timeout = take("protocol_timeout", float)
     for key, field_name in (("pause_times", "pause_times"), ("replay_at", "replay_at")):
         if key in raw:
             setattr(cfg, field_name, take(key, floats))

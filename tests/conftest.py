@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,17 @@ def make_graph(edges):
     for a, b in edges:
         graph.setdefault(a, set()).add(b)
         graph.setdefault(b, set()).add(a)
+    return graph
+
+
+def random_geometric(n, radius, rng, w=1.0, h=1.0):
+    pts = [(rng.uniform(0, w), rng.uniform(0, h)) for _ in range(n)]
+    graph = {i: set() for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if math.dist(pts[i], pts[j]) <= radius:
+                graph[i].add(j)
+                graph[j].add(i)
     return graph
 
 

@@ -10,7 +10,6 @@ from manetsec.crypto import (
     NonceExhausted,
     NonceSource,
     WidthMismatch,
-    fresh_nonce,
     hash_bytes,
     keyed_hash,
     verify_keyed_hash,
@@ -157,9 +156,10 @@ class TestNonces:
         assert [a.fresh().value for _ in range(20)] == [b.fresh().value for _ in range(20)]
 
     def test_no_duplicates_in_bulk(self, rng):
-        used = set()
-        values = [fresh_nonce(rng, 3, used).value for _ in range(100_000)]
+        src = NonceSource(3, rng)
+        values = [src.fresh().value for _ in range(100_000)]
         assert len(set(values)) == len(values)
+        assert src.used == set(values)
 
     def test_succ_and_wrap(self):
         assert Nonce(41, 0).succ().value == 42

@@ -18,18 +18,7 @@ from manetsec.keytree import (
     select_checker,
 )
 
-from conftest import FIG4_EDGES, make_graph
-
-
-def random_geometric(n, radius, rng, w=1.0, h=1.0):
-    pts = [(rng.uniform(0, w), rng.uniform(0, h)) for _ in range(n)]
-    graph = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if math.dist(pts[i], pts[j]) <= radius:
-                graph[i].add(j)
-                graph[j].add(i)
-    return graph
+from conftest import FIG4_EDGES, make_graph, random_geometric
 
 
 class TestSelectChecker:

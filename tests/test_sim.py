@@ -1,11 +1,16 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from manetsec import sim
 from manetsec.esom import SomConfig
+from manetsec.keytree import bfs_levels
+from manetsec.response import RoutingTable
 from manetsec.wire import BROADCAST, MessageKind, ProtocolMessage
+
+from conftest import make_graph, random_geometric
 
 
 def small_config(**kw):
@@ -119,6 +124,41 @@ class TestConnectivity:
                 d = math.dist(w.positions[i], w.positions[j])
                 assert (b in g[a]) == (d <= w.range_m)
                 assert (a in g[b]) == (b in g[a])
+
+
+class TestShortestRoute:
+    def test_lowest_id_tie_rule(self):
+        # two equal two-hop routes; the set {1, 8} iterates 8 first, so only
+        # the ascending-id expansion picks relay 1
+        graph = make_graph([(0, 8), (0, 1), (8, 3), (1, 3)])
+        assert sim.shortest_route(graph, 0, 3) == [0, 1, 3]
+        assert sim.shortest_route(graph, 3, 0) == [3, 1, 0]
+
+    def test_source_is_destination(self):
+        assert sim.shortest_route(make_graph([(0, 1)]), 0, 0) == [0]
+
+    def test_unreachable_destination(self):
+        graph = make_graph([(0, 1), (2, 3)])
+        assert sim.shortest_route(graph, 0, 3) is None
+
+    def test_matches_bfs_oracle_and_routing_table(self):
+        rng = random.Random(31)
+        for trial in range(10):
+            graph = random_geometric(30, 0.25, rng)  # sparse: some trials split
+            for owner in (0, 17):
+                dist = bfs_levels(owner, set(graph), graph)
+                table = RoutingTable(owner=owner)
+                table.rebuild(graph)
+                for dst in graph:
+                    route = sim.shortest_route(graph, owner, dst)
+                    if dst not in dist:
+                        assert route is None and dst not in table.next_hop
+                        continue
+                    assert route[0] == owner and route[-1] == dst
+                    assert len(route) - 1 == dist[dst]
+                    assert all(b in graph[a] for a, b in zip(route, route[1:]))
+                    if dst != owner:
+                        assert table.next_hop[dst] == route[1]
 
 
 class TestRadioTransport:
