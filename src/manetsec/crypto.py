@@ -76,7 +76,8 @@ class KeyMaterial:
             raise WidthMismatch(
                 f"cannot XOR {self.width_bits}-bit with {other.width_bits}-bit key material"
             )
-        return KeyMaterial(bytes(a ^ b for a, b in zip(self.data, other.data)))
+        folded = int.from_bytes(self.data, "big") ^ int.from_bytes(other.data, "big")
+        return KeyMaterial(folded.to_bytes(len(self.data), "big"))
 
     def hex(self) -> str:
         return self.data.hex()

@@ -48,7 +48,7 @@ class Disconnected(TreeError):
     """A joining node has no neighbor inside the tree."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class KeyTree:
     root: NodeId
     parent: dict[NodeId, NodeId]            # absent for root

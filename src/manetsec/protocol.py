@@ -12,12 +12,12 @@ paths; periodic rekeys ratchet GK and the local keys by XOR.
 Nodes never raise on bad input: undecryptable, replayed or out-of-phase
 messages are dropped and counted, which is what the replay/tamper harnesses
 assert against. Orchestration-level failures (timeouts, checker mismatch)
-abort the epoch and roll every node back to its pre-epoch state.
+abort the epoch and roll every node back to its pre-epoch checkpoint.
 """
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import hashlib
 import random
 import struct
@@ -156,6 +156,25 @@ class NodeState:
         put("lrk", sorted((k, (n, km.data)) for k, (n, km) in self.local_rekey_peer.items()))
         return h.hexdigest()
 
+    def checkpoint(self) -> NodeState:
+        """Copy that a rollback can reinstate as the live state.
+
+        The mutable containers are copied one level deep: their values are
+        frozen KeyMaterials, tuples and ints. `seen_nonces` is shared on
+        purpose, so nonces burned during an aborted epoch stay burned.
+        """
+        return dataclasses.replace(
+            self,
+            local_keys=dict(self.local_keys),
+            edge_keys=dict(self.edge_keys),
+            children_received=dict(self.children_received),
+            pending_nonces=dict(self.pending_nonces),
+            local_rekey_peer=dict(self.local_rekey_peer),
+            pending_children=set(self.pending_children),
+            confirmations=set(self.confirmations),
+            confirm_failures=set(self.confirm_failures),
+        )
+
 
 class ProtocolNode:
     """Single-owner actor wrapping a NodeState; step() is the only mutator."""
@@ -288,25 +307,10 @@ class ProtocolNode:
         st = self.state
         if msg.receiver not in (st.my_id, BROADCAST) or msg.sender == st.my_id:
             return []
-        handler = {
-            MessageKind.AUTH_STEP1: self._on_step1,
-            MessageKind.JOIN_STEP_A: self._on_step1,
-            MessageKind.AUTH_STEP2: self._on_step2,
-            MessageKind.JOIN_STEP_B: self._on_step2,
-            MessageKind.AUTH_STEP3: self._on_step3,
-            MessageKind.JOIN_STEP_C: self._on_step3,
-            MessageKind.AGREE_STEP1: self._on_agree1,
-            MessageKind.AGREE_STEP2: self._on_agree2,
-            MessageKind.AGREE_STEP3: self._on_confirm,
-            MessageKind.JOIN_REQUEST: self._on_join_request,
-            MessageKind.GLOBAL_REKEY: self._on_global_rekey,
-            MessageKind.LOCAL_REKEY_STEP1: self._on_local_rekey1,
-            MessageKind.LOCAL_REKEY_STEP3: self._on_local_rekey3,
-            MessageKind.MASTER_REKEY: self._on_master_rekey,
-        }.get(msg.kind)
+        handler = _HANDLERS.get(msg.kind)
         if handler is None:
             return self._drop("unexpected")
-        return handler(msg)
+        return handler(self, msg)
 
     def _drop(self, counter: str) -> list[ProtocolMessage]:
         self.counters[counter] += 1
@@ -610,13 +614,31 @@ class ProtocolNode:
         return out
 
 
+_HANDLERS = {
+    MessageKind.AUTH_STEP1: ProtocolNode._on_step1,
+    MessageKind.JOIN_STEP_A: ProtocolNode._on_step1,
+    MessageKind.AUTH_STEP2: ProtocolNode._on_step2,
+    MessageKind.JOIN_STEP_B: ProtocolNode._on_step2,
+    MessageKind.AUTH_STEP3: ProtocolNode._on_step3,
+    MessageKind.JOIN_STEP_C: ProtocolNode._on_step3,
+    MessageKind.AGREE_STEP1: ProtocolNode._on_agree1,
+    MessageKind.AGREE_STEP2: ProtocolNode._on_agree2,
+    MessageKind.AGREE_STEP3: ProtocolNode._on_confirm,
+    MessageKind.JOIN_REQUEST: ProtocolNode._on_join_request,
+    MessageKind.GLOBAL_REKEY: ProtocolNode._on_global_rekey,
+    MessageKind.LOCAL_REKEY_STEP1: ProtocolNode._on_local_rekey1,
+    MessageKind.LOCAL_REKEY_STEP3: ProtocolNode._on_local_rekey3,
+    MessageKind.MASTER_REKEY: ProtocolNode._on_master_rekey,
+}
+
+
 def _digest_eq(a: bytes, b: bytes) -> bool:
     import hmac as _h
     return _h.compare_digest(a, b)
 
 
 def _ids_blob(ids: list[NodeId]) -> bytes:
-    return b"".join(struct.pack(">I", i) for i in sorted(ids))
+    return struct.pack(f">{len(ids)}I", *sorted(ids))
 
 
 def _derive_master_raw(suite: CipherSuite, old: KeyMaterial, epoch: int,
@@ -694,7 +716,15 @@ class GroupSession:
     Owns the tree, the connectivity graph snapshot, one ProtocolNode per group
     member (checker included) and a Transport. Each public operation either
     commits a new epoch (returning SessionKeys) or raises a ProtocolAbort
-    after restoring every node to its pre-epoch state.
+    after rolling back to the pre-epoch checkpoint.
+
+    A rollback restores every node's state (NodeState.checkpoint), the node
+    set (a leaver or a dropped member comes back, a joiner goes), the tree,
+    the graph, the checker, the master key, the epoch and the keys. It keeps
+    on purpose what must not run backwards: each node's `seen_nonces`, so
+    nonces burned during the aborted epoch stay burned; `NonceSource.used`;
+    the drop `counters`; and every RNG position, so a retry draws fresh
+    shares and nonces.
     """
 
     def __init__(self, graph: Graph, root: NodeId, members: set[NodeId], suite: CipherSuite,
@@ -745,13 +775,19 @@ class GroupSession:
                     queue.extend(node.step(delivered))
 
     def _snapshot(self):
-        return (copy.deepcopy({n: p.state for n, p in self.nodes.items()}),
-                self.master_key, self.epoch, self.keys, copy.deepcopy(self.tree),
+        # KeyTree is frozen and build/attach/detach return new trees, so the
+        # tree is kept by reference
+        return (dict(self.nodes),
+                [(node, node.state.checkpoint()) for node in self.nodes.values()],
+                self.master_key, self.epoch, self.keys, self.tree,
                 self.checker, set(self.members),
                 {n: set(v) for n, v in self.graph.items()})
 
     def _restore(self, snap) -> None:
-        states, master, epoch, keys, tree, checker, members, graph = snap
+        nodes, states, master, epoch, keys, tree, checker, members, graph = snap
+        self.nodes = nodes
+        for node, st in states:
+            node.state = st
         self.graph = graph
         self.members = members
         self.checker = checker
@@ -759,17 +795,6 @@ class GroupSession:
         self.master_key = master
         self.epoch = epoch
         self.keys = keys
-        for nid in list(self.nodes):
-            if nid not in states:
-                del self.nodes[nid]
-        for nid, st in states.items():
-            if nid in self.nodes:
-                # anti-replay memory survives the rollback: nonces seen during
-                # the aborted epoch must stay burned
-                seen_now = self.nodes[nid].state.seen_nonces
-                self.nodes[nid].state = st
-                for peer, values in seen_now.items():
-                    st.seen_nonces.setdefault(peer, set()).update(values)
 
     def _commit(self) -> SessionKeys:
         self.epoch += 1

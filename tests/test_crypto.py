@@ -55,6 +55,16 @@ class TestXorCombine:
         with pytest.raises(WidthMismatch):
             xor_combine([KeyMaterial.random(rng, 128), KeyMaterial.random(rng, 64)])
 
+    def test_xor_is_bytewise(self, rng):
+        # leading zero bytes must survive; equal inputs give all-zero bytes
+        for bits in (8, 64, 80, 128, 192, 256):
+            for _ in range(20):
+                a, b = KeyMaterial.random(rng, bits), KeyMaterial.random(rng, bits)
+                a = KeyMaterial(b"\x00" + a.data[1:])
+                want = bytes(x ^ y for x, y in zip(a.data, b.data))
+                assert (a ^ b).data == want
+                assert (a ^ a).data == bytes(bits // 8)
+
 
 class TestAuthenticatedEncryption:
     @pytest.mark.parametrize("cipher", ["aesgcm", "ctrhmac"])

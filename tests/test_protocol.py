@@ -1,6 +1,10 @@
+import dataclasses
+import hashlib
 import random
+import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from manetsec.crypto import MAX_NONCE, CipherSuite, KeyMaterial, Nonce, xor_combine
 from manetsec.protocol import (
@@ -11,8 +15,9 @@ from manetsec.protocol import (
     RekeyFailure,
     Transport,
     UnsupportedLeave,
+    _ids_blob,
 )
-from manetsec.keytree import key_path
+from manetsec.keytree import TreeError, bfs_parents, key_path
 from manetsec.wire import (
     BROADCAST,
     MessageKind,
@@ -21,7 +26,7 @@ from manetsec.wire import (
     pack_auth_step1,
 )
 
-from conftest import make_graph
+from conftest import make_graph, random_geometric
 
 
 def all_members(session):
@@ -432,3 +437,134 @@ class TestTranscriptHygiene:
         fig4_session.establish()
         for msg in fig4_session.transport.messages:
             assert ProtocolMessage.from_bytes(msg.to_bytes()) == msg
+
+
+class RateDropTransport(Transport):
+    """Drops each frame with probability `rate`, drawn from its own RNG."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self.rng = random.Random(seed)
+        self.rate = 0.0
+
+    def should_drop(self, msg):
+        return self.rng.random() < self.rate
+
+
+def rollback_view(session):
+    """Per-node fingerprint without the anti-replay memory, and that memory."""
+    return ({n: dataclasses.replace(node.state, seen_nonces={}).fingerprint()
+             for n, node in session.nodes.items()},
+            {n: {p: set(v) for p, v in node.state.seen_nonces.items()}
+             for n, node in session.nodes.items()})
+
+
+class TestRollback:
+    def test_aborted_leave_keeps_the_leaver(self, fig4_graph, suite):
+        lost = {MessageKind.MASTER_REKEY}
+        s = GroupSession(fig4_graph, 1, set(range(1, 19)), suite, seed=7, checker=5,
+                         transport=LossyTransport(lambda m: m.kind in lost))
+        s.establish()
+        before = {n: node.state.fingerprint() for n, node in s.nodes.items()}
+        with pytest.raises(RekeyFailure):
+            s.member_leave(14)
+        assert 14 in s.members and 14 in s.nodes
+        assert set(s.nodes) == s.members
+        assert s.nodes[14].state.fingerprint() == before[14]
+        keys = s.periodic_global_rekey()  # 14 still confirms
+        assert keys.gk == s.gk_oracle()
+        with pytest.raises(RekeyFailure):  # a retry aborts again, cleanly
+            s.member_leave(14)
+        lost.clear()
+        keys = s.member_leave(14)
+        assert 14 not in s.members and set(s.nodes) == s.members
+        assert keys.gk == s.gk_oracle()
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 14),
+           rate=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+           ops=st.lists(st.tuples(st.sampled_from(["leave", "join", "global", "local"]),
+                                  st.integers(0, 2**16)), min_size=1, max_size=15))
+    def test_rollback_invariants_under_churn_and_loss(self, seed, n, rate, ops):
+        graph = random_geometric(n, 0.5, random.Random(seed))
+        members = set(bfs_parents(graph, 0))
+        if len(members) < 3:
+            return
+        transport = RateDropTransport(seed)
+        try:
+            s = GroupSession(graph, 0, members, CipherSuite(), seed=seed, transport=transport)
+        except TreeError:
+            return  # the drawn checker cuts the root off part of the group
+        s.establish()
+        transport.rate = rate
+        next_id = n
+        for kind, pick in ops:
+            nodes_before, members_before = set(s.nodes), set(s.members)
+            prints_before, seen_before = rollback_view(s)
+            logged = {t: len(log) for t, log in transport.delivered.items()}
+            try:
+                if kind == "leave":
+                    candidates = sorted(s.members - {s.root})
+                    if len(candidates) < 2:
+                        continue
+                    s.member_leave(candidates[pick % len(candidates)])
+                elif kind == "join":
+                    pool = sorted(s.members)
+                    anchors = {pool[(pick + k * 7) % len(pool)] for k in range(1 + pick % 3)}
+                    s.member_join(next_id, anchors)
+                    next_id += 1
+                elif kind == "global":
+                    s.periodic_global_rekey()
+                else:
+                    level1 = s.tree.children[s.root]
+                    if not level1:
+                        continue
+                    s.periodic_local_rekey(level1[pick % len(level1)])
+            except (ProtocolAbort, TreeError):
+                assert set(s.nodes) == nodes_before
+                assert s.members == members_before
+                prints_after, seen_after = rollback_view(s)
+                assert prints_after == prints_before
+                for nid, seen in seen_before.items():
+                    for peer, values in seen.items():
+                        assert values <= seen_after[nid].get(peer, set())
+                # the nonces burned during the aborted epoch stay burned:
+                # replaying what each node received in it moves nothing
+                for t, log in transport.delivered.items():
+                    if t in s.nodes:
+                        node = s.nodes[t]
+                        for msg in log[logged.get(t, 0):]:
+                            before = node.state.fingerprint()
+                            assert node.step(msg) == []
+                            assert node.state.fingerprint() == before
+                continue
+            assert set(s.nodes) == s.members
+            gk = s.gk_oracle()
+            assert all(node.state.session_key == gk for node in s.nodes.values())
+
+
+class TestByteIdentity:
+    # digests taken from the deepcopy-rollback implementation; any change
+    # to the frames a fixed-seed session sends shows here
+    TRANSCRIPT_SHA256 = "30d30e7687be2ac2e788c136cfb9ee6c3ab9469e4a81065793db428c19dbe97e"
+    GKS = ["e3cdc2e33fc82e925f6d2ccbec8596fd", "8136282bb2a644abc7d28d0a9fa6a108",
+           "4691a99ff584f4cb617d81ed63613eb9", "c65d4221d25627f3e376e1c23140d110",
+           "9c7613d85e0f8e0d7f9d477f37379ea4", "9c7613d85e0f8e0d7f9d477f37379ea4"]
+
+    def test_fixed_seed_session_bytes(self, fig4_session):
+        s = fig4_session
+        gks = [s.establish().gk, s.member_join(19, {6, 7}).gk,
+               s.member_leave(14).gk,   # leaf leave
+               s.member_leave(5).gk,    # checker leave
+               s.periodic_global_rekey().gk]
+        s.periodic_local_rekey(s.tree.children[1][0])
+        gks.append(s.keys.gk)
+        assert [gk.data.hex() for gk in gks] == self.GKS
+        assert hashlib.sha256(s.transport.transcript).hexdigest() == self.TRANSCRIPT_SHA256
+
+    def test_ids_blob_matches_per_id_packing(self, rng):
+        rosters = [[], [0], [2**32 - 1, 0, 7]]
+        rosters += [rng.sample(range(10_000), rng.randrange(1, 300)) for _ in range(20)]
+        for ids in rosters:
+            assert _ids_blob(ids) == b"".join(struct.pack(">I", i) for i in sorted(ids))
