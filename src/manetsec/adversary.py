@@ -28,6 +28,7 @@ __all__ = [
     "candidate_group_keys",
     "scan_for_secrets",
     "replay_once",
+    "replay_moves_state",
 ]
 
 
@@ -158,6 +159,15 @@ def scan_for_secrets(transcript: bytes, secrets: set[bytes], width: int = 16) ->
     return hits
 
 
+def replay_moves_state(session: GroupSession, msg: ProtocolMessage, victims) -> bool:
+    """Step every victim through `msg` again; True if any node's state moved."""
+    nodes = [session.nodes[v] for v in victims]
+    before = [node.state.fingerprint() for node in nodes]
+    for node in nodes:
+        node.step(msg)  # discard any output: state is the question
+    return before != [node.state.fingerprint() for node in nodes]
+
+
 def replay_once(session: GroupSession, rng: random.Random) -> bool:
     """Re-inject one previously sent message; True if any key state changed."""
     msgs = session.transport.messages
@@ -165,14 +175,7 @@ def replay_once(session: GroupSession, rng: random.Random) -> bool:
         return False
     msg = msgs[rng.randrange(len(msgs))]
     targets = session.transport.peek_targets(msg, session.members)
-    victims = [t for t in targets if t in session.nodes]
-    if not victims:
-        return False
-    before = {v: session.nodes[v].state.fingerprint() for v in victims}
-    for v in victims:
-        session.nodes[v].step(msg)  # discard any output: state is the question
-    after = {v: session.nodes[v].state.fingerprint() for v in victims}
-    return before != after
+    return replay_moves_state(session, msg, [t for t in targets if t in session.nodes])
 
 
 # -- whole-suite driver ----------------------------------------------------------
@@ -281,12 +284,8 @@ def run_security_suite(seed: int, suite: CipherSuite | None = None, cycles: int 
     for msg in reversed(session.transport.messages):
         if msg.kind in (MessageKind.AUTH_STEP1, MessageKind.JOIN_STEP_A) \
                 and msg.receiver in session.nodes:
-            node = session.nodes[msg.receiver]
-            before = node.state.fingerprint()
-            node.step(msg)
             report.replay_trials += 1
-            if node.state.fingerprint() != before:
-                report.replay_failures += 1
+            report.replay_failures += replay_moves_state(session, msg, [msg.receiver])
             break
     report.elapsed = _time.monotonic() - t0
     return report

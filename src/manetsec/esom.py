@@ -12,6 +12,7 @@ unclassified.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -405,9 +406,12 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if len(row) != N_FEATURES + 1:
                 raise DatasetError(f"expected {N_FEATURES + 1} columns, got {len(row)}", row=i)
             try:
-                rows.append([float(x) for x in row[:N_FEATURES]])
+                values = [float(x) for x in row[:N_FEATURES]]
             except ValueError as e:
                 raise DatasetError(f"non-numeric feature value: {e}", row=i) from None
+            if not all(math.isfinite(v) for v in values):
+                raise DatasetError("feature values must be finite, not nan or inf", row=i)
+            rows.append(values)
             lab = row[N_FEATURES].strip().lower()
             if lab not in (VERDICT_NORMAL, VERDICT_ATTACK):
                 raise DatasetError(f"label must be normal or attack, got {lab!r}", row=i)

@@ -67,7 +67,7 @@ class KeyTree:
 @dataclass
 class DetachResult:
     tree: KeyTree
-    affected: set[NodeId]   # former ancestors of the leaver + re-attached subtree roots
+    affected: set[NodeId]   # ancestors + surviving children of the leaver (or new checker)
     dropped: set[NodeId]    # members left without any path to the root (reported, out of group)
 
 
@@ -167,33 +167,37 @@ def attach_member(tree: KeyTree, new_node: NodeId, graph: Graph) -> KeyTree:
                    height=max(tree.height, best_level + 1), checker=tree.checker)
 
 
-def detach_member(tree: KeyTree, leaver: NodeId, graph: Graph) -> DetachResult:
+def detach_member(tree: KeyTree, leaver: NodeId, graph: Graph,
+                  checker: NodeId | None = None) -> DetachResult:
     """Remove a member and restore the canonical BFS layering.
 
-    A leaving checker leaves the tree untouched; the root merely has to pick a
-    replacement (affected = {root}). Otherwise the reduced membership is
-    re-layered from scratch (identical to build_tree on the reduced graph);
-    orphaned subtrees that lose every path to the root are reported dropped.
+    The reduced membership is re-layered from scratch (identical to build_tree
+    on the reduced graph); orphaned subtrees that lose every path to the root
+    are reported dropped. A leaving checker must name its replacement
+    `checker`, a tree member that leaves the body and takes the leaver's place
+    in `affected` (its ancestors and former children still in the tree); any
+    other leaver keeps the current checker.
     """
-    if leaver == tree.checker:
-        return DetachResult(tree=tree, affected={tree.root}, dropped=set())
-    if leaver not in tree:
-        raise UnknownNode(f"node {leaver} not in tree")
     if leaver == tree.root:
         raise TreeError("root cannot be detached; the group dissolves instead")
-
-    ancestors = key_path(tree, leaver)[1:]
-    former_children = list(tree.children[leaver])
+    if leaver != tree.checker:
+        moved, checker = leaver, tree.checker
+    elif checker is None:
+        raise TreeError("a leaving checker needs a replacement checker")
+    else:
+        moved = checker
+    ancestors = key_path(tree, moved)[1:]  # UnknownNode for a non-member
+    former_children = list(tree.children[moved])
 
     reduced = {n: set(nbs) - {leaver} for n, nbs in graph.items() if n != leaver}
     remaining = (tree.members() | {tree.checker}) - {leaver}
     # Strip unreachable members rather than failing: they fall out of the group.
     try:
-        new_tree = build_tree(tree.root, remaining, reduced, tree.checker)
+        new_tree = build_tree(tree.root, remaining, reduced, checker)
         dropped: set[NodeId] = set()
     except Unreachable as e:
         dropped = e.nodes
-        new_tree = build_tree(tree.root, remaining - dropped, reduced, tree.checker)
+        new_tree = build_tree(tree.root, remaining - dropped, reduced, checker)
 
     affected = set(ancestors) | {c for c in former_children if c in new_tree}
     return DetachResult(tree=new_tree, affected=affected, dropped=dropped)

@@ -19,19 +19,20 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import hmac
 import random
 import struct
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .crypto import (MAX_NONCE, CipherSuite, IntegrityFailure, KeyMaterial, NonceSource,
-                     xor_combine)
+from .crypto import (MAX_NONCE, CipherSuite, IntegrityFailure, KeyMaterial, Nonce,
+                     NonceSource, xor_combine)
 from .keytree import (
     Graph,
     KeyTree,
     NodeId,
     TreeError,
-    Unreachable,
     attach_member,
     build_tree,
     detach_member,
@@ -182,6 +183,7 @@ class ProtocolNode:
     def __init__(self, node_id: NodeId, suite: CipherSuite, master_key: KeyMaterial,
                  rng: random.Random, unsafe_skip_nonce_checks: bool = False):
         self.suite = suite
+        self.key_len = suite.key_bits // 8  # byte width of a key field on the wire
         self.rng = rng
         self.state = NodeState(my_id=node_id, master_key=master_key)
         self.nonces = NonceSource(node_id, rng)
@@ -253,17 +255,22 @@ class ProtocolNode:
         st = self.state
         assert st.role == ROLE_CHECKER and st.session_key is not None
         fresh = self.suite.new_key(self.rng)
-        nonce = self.nonces.fresh()
-        st.pending_nonces["rekey_ch"] = nonce.value
-        gk_new = st.session_key ^ fresh
-        st.rekey_tentative = gk_new
-        st.expected_confirm = self.suite.digest(
-            wire.confirm_digest_input(st.my_id, nonce.value + 1, gk_new))
-        st.confirmations = set()
-        st.confirm_failures = set()
+        st.rekey_tentative = st.session_key ^ fresh
+        nonce = self._await_confirmations(st.rekey_tentative)
         pt = wire.pack_rekey(st.my_id, fresh, nonce)
         return [ProtocolMessage(MessageKind.GLOBAL_REKEY, st.my_id, BROADCAST, (st.my_id,),
                                 self.suite.encrypt(st.session_key, pt, self.rng))]
+
+    def _await_confirmations(self, key: KeyMaterial) -> Nonce:
+        """Checker: draw the challenge nonce and open a confirmation window for `key`."""
+        st = self.state
+        nonce = self.nonces.fresh()
+        st.pending_nonces["rekey_ch"] = nonce.value
+        st.expected_confirm = self.suite.digest(
+            wire.confirm_digest_input(st.my_id, nonce.value + 1, key))
+        st.confirmations = set()
+        st.confirm_failures = set()
+        return nonce
 
     def begin_local_rekey(self) -> list[ProtocolMessage]:
         st = self.state
@@ -316,10 +323,11 @@ class ProtocolNode:
         self.counters[counter] += 1
         return []
 
-    def _decrypt(self, key: KeyMaterial, payload: bytes) -> bytes | None:
+    def _open(self, key: KeyMaterial, payload: bytes, unpack, *width) -> tuple | None:
+        """Decrypt and parse a frame body; None when either step fails."""
         try:
-            return self.suite.decrypt(key, payload)
-        except IntegrityFailure:
+            return unpack(self.suite.decrypt(key, payload), *width)
+        except (IntegrityFailure, wire.WireError):
             return None
 
     def _nonce_fresh(self, peer: NodeId, value: int) -> bool:
@@ -345,13 +353,10 @@ class ProtocolNode:
     # step 1: descendant opened an exchange towards us (we are the ascendant)
     def _on_step1(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
-        pt = self._decrypt(st.master_key, msg.payload)
-        if pt is None:
+        fields = self._open(st.master_key, msg.payload, wire.unpack_auth_step1)
+        if fields is None:
             return self._drop("integrity_failures")
-        try:
-            id_d, id_a, nonce_d = wire.unpack_auth_step1(pt)
-        except wire.WireError:
-            return self._drop("integrity_failures")
+        id_d, id_a, nonce_d = fields
         if id_a != st.my_id or id_d != msg.sender or msg.ids != (id_d, id_a):
             return self._drop("unexpected")
         if not self._nonce_fresh(id_d, nonce_d):
@@ -368,13 +373,10 @@ class ProtocolNode:
     # once every awaited child has reported
     def _on_step2(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
-        pt = self._decrypt(st.master_key, msg.payload)
-        if pt is None:
+        fields = self._open(st.master_key, msg.payload, wire.unpack_auth_step2)
+        if fields is None:
             return self._drop("integrity_failures")
-        try:
-            id_a, id_d, echoed, nonce_a = wire.unpack_auth_step2(pt)
-        except wire.WireError:
-            return self._drop("integrity_failures")
+        id_a, id_d, echoed, nonce_a = fields
         if id_d != st.my_id or id_a != msg.sender or msg.sender != st.parent_id:
             return self._drop("unexpected")
         my_nonce = st.pending_nonces.get("up_echo")
@@ -416,13 +418,10 @@ class ProtocolNode:
     # step 3: a descendant handed up its intermediate key
     def _on_step3(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
-        pt = self._decrypt(st.master_key, msg.payload)
-        if pt is None:
+        fields = self._open(st.master_key, msg.payload, wire.unpack_auth_step3, self.key_len)
+        if fields is None:
             return self._drop("integrity_failures")
-        try:
-            id_a, id_d, echoed, k_up, share = wire.unpack_auth_step3(pt, self.suite.key_bits // 8)
-        except wire.WireError:
-            return self._drop("integrity_failures")
+        id_a, id_d, echoed, k_up, share = fields
         if id_a != st.my_id or id_d != msg.sender:
             return self._drop("unexpected")
         expected = st.pending_nonces.get(f"down_echo:{id_d}")
@@ -456,13 +455,10 @@ class ProtocolNode:
     # agreement step 1: root broadcast the subkey
     def _on_agree1(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
-        pt = self._decrypt(st.master_key, msg.payload)
-        if pt is None:
+        fields = self._open(st.master_key, msg.payload, wire.unpack_agree_step1, self.key_len)
+        if fields is None:
             return self._drop("integrity_failures")
-        try:
-            rid, z, nonce_root = wire.unpack_agree_step1(pt, self.suite.key_bits // 8)
-        except wire.WireError:
-            return self._drop("integrity_failures")
+        rid, z, nonce_root = fields
         if rid != msg.sender or rid != st.root_id:
             return self._drop("unexpected")
         if not self._nonce_fresh(rid, nonce_root):
@@ -474,12 +470,7 @@ class ProtocolNode:
         if st.role == ROLE_CHECKER:
             self.refresh_share()
             st.session_key = z ^ st.share
-            nonce_ch = self.nonces.fresh()
-            st.pending_nonces["rekey_ch"] = nonce_ch.value
-            st.expected_confirm = self.suite.digest(
-                wire.confirm_digest_input(st.my_id, nonce_ch.value + 1, st.session_key))
-            st.confirmations = set()
-            st.confirm_failures = set()
+            nonce_ch = self._await_confirmations(st.session_key)
             pt2 = wire.pack_agree_step2(st.my_id, st.share, nonce_root + 1, nonce_ch)
             return [ProtocolMessage(MessageKind.AGREE_STEP2, st.my_id, BROADCAST, (st.my_id,),
                                     self.suite.encrypt(st.master_key, pt2, self.rng))]
@@ -488,13 +479,10 @@ class ProtocolNode:
     # agreement step 2: checker broadcast its share; compute K and confirm
     def _on_agree2(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
-        pt = self._decrypt(st.master_key, msg.payload)
-        if pt is None:
+        fields = self._open(st.master_key, msg.payload, wire.unpack_agree_step2, self.key_len)
+        if fields is None:
             return self._drop("integrity_failures")
-        try:
-            cid, share_ch, echoed, nonce_ch = wire.unpack_agree_step2(pt, self.suite.key_bits // 8)
-        except wire.WireError:
-            return self._drop("integrity_failures")
+        cid, share_ch, echoed, nonce_ch = fields
         if cid != msg.sender or cid != st.checker_id or st.subkey is None:
             return self._drop("unexpected")
         root_nonce = st.pending_nonces.get("agree_root")
@@ -502,9 +490,13 @@ class ProtocolNode:
             return self._drop("nonce_mismatch")
         if not self._nonce_fresh(cid, nonce_ch):
             return self._drop("nonce_mismatch")
-        st.session_key = st.subkey ^ share_ch
-        digest = self.suite.digest(
-            wire.confirm_digest_input(cid, nonce_ch + 1, st.session_key))
+        return self._confirm(cid, nonce_ch, st.subkey ^ share_ch)
+
+    def _confirm(self, cid: NodeId, nonce: int, key: KeyMaterial) -> list[ProtocolMessage]:
+        """Member: adopt `key` as the session key and confirm it to the checker."""
+        st = self.state
+        st.session_key = key
+        digest = self.suite.digest(wire.confirm_digest_input(cid, nonce + 1, key))
         return [ProtocolMessage(MessageKind.AGREE_STEP3, st.my_id, cid, (st.my_id, cid), digest)]
 
     # confirmation digests flow to the checker for both agreement and rekey
@@ -514,7 +506,7 @@ class ProtocolNode:
             return self._drop("unexpected")
         if msg.ids != (msg.sender, st.my_id):
             return self._drop("unexpected")
-        if _digest_eq(msg.payload, st.expected_confirm):
+        if hmac.compare_digest(msg.payload, st.expected_confirm):
             st.confirmations.add(msg.sender)
         else:
             st.confirm_failures.add(msg.sender)
@@ -528,21 +520,15 @@ class ProtocolNode:
         st = self.state
         if st.session_key is None or st.role == ROLE_CHECKER:
             return self._drop("unexpected")
-        pt = self._decrypt(st.session_key, msg.payload)
-        if pt is None:
+        fields = self._open(st.session_key, msg.payload, wire.unpack_rekey, self.key_len)
+        if fields is None:
             return self._drop("integrity_failures")
-        try:
-            cid, fresh, nonce_ch = wire.unpack_rekey(pt, self.suite.key_bits // 8)
-        except wire.WireError:
-            return self._drop("integrity_failures")
+        cid, fresh, nonce_ch = fields
         if cid != msg.sender or cid != st.checker_id:
             return self._drop("unexpected")
         if not self._nonce_fresh(cid, nonce_ch):
             return self._drop("nonce_mismatch")
-        st.session_key = st.session_key ^ fresh
-        digest = self.suite.digest(
-            wire.confirm_digest_input(cid, nonce_ch + 1, st.session_key))
-        return [ProtocolMessage(MessageKind.AGREE_STEP3, st.my_id, cid, (st.my_id, cid), digest)]
+        return self._confirm(cid, nonce_ch, st.session_key ^ fresh)
 
     def _on_local_rekey1(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
@@ -551,13 +537,10 @@ class ProtocolNode:
         lk_old = st.local_keys.get(msg.sender)
         if lk_old is None:
             return self._drop("unexpected")
-        pt = self._decrypt(lk_old, msg.payload)
-        if pt is None:
+        fields = self._open(lk_old, msg.payload, wire.unpack_rekey, self.key_len)
+        if fields is None:
             return self._drop("integrity_failures")
-        try:
-            jid, fresh, nonce_j = wire.unpack_rekey(pt, self.suite.key_bits // 8)
-        except wire.WireError:
-            return self._drop("integrity_failures")
+        jid, fresh, nonce_j = fields
         if jid != msg.sender:
             return self._drop("unexpected")
         if not self._nonce_fresh(jid, nonce_j):
@@ -571,7 +554,7 @@ class ProtocolNode:
             return self._drop("unexpected")
         nonce_j, lk_new = st.local_rekey_peer[msg.sender]
         want = self.suite.digest(wire.confirm_digest_input(msg.sender, nonce_j + 1, lk_new))
-        if not _digest_eq(msg.payload, want):
+        if not hmac.compare_digest(msg.payload, want):
             return self._drop("integrity_failures")
         del st.local_rekey_peer[msg.sender]
         st.local_keys[msg.sender] = lk_new
@@ -584,13 +567,10 @@ class ProtocolNode:
         ek = st.edge_keys.get(msg.sender)
         if ek is None:
             return self._drop("unexpected")
-        pt = self._decrypt(ek, msg.payload)
-        if pt is None:
+        fields = self._open(ek, msg.payload, wire.unpack_rekey, self.key_len)
+        if fields is None:
             return self._drop("integrity_failures")
-        try:
-            sid, salt, nonce = wire.unpack_rekey(pt, self.suite.key_bits // 8)
-        except wire.WireError:
-            return self._drop("integrity_failures")
+        sid, salt, nonce = fields
         if sid != msg.sender:
             return self._drop("unexpected")
         if not self._nonce_fresh(sid, nonce):
@@ -630,11 +610,6 @@ _HANDLERS = {
     MessageKind.LOCAL_REKEY_STEP3: ProtocolNode._on_local_rekey3,
     MessageKind.MASTER_REKEY: ProtocolNode._on_master_rekey,
 }
-
-
-def _digest_eq(a: bytes, b: bytes) -> bool:
-    import hmac as _h
-    return _h.compare_digest(a, b)
 
 
 def _ids_blob(ids: list[NodeId]) -> bytes:
@@ -716,7 +691,8 @@ class GroupSession:
     Owns the tree, the connectivity graph snapshot, one ProtocolNode per group
     member (checker included) and a Transport. Each public operation either
     commits a new epoch (returning SessionKeys) or raises a ProtocolAbort
-    after rolling back to the pre-epoch checkpoint.
+    after rolling back to the pre-epoch checkpoint. All five epoch methods
+    run their body inside `_epoch()`, the one place a rollback happens.
 
     A rollback restores every node's state (NodeState.checkpoint), the node
     set (a leaver or a dropped member comes back, a joiner goes), the tree,
@@ -774,27 +750,26 @@ class GroupSession:
                 if node is not None:
                     queue.extend(node.step(delivered))
 
-    def _snapshot(self):
-        # KeyTree is frozen and build/attach/detach return new trees, so the
-        # tree is kept by reference
-        return (dict(self.nodes),
-                [(node, node.state.checkpoint()) for node in self.nodes.values()],
-                self.master_key, self.epoch, self.keys, self.tree,
-                self.checker, set(self.members),
-                {n: set(v) for n, v in self.graph.items()})
+    @contextmanager
+    def _epoch(self):
+        """One epoch attempt: the body commits, or an abort rolls it all back.
 
-    def _restore(self, snap) -> None:
-        nodes, states, master, epoch, keys, tree, checker, members, graph = snap
-        self.nodes = nodes
-        for node, st in states:
-            node.state = st
-        self.graph = graph
-        self.members = members
-        self.checker = checker
-        self.tree = tree
-        self.master_key = master
-        self.epoch = epoch
-        self.keys = keys
+        This is the only place a rollback happens. KeyTree is frozen and
+        build/attach/detach return new trees, so the tree is kept by reference.
+        """
+        nodes = dict(self.nodes)
+        states = [(node, node.state.checkpoint()) for node in nodes.values()]
+        saved = (self.master_key, self.epoch, self.keys, self.tree, self.checker,
+                 set(self.members), {n: set(v) for n, v in self.graph.items()})
+        try:
+            yield
+        except (ProtocolAbort, TreeError):
+            self.nodes = nodes
+            for node, st in states:
+                node.state = st
+            (self.master_key, self.epoch, self.keys, self.tree, self.checker,
+             self.members, self.graph) = saved
+            raise
 
     def _commit(self) -> SessionKeys:
         self.epoch += 1
@@ -885,14 +860,10 @@ class GroupSession:
 
     def establish(self) -> SessionKeys:
         """First full epoch: key initiation then session agreement."""
-        snap = self._snapshot()
-        try:
+        with self._epoch():
             self.run_key_initiation()
             self.run_session_agreement()
             return self._commit()
-        except ProtocolAbort:
-            self._restore(snap)
-            raise
 
     def _require_established(self) -> None:
         if self.keys is None:
@@ -905,8 +876,7 @@ class GroupSession:
         if joiner in self.members:
             raise ValueError(f"node {joiner} is already a member")
         self._require_established()
-        snap = self._snapshot()
-        try:
+        with self._epoch():
             self.graph.setdefault(joiner, set())
             for e in edges:
                 if e in self.graph:
@@ -936,9 +906,6 @@ class GroupSession:
             self._run_path_refresh(fresh=path, reporters=path, family="join")
             self.run_session_agreement()
             return self._commit()
-        except (ProtocolAbort, TreeError):
-            self._restore(snap)
-            raise
 
     def member_leave(self, leaver: NodeId) -> SessionKeys:
         """Expel a node: re-layer, rotate the master key with fresh entropy
@@ -948,41 +915,23 @@ class GroupSession:
         if leaver == self.root:
             raise UnsupportedLeave("the protocol initiator cannot leave")
         self._require_established()
-        snap = self._snapshot()
-        try:
+        with self._epoch():
             old_children = {n: tuple(c) for n, c in self.tree.children.items()}
             old_parent = dict(self.tree.parent)
             graph2 = {n: set(nbs) - {leaver} for n, nbs in self.graph.items() if n != leaver}
-
-            if leaver == self.checker:
-                # replace the checker with another one-hop neighbor of the
-                # root and pull that member out of the tree body
-                new_checker = select_checker(self.root, graph2, self.rng,
-                                             self.members - {leaver})
-                former_children = set(self.tree.children.get(new_checker, ()))
-                remaining = self.members - {leaver}
-                try:
-                    new_tree = build_tree(self.root, remaining, graph2, new_checker)
-                    dropped = set()
-                except Unreachable as e:
-                    dropped = e.nodes
-                    new_tree = build_tree(self.root, remaining - dropped, graph2, new_checker)
-                affected = {self.root} | set(key_path(self.tree, new_checker)[1:])
-                affected |= {c for c in former_children if c in new_tree}
-                self.tree = new_tree
-                self.checker = new_checker
+            # a leaving checker hands over to another one-hop neighbor of the root
+            new_checker = (select_checker(self.root, graph2, self.rng, self.members - {leaver})
+                           if leaver == self.checker else None)
+            det = detach_member(self.tree, leaver, graph2, checker=new_checker)
+            if new_checker is not None:
                 self.nodes[new_checker].state.share = None
-            else:
-                det = detach_member(self.tree, leaver, graph2)
-                self.tree = det.tree
-                affected = set(det.affected)
-                dropped = det.dropped
-
+            self.tree = det.tree
+            self.checker = det.tree.checker
             self.graph = graph2
             del self.nodes[leaver]
-            for d in dropped:
+            for d in det.dropped:
                 self.nodes.pop(d, None)
-            self.members = self.members - {leaver} - dropped
+            self.members = self.members - {leaver} - det.dropped
             ids = sorted(self.members)
             epoch_new = self.epoch + 1
             self._configure_all()
@@ -1013,19 +962,16 @@ class GroupSession:
             self.master_key = root.state.master_key
 
             # every node that moved, lost a child or must hide material the
-            # leaver saw re-reports its fold; only `affected` draw new shares
-            reporters = set(affected)
+            # leaver saw re-reports its fold; only the affected draw new shares
+            reporters = set(det.affected)
             for n in self.tree.members():
                 if old_children.get(n, ()) != tuple(self.tree.children.get(n, ())):
                     reporters.add(n)
                 if old_parent.get(n) != self.tree.parent.get(n):
                     reporters.add(n)
-            self._run_path_refresh(fresh=affected, reporters=reporters, family="join")
+            self._run_path_refresh(fresh=det.affected, reporters=reporters, family="join")
             self.run_session_agreement()
             return self._commit()
-        except (ProtocolAbort, TreeError):
-            self._restore(snap)
-            raise
 
     def _run_path_refresh(self, fresh: set[NodeId], reporters: set[NodeId], family: str) -> None:
         """Refresh shares for `fresh`, re-fold every path touching `reporters`."""
@@ -1053,8 +999,7 @@ class GroupSession:
         """Checker-driven GK ratchet: GK_new = GK_old xor fresh share."""
         if self.keys is None:
             raise RekeyFailure("no established session key to update")
-        snap = self._snapshot()
-        try:
+        with self._epoch():
             checker = self.nodes[self.checker]
             self._pump(checker.begin_global_rekey())
             expected = self.members - {self.checker}
@@ -1068,9 +1013,6 @@ class GroupSession:
             checker.state.share = checker.state.share ^ (gk_new ^ self.keys.gk)
             checker.state.rekey_tentative = None
             return self._commit()
-        except ProtocolAbort:
-            self._restore(snap)
-            raise
 
     def periodic_local_rekey(self, member: NodeId) -> KeyMaterial:
         """Level-1 member ratchets its local key with the root: LK xor S''."""
@@ -1080,8 +1022,7 @@ class GroupSession:
             raise RekeyFailure(f"node {member} is not a level-1 member")
         if node is None or node.state.local_keys.get(member) is None:
             raise RekeyFailure(f"node {member} holds no local key with the root")
-        snap = self._snapshot()
-        try:
+        with self._epoch():
             self._pump(node.begin_local_rekey())
             lk_member = node.state.local_keys[member]
             lk_root = root.state.local_keys.get(member)
@@ -1090,9 +1031,6 @@ class GroupSession:
                 raise RekeyFailure(f"local rekey with {member} failed verification")
             self._commit()
             return lk_member
-        except ProtocolAbort:
-            self._restore(snap)
-            raise
 
 
 def _sub_seed(seed: int, label: str) -> int:

@@ -162,6 +162,15 @@ class World:
         self.speeds = np.append(self.speeds, 0.0)
         self.pause_until = np.append(self.pause_until, self.time + self.mobility.pause_time)
 
+    def remove_node(self, node: NodeId) -> None:
+        idx = self.index(node)
+        self.ids.pop(idx)
+        self.positions = np.delete(self.positions, idx, axis=0)
+        self.waypoints = np.delete(self.waypoints, idx, axis=0)
+        self.speeds = np.delete(self.speeds, idx)
+        self.pause_until = np.delete(self.pause_until, idx)
+        self.adversaries.pop(node, None)
+
 
 def init_world(config: ScenarioConfig, seed: int) -> World:
     """Uniform random placement; every node starts in its initial pause."""
@@ -565,12 +574,7 @@ def _replayers_fire(session: GroupSession, world: World, transport: "RadioTransp
         for msg in stored:
             victims = [m for m in transport.peek_targets(msg, session.members)
                        if m in session.nodes and id(msg) in got_it.get(m, ())]
-            before = {m: session.nodes[m].state.fingerprint() for m in victims}
-            for m in victims:
-                session.nodes[m].step(msg)
-            after = {m: session.nodes[m].state.fingerprint() for m in victims}
-            if before != after:
-                changes += 1
+            changes += adv.replay_moves_state(session, msg, victims)
         if stored:
             events.append((world.time, "replay_burst", nid, None,
                            f"re-injected {len(stored)} captured messages"))
@@ -584,12 +588,13 @@ def _apply_schedule_event(ev: ScheduleEvent, session: GroupSession, world: World
         if nid is None or nid in session.members:
             events.append((world.time, "epoch_abort", "join", nid, "bad join target"))
             return
-        # spawn the newcomer beside the lowest-id member so it lands in range
-        anchor = min(session.members)
-        base = world.positions[world.index(anchor)]
-        offset = world.rng.uniform(-world.range_m / 4, world.range_m / 4, size=2)
-        newpos = np.clip(base + offset, (0, 0), world.area)
-        world.add_node(nid, newpos)
+        if nid not in world.ids:
+            # spawn the newcomer beside the lowest-id member so it lands in
+            # range; a node already in the world joins where it is
+            anchor = min(session.members)
+            base = world.positions[world.index(anchor)]
+            offset = world.rng.uniform(-world.range_m / 4, world.range_m / 4, size=2)
+            world.add_node(nid, np.clip(base + offset, (0, 0), world.area))
         g = connectivity(world)
         edges = g.get(nid, set()) & session.members
         session.graph = _member_subgraph(g, session.members | {nid})
@@ -602,13 +607,7 @@ def _apply_schedule_event(ev: ScheduleEvent, session: GroupSession, world: World
             return
         session.graph = _member_subgraph(graph, session.members)
         if attempt("leave", lambda: session.member_leave(nid)):
-            idx = world.index(nid)
-            world.ids.pop(idx)
-            world.positions = np.delete(world.positions, idx, axis=0)
-            world.waypoints = np.delete(world.waypoints, idx, axis=0)
-            world.speeds = np.delete(world.speeds, idx)
-            world.pause_until = np.delete(world.pause_until, idx)
-            world.adversaries.pop(nid, None)
+            world.remove_node(nid)
             events.append((world.time, "leave", nid, None, "member departed"))
     elif ev.kind == "global_rekey":
         attempt("global_rekey", session.periodic_global_rekey)

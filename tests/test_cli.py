@@ -157,6 +157,18 @@ class TestDetectorPipeline:
                      "--seed", "1"]) == 1
         assert "row 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("nav,tx_rate,rx_rate,rts_retx_rate,data_retx_rate,"
+                       "active_neighbors,forwarding_nodes,label\n"
+                       "1,2,3,4,5,6,7,normal\n"
+                       f"1,2,{value},4,5,6,7,attack\n")
+        assert main(["train", "--data", str(bad), "--model", str(tmp_path / "m.bin"),
+                     "--seed", "1"]) == 1
+        assert "row 3" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
     def test_evaluate_perfect_verdicts(self, tmp_path, capsys):
         truth = tmp_path / "truth.csv"
         write_dataset(truth, 20, 2.0, 5)

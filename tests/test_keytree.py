@@ -7,6 +7,7 @@ from manetsec.keytree import (
     Disconnected,
     IsolatedRoot,
     KeyTree,
+    TreeError,
     UnknownNode,
     Unreachable,
     attach_member,
@@ -176,11 +177,24 @@ class TestDetachMember:
         assert res.affected == {10, 6, 2, 1}
         assert res.dropped == set()
 
-    def test_checker_leaves_tree_untouched(self, fig4_graph):
-        tree = self.make(fig4_graph)
-        res = detach_member(tree, 5, fig4_graph)
-        assert res.tree == tree
-        assert res.affected == {1}
+    def test_checker_leave_relayers_around_replacement(self, fig4_graph):
+        graph = {n: set(v) for n, v in fig4_graph.items()}
+        graph[7].add(8)  # 2's and 3's subtrees can reach the root through each other
+        graph[8].add(7)
+        reduced = {n: v - {5} for n, v in graph.items() if n != 5}
+        tree = build_tree(1, set(range(1, 19)), graph, checker=5)
+        for c, dropped in ((2, {6, 10, 11, 14, 15, 16}), (3, set()), (4, {9})):
+            res = detach_member(tree, 5, graph, checker=c)
+            assert res.dropped == dropped
+            assert res.tree == build_tree(1, set(range(1, 19)) - {5} - dropped, reduced,
+                                          checker=c)
+            assert res.tree.checker == c and c not in res.tree
+            assert res.affected == set(key_path(tree, c)[1:]) | {
+                k for k in tree.children[c] if k in res.tree}
+
+    def test_checker_leave_needs_replacement(self, fig4_graph):
+        with pytest.raises(TreeError):
+            detach_member(self.make(fig4_graph), 5, fig4_graph)
 
     def test_internal_rebuild_identity(self, fig4_graph):
         # removing an internal node yields exactly the from-scratch tree

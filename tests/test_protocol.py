@@ -492,19 +492,22 @@ class TestRollback:
         if len(members) < 3:
             return
         transport = RateDropTransport(seed)
+        transport.rate = rate
         try:
             s = GroupSession(graph, 0, members, CipherSuite(), seed=seed, transport=transport)
         except TreeError:
             return  # the drawn checker cuts the root off part of the group
-        s.establish()
-        transport.rate = rate
         next_id = n
-        for kind, pick in ops:
+        # establish runs under the same loss; until it commits, every op
+        # retries it instead
+        for kind, pick in [("establish", 0)] + ops:
             nodes_before, members_before = set(s.nodes), set(s.members)
             prints_before, seen_before = rollback_view(s)
             logged = {t: len(log) for t, log in transport.delivered.items()}
             try:
-                if kind == "leave":
+                if s.keys is None:
+                    s.establish()
+                elif kind == "leave":
                     candidates = sorted(s.members - {s.root})
                     if len(candidates) < 2:
                         continue

@@ -1,5 +1,7 @@
 import math
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from manetsec.response import RoutingTable
 from manetsec.wire import BROADCAST, MessageKind, ProtocolMessage
 
 from conftest import make_graph, random_geometric
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def small_config(**kw):
@@ -377,6 +381,26 @@ class TestRunScenario:
         report = sim.run_scenario(cfg, 19)
         kinds = [e[1] for e in report.events]
         assert "join" in kinds and "leave" in kinds
+
+    def test_join_of_a_node_already_in_the_world(self, monkeypatch):
+        # scenario_basic at seed 42 leaves node 3 out of the group at t = 0;
+        # a scheduled join must take it where it stands, not add a second copy
+        cfg = sim.parse_scenario(DEMOS / "scenario_basic.cfg")
+        cfg = replace(cfg, duration=20.0, schedule=(sim.ScheduleEvent(5.0, "join", 3),),
+                      traffic=replace(cfg.traffic, attack_start=10.0, attack_end=20.0),
+                      som=SomConfig(rows=6, cols=8, epochs=2))
+        worlds = []
+        init_world = sim.init_world
+        monkeypatch.setattr(sim, "init_world",
+                            lambda c, seed: worlds.append(init_world(c, seed)) or worlds[-1])
+        report = sim.run_scenario(cfg, 42)
+        assert (0.0, "out_of_group", 3, None, "no tree path to the root") in report.events
+        world = worlds[0]
+        assert sorted(world.ids) == list(range(50))
+        assert world.positions.shape == world.waypoints.shape == (50, 2)
+        assert len(world.speeds) == len(world.pause_until) == 50
+        # node 3 has no in-range member at t = 5, so the join aborts
+        assert [e[1:3] for e in report.events if e[0] == 5.0] == [("epoch_abort", "join")]
 
 
 class TestScenarioParser:
