@@ -2,8 +2,10 @@
 detector's train/classify/evaluate file pipeline.
 
 Exit codes: 0 success, 1 configuration or input error, 2 property-suite
-failure. Reproducibility is mandatory: `simulate` and `train` refuse to run
-without a seed (flag or config file).
+failure. `main` turns every input error (unreadable or non-UTF-8 file, bad
+scenario, malformed dataset or model) into `error: <message>` and exit 1; any other
+exception is a bug and keeps its traceback. Reproducibility is mandatory:
+`simulate` and `train` refuse to run without a seed (flag or config file).
 """
 
 from __future__ import annotations
@@ -69,24 +71,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_simulate(args) -> int:
-    try:
-        config = parse_scenario(args.config)
-    except OSError as e:
-        print(f"error: cannot read config: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+def _config_and_seed(args):
+    """The scenario file and the run seed; the --seed flag wins over the file."""
+    config = parse_scenario(args.config)
     seed = args.seed if args.seed is not None else config.seed
     if seed is None:
-        print("error: simulate needs --seed or a seed in the config", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = run_scenario(config, seed)
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ScenarioError(f"{args.command} needs --seed or a seed in the config")
+    return config, seed
+
+
+def _input_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT
+
+
+def cmd_simulate(args) -> int:
+    config, seed = _config_and_seed(args)
+    report = run_scenario(config, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(report.to_csv())
@@ -96,19 +97,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack_suite(args) -> int:
-    try:
-        config = parse_scenario(args.config)
-        suite = CipherSuite(config.cipher, config.hash_name, config.key_bits)
-    except OSError as e:
-        print(f"error: cannot read config: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ScenarioError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    seed = args.seed if args.seed is not None else config.seed
-    if seed is None:
-        print("error: attack-suite needs --seed or a seed in the config", file=sys.stderr)
-        return EXIT_INPUT
+    config, seed = _config_and_seed(args)
+    suite = CipherSuite(config.cipher, config.hash_name, config.key_bits)
     report = run_security_suite(seed, suite=suite, cycles=args.cycles,
                                 replay_trials=args.replay_trials,
                                 weaken_nonce_check=args.weaken_nonce_check)
@@ -138,23 +128,16 @@ def cmd_attack_suite(args) -> int:
 
 def cmd_train(args) -> int:
     if args.seed is None:
-        print("error: train needs --seed (reproducibility is mandatory)", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        data, labels = esom.read_dataset_csv(args.data)
-    except OSError as e:
-        print(f"error: cannot read data: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except esom.DatasetError as e:
-        print(f"error: {args.data}: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error("train needs --seed (reproducibility is mandatory)")
+    data, labels = esom.read_dataset_csv(args.data)
+    if len(data) < 2:
+        return _input_error(f"{args.data}: training needs at least two samples")
     config = esom.SomConfig(rows=args.rows, cols=args.cols, epochs=args.epochs,
                             hill_quantile=args.hill_quantile)
     try:
         config.validate()
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(str(e))
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x50D]))
     model = esom.fit_detector(data, labels, config, rng)
     esom.save_model(args.model, model)
@@ -163,15 +146,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        model = esom.load_model(args.model)
-        data, _ = esom.read_dataset_csv(args.data)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except esom.DatasetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    model = esom.load_model(args.model)
+    data, _ = esom.read_dataset_csv(args.data)
     normalized = esom.apply_normalization(model.stats, data)
     results = esom.classify_batch(model.grid, model.labeling, normalized)
     esom.write_verdicts_csv(args.out, results)
@@ -180,18 +156,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        verdicts = esom.read_verdicts_csv(args.verdicts)
-        _, labels = esom.read_dataset_csv(args.truth)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except esom.DatasetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    verdicts = esom.read_verdicts_csv(args.verdicts)
+    _, labels = esom.read_dataset_csv(args.truth)
     if len(verdicts) != len(labels):
-        print(f"error: {len(verdicts)} verdicts vs {len(labels)} truth rows", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(f"{len(verdicts)} verdicts vs {len(labels)} truth rows")
     truth = [esom.VERDICT_ATTACK if l == esom.LABEL_ATTACK else esom.VERDICT_NORMAL
              for l in labels]
     report = esom.evaluate(verdicts, truth, unclassified=args.unclassified)
@@ -214,7 +182,11 @@ def main(argv=None) -> int:
         "classify": cmd_classify,
         "evaluate": cmd_evaluate,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (OSError, UnicodeDecodeError, ScenarioError, esom.DatasetError) as e:
+        # input errors only: anything else is a bug and keeps its traceback
+        return _input_error(str(e))
 
 
 if __name__ == "__main__":

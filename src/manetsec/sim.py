@@ -117,13 +117,15 @@ class ScenarioConfig:
             raise ScenarioError("area and range must be positive")
         if not 0 <= self.root < self.node_count:
             raise ScenarioError("root must be one of the initial node ids")
-        try:
-            CipherSuite(self.cipher, self.hash_name, self.key_bits)
-        except ValueError as e:
-            raise ScenarioError(str(e)) from None
         self.mobility.validate()
         self.traffic.validate(self.duration)
-        self.som.validate()
+        try:
+            CipherSuite(self.cipher, self.hash_name, self.key_bits)
+            self.som.validate()
+        except ValueError as e:
+            raise ScenarioError(str(e)) from None
+        if self.coverage_window < 1:
+            raise ScenarioError("coverage_window must be at least 1")
         for group in (self.droppers, self.eavesdroppers, self.replayers):
             for n in group:
                 if not 0 <= n < self.node_count:
@@ -132,8 +134,8 @@ class ScenarioConfig:
             if not 0 <= ev.time <= self.duration:
                 raise ScenarioError(f"schedule event at {ev.time} outside the run")
         for c in self.dropper_counts:
-            if c > self.node_count - 2:
-                raise ScenarioError("dropper sweep count exceeds usable nodes")
+            if not 0 <= c <= self.node_count - 2:
+                raise ScenarioError(f"dropper sweep count {c} outside 0..{self.node_count - 2}")
 
 
 @dataclass
@@ -425,7 +427,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> MetricsRepo
 
 
 def _cell_seed(seed: int, pause: float, dcount) -> int:
-    tag = f"{seed}/{pause}/{dcount}".encode()
+    # float() so that pause 20 and 20.0 seed the same cell
+    tag = f"{seed}/{float(pause)}/{dcount}".encode()
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
 
 
@@ -721,120 +724,86 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
 # Plain key = value lines, # comments. Lists are comma-separated; membership
 # events are time:node pairs. See README for the full key table.
 
-_LIST_KEYS = {
-    "pause_times", "dropper_counts", "droppers", "eavesdroppers", "replayers",
-    "replay_at", "global_rekey_at", "local_rekey_at", "join_at", "leave_at",
+class _List:
+    """Parser of a comma-separated list key; a repeated list key appends."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def __call__(self, value: str) -> tuple:
+        return tuple(self.item(x) for x in value.split(",") if x.strip())
+
+
+def _event(kind: str):
+    """Item parser of a schedule key: `time:node` for joins and leaves, else `time`."""
+    def parse(item: str) -> ScheduleEvent:
+        if kind in ("join", "leave"):
+            t, _, n = item.partition(":")
+            return ScheduleEvent(float(t), kind, int(n))
+        return ScheduleEvent(float(item), kind)
+    return parse
+
+
+# file key -> (section of ScenarioConfig, None for the config itself; field; parser)
+_KEYS = {
+    "node_count": (None, "node_count", int), "area_width": (None, "area_width", float),
+    "area_height": (None, "area_height", float), "range": (None, "range_m", float),
+    "duration": (None, "duration", float), "root": (None, "root", int),
+    "key_bits": (None, "key_bits", int), "cipher": (None, "cipher", str),
+    "hash": (None, "hash_name", str), "seed": (None, "seed", int),
+    "coverage_window": (None, "coverage_window", int),
+    "pause_times": (None, "pause_times", _List(float)),
+    "replay_at": (None, "replay_at", _List(float)),
+    "droppers": (None, "droppers", _List(int)),
+    "eavesdroppers": (None, "eavesdroppers", _List(int)),
+    "replayers": (None, "replayers", _List(int)),
+    "dropper_counts": (None, "dropper_counts", _List(int)),
+    "speed_min": ("mobility", "speed_min", float), "speed_max": ("mobility", "speed_max", float),
+    "pause_time": ("mobility", "pause_time", float),
+    "generators": ("traffic", "generators", int),
+    "destinations": ("traffic", "destinations", int),
+    "mean_payload": ("traffic", "mean_payload", float),
+    "attack_start": ("traffic", "attack_start", float),
+    "attack_end": ("traffic", "attack_end", float),
+    "sample_interval": ("traffic", "sample_interval", float),
+    "effect_size": ("traffic", "effect_size", float),
+    "som_rows": ("som", "rows", int), "som_cols": ("som", "cols", int),
+    "som_epochs": ("som", "epochs", int), "hill_quantile": ("som", "hill_quantile", float),
+    "join_at": (None, "schedule", _List(_event("join"))),
+    "leave_at": (None, "schedule", _List(_event("leave"))),
+    "global_rekey_at": (None, "schedule", _List(_event("global_rekey"))),
+    "local_rekey_at": (None, "schedule", _List(_event("local_rekey"))),
 }
 
 
 def parse_scenario(path) -> ScenarioConfig:
-    """Parse a scenario file; errors carry the offending line number."""
-    raw: dict[str, tuple[int, str]] = {}
+    """Parse a scenario file; errors carry the offending line number, the
+    first bad line winning. Keys absent from the file keep the
+    ScenarioConfig defaults."""
+    cfg = ScenarioConfig()
+    seen: set[str] = set()
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in text:
-                raise ScenarioError(f"{path}:{lineno}: expected 'key = value'")
+                raise ScenarioError(f"{where}: expected 'key = value'")
             key, value = (part.strip() for part in text.split("=", 1))
-            if key in raw and key not in _LIST_KEYS:
-                raise ScenarioError(f"{path}:{lineno}: duplicate key {key!r}")
-            if key in raw:
-                raw[key] = (lineno, raw[key][1] + "," + value)
-            else:
-                raw[key] = (lineno, value)
-    return _build_config(path, raw)
-
-
-def _build_config(path, raw: dict[str, tuple[int, str]]) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    mob = MobilityConfig()
-    traffic = TrafficConfig()
-    som = esom.SomConfig(rows=12, cols=16, epochs=10)
-    schedule: list[ScheduleEvent] = []
-
-    def bad(key, msg):
-        lineno = raw[key][0]
-        raise ScenarioError(f"{path}:{lineno}: {msg}")
-
-    def take(key, conv):
-        lineno, value = raw.pop(key)
-        try:
-            return conv(value)
-        except (ValueError, TypeError):
-            raise ScenarioError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
-
-    def floats(value):
-        return tuple(float(x) for x in value.split(",") if x.strip())
-
-    def ints(value):
-        return tuple(int(x) for x in value.split(",") if x.strip())
-
-    def timed_nodes(value):
-        out = []
-        for item in value.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            t, _, n = item.partition(":")
-            out.append((float(t), int(n)))
-        return tuple(out)
-
-    simple = {
-        "node_count": ("node_count", int), "area_width": ("area_width", float),
-        "area_height": ("area_height", float), "range": ("range_m", float),
-        "duration": ("duration", float), "root": ("root", int),
-        "key_bits": ("key_bits", int), "cipher": ("cipher", str), "hash": ("hash_name", str),
-        "seed": ("seed", int),
-    }
-    for key, (attr, conv) in simple.items():
-        if key in raw:
-            setattr(cfg, attr, take(key, conv))
-    for key, (attr, conv) in {
-        "speed_min": ("speed_min", float), "speed_max": ("speed_max", float),
-        "pause_time": ("pause_time", float),
-    }.items():
-        if key in raw:
-            setattr(mob, attr, take(key, conv))
-    for key, (attr, conv) in {
-        "generators": ("generators", int), "destinations": ("destinations", int),
-        "mean_payload": ("mean_payload", float), "attack_start": ("attack_start", float),
-        "attack_end": ("attack_end", float), "sample_interval": ("sample_interval", float),
-        "effect_size": ("effect_size", float),
-    }.items():
-        if key in raw:
-            setattr(traffic, attr, take(key, conv))
-    for key, (attr, conv) in {
-        "som_rows": ("rows", int), "som_cols": ("cols", int), "som_epochs": ("epochs", int),
-        "hill_quantile": ("hill_quantile", float),
-    }.items():
-        if key in raw:
-            setattr(som, attr, take(key, conv))
-    if "coverage_window" in raw:
-        cfg.coverage_window = take("coverage_window", int)
-    for key, field_name in (("pause_times", "pause_times"), ("replay_at", "replay_at")):
-        if key in raw:
-            setattr(cfg, field_name, take(key, floats))
-    for key, field_name in (("droppers", "droppers"), ("eavesdroppers", "eavesdroppers"),
-                            ("replayers", "replayers"), ("dropper_counts", "dropper_counts")):
-        if key in raw:
-            setattr(cfg, field_name, take(key, ints))
-    if "join_at" in raw:
-        schedule.extend(ScheduleEvent(t, "join", n) for t, n in take("join_at", timed_nodes))
-    if "leave_at" in raw:
-        schedule.extend(ScheduleEvent(t, "leave", n) for t, n in take("leave_at", timed_nodes))
-    if "global_rekey_at" in raw:
-        schedule.extend(ScheduleEvent(t, "global_rekey") for t in take("global_rekey_at", floats))
-    if "local_rekey_at" in raw:
-        schedule.extend(ScheduleEvent(t, "local_rekey") for t in take("local_rekey_at", floats))
-    if raw:
-        key = next(iter(raw))
-        bad(key, f"unknown key {key!r}")
-    cfg.mobility = mob
-    cfg.traffic = traffic
-    cfg.som = som
-    cfg.schedule = tuple(schedule)
+            if key not in _KEYS:
+                raise ScenarioError(f"{where}: unknown key {key!r}")
+            section, name, parse = _KEYS[key]
+            listed = isinstance(parse, _List)
+            if key in seen and not listed:
+                raise ScenarioError(f"{where}: duplicate key {key!r}")
+            seen.add(key)
+            try:
+                parsed = parse(value)
+            except ValueError:
+                raise ScenarioError(f"{where}: bad value for {key}: {value!r}") from None
+            target = getattr(cfg, section) if section else cfg
+            setattr(target, name, getattr(target, name) + parsed if listed else parsed)
     try:
         cfg.validate()
     except ScenarioError as e:

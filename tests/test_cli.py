@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from manetsec import esom
+from manetsec import cli, esom
 from manetsec.cli import main
 
 SCENARIO = """\
@@ -75,6 +75,27 @@ class TestSimulate:
         cfg.write_text("node_count = 8\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("line", ["som_rows = 1", "som_epochs = 0",
+                                      "hill_quantile = 1.5"])
+    def test_bad_som_key_is_input_error(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"node_count = 8\nseed = 1\n{line}\n")
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    def test_handler_looked_up_at_call_time(self, scenario_file, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "cmd_simulate", lambda args: calls.append(args) or 0)
+        assert main(["simulate", "--config", str(scenario_file), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    def test_program_error_keeps_its_traceback(self, scenario_file, tmp_path, monkeypatch):
+        def broken(config, seed):
+            raise ValueError("a bug, not an input error")
+        monkeypatch.setattr(cli, "run_scenario", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["simulate", "--config", str(scenario_file), "--out", str(tmp_path)])
+
     def test_seed_flag_overrides(self, scenario_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", str(scenario_file), "--out", str(a)])
@@ -98,6 +119,12 @@ class TestAttackSuite:
         out = capsys.readouterr().out
         assert code == 2
         assert "replay resistance     FAIL" in out
+
+    def test_seed_required(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("node_count = 8\n")
+        assert main(["attack-suite", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: attack-suite needs --seed or a seed in the config\n"
 
     def test_verdicts_written(self, scenario_file, tmp_path):
         out = tmp_path / "suite"
@@ -147,6 +174,24 @@ class TestDetectorPipeline:
         empty.write_text("")
         assert main(["train", "--data", str(empty), "--model", str(tmp_path / "m.bin"),
                      "--seed", "1"]) == 1
+
+    def test_train_on_one_sample(self, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("nav,tx_rate,rx_rate,rts_retx_rate,data_retx_rate,"
+                       "active_neighbors,forwarding_nodes,label\n1,2,3,4,5,6,7,normal\n")
+        assert main(["train", "--data", str(one), "--model", str(tmp_path / "m.bin"),
+                     "--seed", "1"]) == 1
+        assert "at least two samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_non_utf8_input_is_input_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"seed = 1\nnode_count = \xff\n")
+        argv = (["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]
+                if command == "simulate" else
+                ["train", "--data", str(bad), "--model", str(tmp_path / "m.bin"), "--seed", "1"])
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_csv_reports_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

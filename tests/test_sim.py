@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -403,6 +404,19 @@ class TestRunScenario:
         assert [e[1:3] for e in report.events if e[0] == 5.0] == [("epoch_abort", "join")]
 
 
+    def test_int_and_float_pause_seed_the_same_cell(self):
+        # a pause built in code (20) and one parsed from a file (20.0) are the
+        # same scenario, so they must give the same run
+        runs = [sim.run_scenario(small_config(
+                    duration=20, mobility=sim.MobilityConfig(pause_time=pause),
+                    traffic=sim.TrafficConfig(generators=4, destinations=2,
+                                              attack_start=5, attack_end=20),
+                    som=SomConfig(rows=6, cols=8, epochs=2)), 37)
+                for pause in (20, 20.0)]
+        assert runs[0].to_csv() == runs[1].to_csv()
+        assert runs[0].trace_text() == runs[1].trace_text()
+
+
 class TestScenarioParser:
     def test_round_trip_and_defaults(self, tmp_path):
         path = tmp_path / "s.cfg"
@@ -461,3 +475,124 @@ class TestScenarioParser:
                            cipher="ctrhmac", key_bits=80)
         report = sim.run_scenario(cfg, 23)
         assert report.rows[0]["epochs_succeeded"] >= 1
+
+    def test_repeated_list_key_appends(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("droppers = 1\nseed = 2\ndroppers = 4, 3\n")
+        assert sim.parse_scenario(path).droppers == (1, 4, 3)
+
+    def test_repeated_scalar_key_fails_on_its_second_line(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("seed = 1\nnode_count = 20\nseed = 2\n")
+        with pytest.raises(sim.ScenarioError, match=r"s\.cfg:3: duplicate key 'seed'"):
+            sim.parse_scenario(path)
+
+    def test_repeated_list_key_reports_the_bad_line(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("node_count = 30\njoin_at = 5:x\nseed = 1\njoin_at = 7:21\n")
+        with pytest.raises(sim.ScenarioError) as err:
+            sim.parse_scenario(path)
+        assert str(err.value) == f"{path}:2: bad value for join_at: '5:x'"
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("bogus = 1\nnode_count = ten\n")
+        with pytest.raises(sim.ScenarioError, match=r"s\.cfg:1: unknown key 'bogus'"):
+            sim.parse_scenario(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("som_rows = 1", "at least 2x2"),
+        ("som_epochs = 0", "epochs must be positive"),
+        ("hill_quantile = 1.5", "hill_quantile"),
+        ("dropper_counts = 2,-1", "dropper sweep count -1"),
+        ("coverage_window = 0", "coverage_window"),
+    ])
+    def test_out_of_range_values_are_config_errors(self, tmp_path, line, message):
+        path = tmp_path / "s.cfg"
+        path.write_text(f"node_count = 20\nseed = 1\n{line}\n")
+        with pytest.raises(sim.ScenarioError, match=message) as err:
+            sim.parse_scenario(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+
+# every README key set to a value other than its default; join_at repeats
+ALL_KEYS = """\
+node_count = 30
+area_width = 900
+area_height = 700
+range = 200
+duration = 120
+root = 2
+key_bits = 96
+cipher = ctrhmac
+hash = sha512
+seed = 9
+speed_min = 1
+speed_max = 5
+pause_time = 15
+pause_times = 0, 30
+generators = 12
+destinations = 6
+mean_payload = 256
+attack_start = 40
+attack_end = 100
+sample_interval = 2
+effect_size = 3.5
+droppers = 4,8
+eavesdroppers = 5
+replayers = 6,7
+replay_at = 50, 90
+dropper_counts = 1,3
+som_rows = 6
+som_cols = 9
+som_epochs = 4
+hill_quantile = 0.9
+coverage_window = 12
+join_at = 60:30
+leave_at = 80:30
+global_rekey_at = 70, 30
+local_rekey_at = 90
+join_at = 20:31
+"""
+
+
+def run_order(schedule):
+    """The order `_run_cell` applies scheduled events in."""
+    return sorted(schedule, key=lambda e: (e.time, e.kind, e.node or -1))
+
+
+class TestScenarioKeys:
+    def test_every_key_lands_in_its_field(self, tmp_path):
+        path = tmp_path / "all.cfg"
+        path.write_text(ALL_KEYS)
+        cfg = sim.parse_scenario(path)
+        expected = sim.ScenarioConfig(
+            node_count=30, area_width=900.0, area_height=700.0, range_m=200.0,
+            duration=120.0, root=2, key_bits=96, cipher="ctrhmac", hash_name="sha512",
+            mobility=sim.MobilityConfig(speed_min=1.0, speed_max=5.0, pause_time=15.0),
+            traffic=sim.TrafficConfig(generators=12, destinations=6, mean_payload=256.0,
+                                      attack_start=40.0, attack_end=100.0,
+                                      sample_interval=2.0, effect_size=3.5),
+            droppers=(4, 8), eavesdroppers=(5,), replayers=(6, 7), replay_at=(50.0, 90.0),
+            som=SomConfig(rows=6, cols=9, epochs=4, hill_quantile=0.9),
+            coverage_window=12,
+            schedule=(sim.ScheduleEvent(20.0, "join", 31),
+                      sim.ScheduleEvent(30.0, "global_rekey"),
+                      sim.ScheduleEvent(60.0, "join", 30),
+                      sim.ScheduleEvent(70.0, "global_rekey"),
+                      sim.ScheduleEvent(80.0, "leave", 30),
+                      sim.ScheduleEvent(90.0, "local_rekey")),
+            pause_times=(0.0, 30.0), dropper_counts=(1, 3), seed=9,
+        )
+        assert replace(cfg, schedule=tuple(run_order(cfg.schedule))) == expected
+        assert {line.split("=")[0].strip() for line in ALL_KEYS.splitlines()} == set(sim._KEYS)
+
+    def test_readme_names_exactly_the_parsed_keys(self):
+        readme = (DEMOS.parent / "README.md").read_text()
+        section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+        names = set()
+        for row in section.splitlines():
+            if row.startswith("| `"):
+                names.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+        assert names == set(sim._KEYS)
+        assert len(names) == 35
