@@ -45,24 +45,14 @@ class NodeKnowledge:
 
 def capture_knowledge(session: GroupSession, node_id: int) -> NodeKnowledge:
     """Snapshot a member's key state and its delivered-message log."""
-    node = session.nodes[node_id]
-    st = node.state
-    keys: list[KeyMaterial] = [st.master_key]
-    for v in (st.session_key, st.subkey, st.share, st.intermediate):
-        if v is not None:
-            keys.append(v)
-    keys.extend(st.local_keys.values())
-    keys.extend(st.edge_keys.values())
-    keys.extend(k for k, _ in st.children_received.values())
-    keys.extend(s for _, s in st.children_received.values())
-    know = NodeKnowledge(
+    keys = session.nodes[node_id].state.key_material()
+    return NodeKnowledge(
         node_id=node_id,
         keys=keys,
         secrets={k.data for k in keys},
         delivered=list(session.transport.delivered.get(node_id, ())),
         epoch=session.epoch,
     )
-    return know
 
 
 def candidate_group_keys(suite: CipherSuite, keys: list[KeyMaterial],
@@ -75,13 +65,13 @@ def candidate_group_keys(suite: CipherSuite, keys: list[KeyMaterial],
     """
     kb = suite.key_bits // 8
     candidates: set[bytes] = set()
-    subkeys: list[KeyMaterial] = [k for k in keys]
-    pool = list(dict.fromkeys(k.data for k in keys))  # dedup, keep order
+    subkeys = list(keys)
+    pool = list({k.data: k for k in keys}.values())  # dedup, keep order
 
     def try_open(payload: bytes):
-        for kd in pool:
+        for key in pool:
             try:
-                return KeyMaterial(kd), suite.decrypt(KeyMaterial(kd), payload)
+                return key, suite.decrypt(key, payload)
             except IntegrityFailure:
                 continue
         return None, None
@@ -114,12 +104,10 @@ def candidate_group_keys(suite: CipherSuite, keys: list[KeyMaterial],
             continue
     # opportunistic pairwise XOR of everything recovered, the strongest
     # algebra available to a passive holder of partial material
-    raw = list(dict.fromkeys(k.data for k in subkeys))
-    if len(raw) <= 64:
-        for i in range(len(raw)):
-            for j in range(i + 1, len(raw)):
-                candidates.add(bytes(a ^ b for a, b in zip(raw[i], raw[j])))
-    candidates.update(raw)
+    recovered = list({k.data: k for k in subkeys}.values())
+    for i, a in enumerate(recovered):
+        candidates.add(a.data)
+        candidates.update((a ^ b).data for b in recovered[i + 1:])
     return candidates
 
 

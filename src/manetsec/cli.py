@@ -160,8 +160,7 @@ def cmd_evaluate(args) -> int:
     _, labels = esom.read_dataset_csv(args.truth)
     if len(verdicts) != len(labels):
         return _input_error(f"{len(verdicts)} verdicts vs {len(labels)} truth rows")
-    truth = [esom.VERDICT_ATTACK if l == esom.LABEL_ATTACK else esom.VERDICT_NORMAL
-             for l in labels]
+    truth = [esom.VERDICT_OF[l] for l in labels]
     report = esom.evaluate(verdicts, truth, unclassified=args.unclassified)
     det = "" if report.detection_rate is None else f"{report.detection_rate:.6g}"
     fa = "" if report.false_alarm_rate is None else f"{report.false_alarm_rate:.6g}"

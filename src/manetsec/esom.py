@@ -12,6 +12,7 @@ unclassified.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import struct
 import warnings
@@ -37,30 +38,31 @@ LABEL_HILL = 2
 VERDICT_NORMAL = "normal"
 VERDICT_ATTACK = "attack"
 VERDICT_UNCLASSIFIED = "unclassified"
+VERDICT_OF = {LABEL_NORMAL: VERDICT_NORMAL, LABEL_ATTACK: VERDICT_ATTACK,
+               LABEL_HILL: VERDICT_UNCLASSIFIED}
 
 _STD_FLOOR = 1e-9
 
 
 class DatasetError(Exception):
-    """Malformed dataset file; carries the offending row number."""
+    """Malformed dataset, verdict or model file; carries the offending row
+    number, and the file's path once a reader of that file re-raises it."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message if row is None else f"row {row}: {message}")
         self.row = row
 
 
-@dataclass
-class FeatureVector:
-    nav: float
-    tx_rate: float
-    rx_rate: float
-    rts_retx_rate: float
-    data_retx_rate: float
-    active_neighbors: float
-    forwarding_nodes: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in FEATURE_NAMES], dtype=float)
+def _names_file(read):
+    """Prefix the path to every DatasetError that `read(path)` raises."""
+    @functools.wraps(read)
+    def named(path):
+        try:
+            return read(path)
+        except DatasetError as e:
+            e.args = (f"{path}: {e}",)
+            raise
+    return named
 
 
 @dataclass
@@ -93,10 +95,6 @@ def normalize_features(data: np.ndarray) -> tuple[np.ndarray, NormStats]:
 
 def apply_normalization(stats: NormStats, data: np.ndarray) -> np.ndarray:
     return (np.asarray(data, dtype=float) - stats.mean) / stats.std
-
-
-def denormalize(stats: NormStats, data: np.ndarray) -> np.ndarray:
-    return np.asarray(data, dtype=float) * stats.std + stats.mean
 
 
 @dataclass
@@ -255,23 +253,13 @@ class Classification:
     distance: float
 
 
-def classify(grid: SomGrid, labeling: np.ndarray, point: np.ndarray) -> Classification:
-    """Classify one already-normalized sample by its best match's region."""
-    point = np.asarray(point, dtype=float).ravel()
-    d2 = ((grid.weights - point) ** 2).sum(axis=1)
-    bmu = int(np.argmin(d2))
-    verdict = {LABEL_NORMAL: VERDICT_NORMAL, LABEL_ATTACK: VERDICT_ATTACK,
-               LABEL_HILL: VERDICT_UNCLASSIFIED}[int(labeling[bmu])]
-    return Classification(verdict=verdict, best_match=bmu, distance=float(np.sqrt(d2[bmu])))
-
-
 def classify_batch(grid: SomGrid, labeling: np.ndarray, points: np.ndarray) -> list[Classification]:
+    """Classify already-normalized samples by their best match's region."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     bmus = bmu_indices(grid, points)
     dists = np.linalg.norm(points - grid.weights[bmus], axis=1)
-    name = {LABEL_NORMAL: VERDICT_NORMAL, LABEL_ATTACK: VERDICT_ATTACK,
-            LABEL_HILL: VERDICT_UNCLASSIFIED}
-    return [Classification(verdict=name[int(labeling[b])], best_match=int(b), distance=float(d))
+    return [Classification(verdict=VERDICT_OF[int(labeling[b])], best_match=int(b),
+                           distance=float(d))
             for b, d in zip(bmus, dists)]
 
 
@@ -370,6 +358,7 @@ def save_model(path, model: SomModel) -> None:
         f.write(model.to_bytes())
 
 
+@_names_file
 def load_model(path) -> SomModel:
     with open(path, "rb") as f:
         return SomModel.from_bytes(f.read())
@@ -388,6 +377,7 @@ def fit_detector(data: np.ndarray, labels: np.ndarray, config: SomConfig,
 
 # -- CSV interfaces ----------------------------------------------------------
 
+@_names_file
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a dataset: 7 feature columns plus a normal/attack label column."""
     rows: list[list[float]] = []
@@ -438,6 +428,7 @@ def write_verdicts_csv(path, results: list[Classification]) -> None:
             writer.writerow([c.verdict, c.best_match, f"{c.distance:.9g}"])
 
 
+@_names_file
 def read_verdicts_csv(path) -> list[str]:
     out = []
     with open(path, newline="") as f:

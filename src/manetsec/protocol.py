@@ -17,12 +17,14 @@ abort the epoch and roll every node back to its pre-epoch checkpoint.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import hmac
 import random
 import struct
 from collections import deque
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -121,7 +123,7 @@ class NodeState:
     exchange_family: str = "auth"
     parent_channel_ready: bool = False
     pending_children: set[NodeId] = field(default_factory=set)
-    pending_membership: tuple[int, bytes] | None = None
+    pending_membership: tuple[int, tuple[NodeId, ...]] | None = None
     expected_confirm: bytes | None = None
     confirmations: set[NodeId] = field(default_factory=set)
     confirm_failures: set[NodeId] = field(default_factory=set)
@@ -129,52 +131,51 @@ class NodeState:
     local_rekey_peer: dict[NodeId, tuple[int, KeyMaterial]] = field(default_factory=dict)
 
     def fingerprint(self) -> str:
-        """Stable digest of key-relevant state, for byte-equality assertions."""
-        h = hashlib.sha256()
-
-        def put(tag, value):
-            h.update(tag.encode())
-            h.update(repr(value).encode())
-
-        put("id", self.my_id)
-        put("master", self.master_key.data)
-        put("role", self.role)
-        for name in ("share", "intermediate", "subkey", "session_key", "rekey_tentative"):
-            v = getattr(self, name)
-            put(name, None if v is None else v.data)
-        put("local", sorted((k, v.data) for k, v in self.local_keys.items()))
-        put("edge", sorted((k, v.data) for k, v in self.edge_keys.items()))
-        put("childrecv", sorted((k, a.data, b.data) for k, (a, b) in self.children_received.items()))
-        put("pending", sorted(self.pending_nonces.items()))
-        put("seen", sorted((k, tuple(sorted(v))) for k, v in self.seen_nonces.items()))
-        put("epoch", self.epoch)
-        put("tree", (self.parent_id, self.children, self.root_id, self.checker_id))
-        put("xchg", (self.exchange_active, self.exchange_family, self.parent_channel_ready,
-                     tuple(sorted(self.pending_children))))
-        put("memb", self.pending_membership)
-        put("confirm", (self.expected_confirm, tuple(sorted(self.confirmations)),
-                        tuple(sorted(self.confirm_failures))))
-        put("lrk", sorted((k, (n, km.data)) for k, (n, km) in self.local_rekey_peer.items()))
-        return h.hexdigest()
+        """Stable digest of every declared field, for equality assertions."""
+        return hashlib.sha256(
+            repr([_canonical(getattr(self, name)) for name in _FIELDS]).encode()).hexdigest()
 
     def checkpoint(self) -> NodeState:
         """Copy that a rollback can reinstate as the live state.
 
-        The mutable containers are copied one level deep: their values are
+        Every dict and set field is copied one level deep: their values are
         frozen KeyMaterials, tuples and ints. `seen_nonces` is shared on
         purpose, so nonces burned during an aborted epoch stay burned.
         """
-        return dataclasses.replace(
-            self,
-            local_keys=dict(self.local_keys),
-            edge_keys=dict(self.edge_keys),
-            children_received=dict(self.children_received),
-            pending_nonces=dict(self.pending_nonces),
-            local_rekey_peer=dict(self.local_rekey_peer),
-            pending_children=set(self.pending_children),
-            confirmations=set(self.confirmations),
-            confirm_failures=set(self.confirm_failures),
-        )
+        snap = copy.copy(self)
+        for name in _COPIED:
+            setattr(snap, name, getattr(self, name).copy())
+        return snap
+
+    def key_material(self) -> list[KeyMaterial]:
+        """Every key this node holds, cached child contributions included."""
+        keys = [self.master_key]
+        keys.extend(v for v in (self.session_key, self.subkey, self.share, self.intermediate)
+                    if v is not None)
+        keys.extend(self.local_keys.values())
+        keys.extend(self.edge_keys.values())
+        keys.extend(k for k, _ in self.children_received.values())
+        keys.extend(s for _, s in self.children_received.values())
+        return keys
+
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(NodeState))
+_COPIED = tuple(f.name for f in dataclasses.fields(NodeState)
+                if f.default_factory in (dict, set) and f.name != "seen_nonces")
+
+
+def _canonical(value):
+    """Order-free form of a state value: a key becomes its bytes, a dict its
+    sorted items and a set its sorted values."""
+    if isinstance(value, KeyMaterial):
+        return value.data
+    if isinstance(value, dict):
+        return sorted((k, _canonical(v)) for k, v in value.items())
+    if isinstance(value, set):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return tuple(map(_canonical, value))
+    return value
 
 
 class ProtocolNode:
@@ -221,7 +222,7 @@ class ProtocolNode:
         self.state.master_key = derive_master_key(self.suite, self.state.master_key, epoch_new, ids)
 
     def arm_leave_rekey(self, epoch_new: int, ids: list[NodeId]) -> None:
-        self.state.pending_membership = (epoch_new, _ids_blob(ids))
+        self.state.pending_membership = (epoch_new, tuple(ids))
 
     def begin_exchange(self, family: str, expected_children: set[NodeId]) -> list[ProtocolMessage]:
         """Start this node's part of a (re)initiation: wait for the given
@@ -575,8 +576,8 @@ class ProtocolNode:
             return self._drop("unexpected")
         if not self._nonce_fresh(sid, nonce):
             return self._drop("nonce_mismatch")
-        epoch_new, ids_blob = st.pending_membership
-        st.master_key = _derive_master_raw(self.suite, st.master_key, epoch_new, ids_blob, salt.data)
+        epoch_new, ids = st.pending_membership
+        st.master_key = derive_master_key(self.suite, st.master_key, epoch_new, ids, salt.data)
         st.pending_membership = None
         return self._forward_master_rekey(salt, st.children)
 
@@ -612,24 +613,19 @@ _HANDLERS = {
 }
 
 
-def _ids_blob(ids: list[NodeId]) -> bytes:
+def _ids_blob(ids: Sequence[NodeId]) -> bytes:
     return struct.pack(f">{len(ids)}I", *sorted(ids))
 
 
-def _derive_master_raw(suite: CipherSuite, old: KeyMaterial, epoch: int,
-                       ids_blob: bytes, salt: bytes) -> KeyMaterial:
-    return suite.derive_key(b"master", old.data, struct.pack(">Q", epoch), ids_blob, salt)
-
-
 def derive_master_key(suite: CipherSuite, old: KeyMaterial, epoch: int,
-                      ids: list[NodeId], salt: bytes = b"") -> KeyMaterial:
+                      ids: Sequence[NodeId], salt: bytes = b"") -> KeyMaterial:
     """Hash-chain master key update over the membership roster.
 
     Joins use the deterministic chain (the joiner is provisioned out of band);
     leaves must pass fresh root entropy as salt, carried to the remaining
     members over per-edge keys the departed member never saw.
     """
-    return _derive_master_raw(suite, old, epoch, _ids_blob(ids), salt)
+    return suite.derive_key(b"master", old.data, struct.pack(">Q", epoch), _ids_blob(ids), salt)
 
 
 class Transport:
@@ -805,12 +801,7 @@ class GroupSession:
         """Every key-material value currently live anywhere in the group."""
         out: set[bytes] = {self.master_key.data}
         for node in self.nodes.values():
-            st = node.state
-            for v in (st.share, st.intermediate, st.subkey, st.session_key):
-                if v is not None:
-                    out.add(v.data)
-            out.update(v.data for v in st.local_keys.values())
-            out.update(v.data for v in st.edge_keys.values())
+            out.update(k.data for k in node.state.key_material())
         return out
 
     # -- protocol phases -------------------------------------------------------
@@ -830,13 +821,7 @@ class GroupSession:
                     self.nodes[m].refresh_share()
         msgs: list[ProtocolMessage] = []
         for m in sorted(self.members):
-            node = self.nodes[m]
-            if m == self.root:
-                node.begin_exchange("auth", set(self.tree.children[m]))
-            elif m == self.checker:
-                msgs.extend(node.begin_exchange("auth", set()))
-            else:
-                msgs.extend(node.begin_exchange("auth", set(self.tree.children[m])))
+            msgs.extend(self.nodes[m].begin_exchange("auth", set(self.tree.children.get(m, ()))))
         self._pump(msgs)
         root = self.nodes[self.root]
         if root.state.subkey is None:

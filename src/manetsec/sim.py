@@ -647,49 +647,39 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
     normalized = esom.apply_normalization(model.stats, data[test_idx])
     results = esom.classify_batch(model.grid, model.labeling, normalized)
     verdicts = [c.verdict for c in results]
-    truth = [esom.VERDICT_ATTACK if labels[i] else esom.VERDICT_NORMAL for i in test_idx]
+    truth = [esom.VERDICT_OF[labels[i]] for i in test_idx]
     report = esom.evaluate(verdicts, truth)
     out["detection_rate"] = report.detection_rate
     out["false_alarm_rate"] = report.false_alarm_rate
     out["unclassified_fraction"] = report.unclassified_fraction
 
-    if session is None:
-        out["alarms"] = 0
-        out["quarantined_nodes"] = 0
-        out["tamper_events"] = 0
-        return out
-
-    # per-node coverage over the last classified samples feeds the response path
-    per_node: dict[NodeId, list[str]] = {}
-    for i, verdict in zip(test_idx, verdicts):
-        if verdict != esom.VERDICT_UNCLASSIFIED:
-            per_node.setdefault(nodes_of[i], []).append(verdict)
-    model_bytes = model.to_bytes()
-    maps: dict[NodeId, resp.SecurityMap] = {}
-    for nid, vs in per_node.items():
-        window = vs[-config.coverage_window:]
-        if len(window) >= config.coverage_window and nid in session.members:
-            attacks = sum(v == esom.VERDICT_ATTACK for v in window)
-            maps[nid] = resp.SecurityMap(owner=nid, attack_count=attacks,
-                                         window=len(window), epoch=session.epoch,
-                                         model_bytes=model_bytes)
-
     alarms = 0
     quarantined: set[NodeId] = set()
     tampers = 0
-    graph = _member_subgraph(connectivity(world), session.members)
-    if session.keys is not None:
+    if session is not None and session.keys is not None:
+        # per-node coverage over the last classified samples feeds the response path
+        per_node: dict[NodeId, list[str]] = {}
+        for i, verdict in zip(test_idx, verdicts):
+            if verdict != esom.VERDICT_UNCLASSIFIED:
+                per_node.setdefault(nodes_of[i], []).append(verdict)
+        model_bytes = model.to_bytes()
+        maps: dict[NodeId, resp.SecurityMap] = {}
+        for nid, vs in per_node.items():
+            window = vs[-config.coverage_window:]
+            if len(window) >= config.coverage_window and nid in session.members:
+                attacks = sum(v == esom.VERDICT_ATTACK for v in window)
+                maps[nid] = resp.SecurityMap(owner=nid, attack_count=attacks,
+                                             window=len(window), epoch=session.epoch,
+                                             model_bytes=model_bytes)
+
         # authenticated map exchange on the root's one-hop group; pairs that
         # drifted out of radio reach lose their messages
+        graph = _member_subgraph(connectivity(world), session.members)
         lks = session.keys.local_keys
         root = session.root
 
         def radio(step, sender, receiver, payload, digest):
-            a, b = world.index(sender), world.index(receiver)
-            d2 = float(((world.positions[a] - world.positions[b]) ** 2).sum())
-            if d2 > world.range_m ** 2:
-                return None
-            return payload, digest
+            return (payload, digest) if receiver in graph[sender] else None
 
         if root in maps and lks:
             nonces = NonceSource(root, random.Random(seed ^ 0xA1A))
@@ -702,11 +692,7 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
         for t in tables.values():
             t.rebuild(graph)
         for nid, smap in sorted(maps.items()):
-            try:
-                triggered = resp.check_global_trigger(smap, min_window=config.coverage_window)
-            except resp.InsufficientWindow:
-                continue
-            if triggered:
+            if resp.check_global_trigger(smap, min_window=config.coverage_window):
                 nonces = NonceSource(nid, random.Random(seed ^ nid))
                 res = resp.global_alarm(suite, smap, session.keys.gk, tables, graph,
                                         nonces, now=world.time,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -47,6 +48,16 @@ class TestOracleMachinery:
         blob = b"noise" + secret + b"more"
         assert scan_for_secrets(blob, {secret}, 16) == 1
         assert scan_for_secrets(b"clean bytes only", {secret}, 16) == 0
+
+    def test_pairwise_xor_is_never_narrowed(self, suite):
+        # more recovered keys than any fixed cap: every pair still XORs
+        rng = random.Random(70)
+        keys = [KeyMaterial.random(rng) for _ in range(70)]
+        cands = candidate_group_keys(suite, keys, [])
+        assert (keys[3] ^ keys[50]).data in cands
+        pairs = {bytes(a ^ b for a, b in zip(x.data, y.data))
+                 for x, y in itertools.combinations(keys, 2)}
+        assert cands == {k.data for k in keys} | pairs
 
 
 class TestForwardSecrecy:

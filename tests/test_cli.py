@@ -232,3 +232,30 @@ class TestDetectorPipeline:
         verdicts = tmp_path / "v.csv"
         esom.write_verdicts_csv(verdicts, [esom.Classification("normal", 0, 0.0)])
         assert main(["evaluate", "--verdicts", str(verdicts), "--truth", str(truth)]) == 1
+
+    def test_bad_truth_file_is_named(self, tmp_path, capsys):
+        verdicts = tmp_path / "v.csv"
+        esom.write_verdicts_csv(verdicts, [esom.Classification("normal", 0, 0.0)])
+        truth = tmp_path / "truth.csv"
+        truth.write_text("nav,tx_rate,rx_rate,rts_retx_rate,data_retx_rate,"
+                         "active_neighbors,forwarding_nodes,label\n1,2,3,4,5,6,7,oops\n")
+        assert main(["evaluate", "--verdicts", str(verdicts), "--truth", str(truth)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {truth}: row 2: label must be normal or attack, got 'oops'\n")
+
+    def test_bad_verdict_file_is_named(self, tmp_path, capsys):
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_text("verdict,best_match,distance\nmaybe,0,0\n")
+        truth = tmp_path / "truth.csv"
+        write_dataset(truth, 1, 2.0, 6)
+        assert main(["evaluate", "--verdicts", str(verdicts), "--truth", str(truth)]) == 1
+        assert capsys.readouterr().err == f"error: {verdicts}: row 2: bad verdict 'maybe'\n"
+
+    def test_bad_model_file_is_named(self, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        model.write_bytes(b"ESM")
+        data = tmp_path / "d.csv"
+        write_dataset(data, 5, 2.0, 6)
+        assert main(["classify", "--model", str(model), "--data", str(data),
+                     "--out", str(tmp_path / "v.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {model}: model file truncated\n"

@@ -33,16 +33,6 @@ def small_model():
     return model, data, labels
 
 
-class TestFeatureVector:
-    def test_array_follows_declared_order(self):
-        fv = esom.FeatureVector(nav=0.1, tx_rate=40, rx_rate=38, rts_retx_rate=0.05,
-                                data_retx_rate=0.04, active_neighbors=6,
-                                forwarding_nodes=3)
-        arr = fv.as_array()
-        assert arr.shape == (esom.N_FEATURES,)
-        assert list(arr) == [getattr(fv, n) for n in esom.FEATURE_NAMES]
-
-
 class TestNormalization:
     def test_moments_against_recomputation(self):
         rng = np.random.default_rng(0)
@@ -70,7 +60,7 @@ class TestNormalization:
         rng = np.random.default_rng(3)
         data = rng.normal(5.0, 3.0, size=(200, 7))
         normed, stats = esom.normalize_features(data)
-        assert np.all(np.abs(esom.denormalize(stats, normed) - data) < 1e-9)
+        assert np.all(np.abs(normed * stats.std + stats.mean - data) < 1e-9)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
@@ -178,12 +168,17 @@ class TestLabeling:
                                                   esom.LABEL_HILL}
 
 
+def classify_one(grid, labeling, point):
+    """classify_batch on a one-row input."""
+    (result,) = esom.classify_batch(grid, labeling, np.asarray(point)[None, :])
+    return result
+
+
 class TestClassification:
     def test_point_on_attack_neuron(self, small_model):
         model, _, _ = small_model
         attack_idx = int(np.flatnonzero(model.labeling == esom.LABEL_ATTACK)[0])
-        result = esom.classify(model.grid, model.labeling,
-                               model.grid.weights[attack_idx])
+        result = classify_one(model.grid, model.labeling, model.grid.weights[attack_idx])
         assert result.verdict == esom.VERDICT_ATTACK
         assert result.best_match == attack_idx
         assert result.distance == 0.0
@@ -195,7 +190,7 @@ class TestClassification:
         grid = esom.SomGrid(2, 2, weights)
         labeling = np.array([0, 0, 1, 1], dtype=np.int8)
         point = np.full(7, 1.0)
-        res = esom.classify(grid, labeling, point)
+        res = classify_one(grid, labeling, point)
         assert res.best_match == 2  # 2 and 3 tie; lowest index wins
 
     def test_bmu_matches_exhaustive_argmin(self, small_model):
@@ -203,14 +198,14 @@ class TestClassification:
         rng = np.random.default_rng(37)
         pts = rng.normal(size=(50, 7))
         for p in pts:
-            res = esom.classify(model.grid, model.labeling, p)
+            res = classify_one(model.grid, model.labeling, p)
             d = np.linalg.norm(model.grid.weights - p, axis=1)
             assert res.best_match == int(np.argmin(d))
 
     def test_hill_maps_to_unclassified(self, small_model):
         model, _, _ = small_model
         hill_idx = int(np.flatnonzero(model.labeling == esom.LABEL_HILL)[0])
-        res = esom.classify(model.grid, model.labeling, model.grid.weights[hill_idx])
+        res = classify_one(model.grid, model.labeling, model.grid.weights[hill_idx])
         assert res.verdict == esom.VERDICT_UNCLASSIFIED
 
     def test_batch_equals_single(self, small_model):
@@ -218,7 +213,7 @@ class TestClassification:
         pts = esom.apply_normalization(model.stats, data[:40])
         batch = esom.classify_batch(model.grid, model.labeling, pts)
         for p, b in zip(pts, batch):
-            single = esom.classify(model.grid, model.labeling, p)
+            single = classify_one(model.grid, model.labeling, p)
             assert (single.verdict, single.best_match) == (b.verdict, b.best_match)
 
 

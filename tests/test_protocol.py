@@ -11,6 +11,7 @@ from manetsec.protocol import (
     CheckerVerificationFailure,
     GroupSession,
     InitiationTimeout,
+    NodeState,
     ProtocolAbort,
     RekeyFailure,
     Transport,
@@ -437,6 +438,73 @@ class TestTranscriptHygiene:
         fig4_session.establish()
         for msg in fig4_session.transport.messages:
             assert ProtocolMessage.from_bytes(msg.to_bytes()) == msg
+
+
+def full_state():
+    """A NodeState with every field set and every container non-empty."""
+    k = [KeyMaterial(bytes([i]) * 16) for i in range(1, 12)]
+    return NodeState(
+        my_id=3, master_key=k[0], role="member", share=k[1], intermediate=k[2],
+        subkey=k[3], session_key=k[4], local_keys={3: k[5]}, edge_keys={1: k[6], 7: k[7]},
+        children_received={7: (k[8], k[9])}, pending_nonces={"up_echo": 11},
+        seen_nonces={1: {5, 9}}, epoch=4, parent_id=1, children=(7,), root_id=1,
+        checker_id=2, exchange_active=True, exchange_family="join",
+        parent_channel_ready=True, pending_children={7}, pending_membership=(5, (1, 3, 7)),
+        expected_confirm=b"digest", confirmations={1}, confirm_failures={7},
+        rekey_tentative=k[10], local_rekey_peer={1: (12, k[5])})
+
+
+def altered(value):
+    """A different value of the same shape; containers change one entry."""
+    if isinstance(value, KeyMaterial):
+        return value ^ KeyMaterial(b"\x80" * len(value.data))
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, (str, bytes)):
+        return value * 2
+    if isinstance(value, tuple):
+        return value[:-1] + (altered(value[-1]),) if value else (1,)
+    if isinstance(value, dict):
+        first = next(iter(value), None)
+        return {k: altered(v) if k == first else v for k, v in value.items()} or {1: 1}
+    if isinstance(value, set):
+        return value | {max(value, default=0) + 1}
+    if value is None:
+        return 1
+    raise TypeError(f"no alteration for {type(value).__name__}")
+
+
+class TestNodeStateDeclaration:
+    """fingerprint() and checkpoint() follow the dataclass declaration, so a
+    new or renamed field cannot fall out of the replay and rollback checks."""
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(NodeState)])
+    def test_every_field_moves_the_fingerprint(self, name):
+        st = full_state()
+        changed = dataclasses.replace(st, **{name: altered(getattr(st, name))})
+        assert changed.fingerprint() != st.fingerprint()
+
+    def test_fingerprint_ignores_container_order(self):
+        st = dataclasses.replace(full_state(), confirmations={8, 16})
+        shuffled = dataclasses.replace(
+            st, edge_keys=dict(reversed(st.edge_keys.items())), confirmations={16, 8})
+        assert list(shuffled.confirmations) != list(st.confirmations)
+        assert shuffled.fingerprint() == st.fingerprint()
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(NodeState)
+                                      if isinstance(getattr(full_state(), f.name), (dict, set))])
+    def test_checkpoint_isolates_every_container_but_seen_nonces(self, name):
+        st = full_state()
+        snap = st.checkpoint()
+        assert snap == st and snap.fingerprint() == st.fingerprint()
+        before = snap.fingerprint()
+        getattr(st, name).clear()
+        if name == "seen_nonces":
+            assert snap.seen_nonces is st.seen_nonces  # burned nonces stay burned
+        else:
+            assert snap.fingerprint() == before
 
 
 class RateDropTransport(Transport):
