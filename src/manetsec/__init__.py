@@ -1,7 +1,7 @@
 """Group key agreement, eSOM intrusion detection and secure response for
 simulated mobile ad hoc networks."""
 
-from .crypto import CipherSuite, IntegrityFailure, KeyMaterial, Nonce, NonceSource, xor_combine
+from .crypto import CipherSuite, IntegrityFailure, KeyMaterial, NonceSource, xor_combine
 from .keytree import (
     KeyTree,
     attach_member,

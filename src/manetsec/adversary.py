@@ -77,31 +77,27 @@ def candidate_group_keys(suite: CipherSuite, keys: list[KeyMaterial],
         return None, None
 
     for msg in messages:
-        if msg.kind in wire.DIGEST_KINDS or msg.kind == MessageKind.JOIN_REQUEST:
+        if msg.kind in wire.DIGEST_KINDS or msg.kind not in wire.LAYOUTS:
             continue
         key, pt = try_open(msg.payload)
         if pt is None:
             continue
         try:
-            if msg.kind == MessageKind.AGREE_STEP1:
-                _, z, _ = wire.unpack_agree_step1(pt, kb)
-                subkeys.append(z)
-                candidates.add(z.data)
-            elif msg.kind == MessageKind.AGREE_STEP2:
-                _, share, _, _ = wire.unpack_agree_step2(pt, kb)
-                for z in subkeys:
-                    candidates.add((z ^ share).data)
-            elif msg.kind in (MessageKind.GLOBAL_REKEY, MessageKind.LOCAL_REKEY_STEP1,
-                              MessageKind.MASTER_REKEY):
-                _, fresh, _ = wire.unpack_rekey(pt, kb)
-                # the carrier key itself ratchets: new = old xor fresh
-                candidates.add((key ^ fresh).data)
-                subkeys.append(fresh)
-            elif msg.kind in (MessageKind.AUTH_STEP3, MessageKind.JOIN_STEP_C):
-                _, _, _, k_up, share = wire.unpack_auth_step3(pt, kb)
-                subkeys.extend((k_up, share))
+            carried = [f for f in wire.unpack(msg.kind, pt, kb) if isinstance(f, KeyMaterial)]
         except wire.WireError:
             continue
+        # every carried key becomes a subkey, except the checker share
+        # (AGREE_STEP2), which is only paired with the subkeys
+        if msg.kind == MessageKind.AGREE_STEP2:
+            candidates.update((z ^ carried[0]).data for z in subkeys)
+            continue
+        if msg.kind == MessageKind.AGREE_STEP1:
+            candidates.add(carried[0].data)  # z
+        elif msg.kind in (MessageKind.GLOBAL_REKEY, MessageKind.LOCAL_REKEY_STEP1,
+                          MessageKind.MASTER_REKEY):
+            # the carrier key itself ratchets: new = old xor fresh
+            candidates.add((key ^ carried[0]).data)
+        subkeys.extend(carried)
     # opportunistic pairwise XOR of everything recovered, the strongest
     # algebra available to a passive holder of partial material
     recovered = list({k.data: k for k in subkeys}.values())

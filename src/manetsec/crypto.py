@@ -21,7 +21,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 __all__ = [
     "KeyMaterial",
-    "Nonce",
     "NonceSource",
     "CipherSuite",
     "CryptoError",
@@ -54,7 +53,7 @@ class WidthMismatch(CryptoError):
 
 
 class NonceExhausted(CryptoError):
-    """A nonce value hit the 64-bit ceiling or an issuer ran out of space."""
+    """An issuer ran out of nonce space."""
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,6 @@ class KeyMaterial:
         _check_width(width_bits)
         return cls(rng.getrandbits(width_bits).to_bytes(width_bits // 8, "big"))
 
-    @classmethod
-    def from_hex(cls, s: str) -> "KeyMaterial":
-        return cls(bytes.fromhex(s))
-
 
 def _check_width(width_bits: int) -> None:
     if width_bits <= 0 or width_bits % 8 != 0:
@@ -115,24 +110,6 @@ def xor_combine(parts: list[KeyMaterial]) -> KeyMaterial:
     return acc
 
 
-@dataclass(frozen=True)
-class Nonce:
-    """64-bit random value bound to the node that issued it."""
-
-    value: int
-    issuer: int
-
-    def __post_init__(self):
-        if not 0 <= self.value <= MAX_NONCE:
-            raise ValueError("nonce out of 64-bit range")
-
-    def succ(self) -> "Nonce":
-        """The value+1 reply convention; wraparound is an error."""
-        if self.value == MAX_NONCE:
-            raise NonceExhausted("nonce successor would wrap")
-        return Nonce(self.value + 1, self.issuer)
-
-
 @dataclass
 class NonceSource:
     """Per-node nonce generator with a used-value set (replay bookkeeping)."""
@@ -141,17 +118,17 @@ class NonceSource:
     rng: random.Random
     used: set[int] = field(default_factory=set)
 
-    def fresh(self) -> Nonce:
-        """Draw a nonce this issuer never issued before and record it in `used`."""
+    def fresh(self) -> int:
+        """Draw a 64-bit nonce this issuer never issued before and record it in `used`."""
         if len(self.used) >= MAX_NONCE:
             raise NonceExhausted(f"issuer {self.issuer} exhausted the nonce space")
         while True:
             v = self.rng.getrandbits(64)
             if v == MAX_NONCE:
-                continue  # keep succ() always definable for issued nonces
+                continue  # keep the +1 echo of every issued nonce in 64 bits
             if v not in self.used:
                 self.used.add(v)
-                return Nonce(v, self.issuer)
+                return v
 
 
 def hash_bytes(data: bytes, hash_name: str = "sha256") -> Digest:
@@ -301,7 +278,3 @@ class CipherSuite:
 
     def verify_keyed_digest(self, key: KeyMaterial, data: bytes, digest: Digest) -> bool:
         return verify_keyed_hash(key, data, digest, self.hash_name)
-
-    @property
-    def digest_size(self) -> int:
-        return hashlib.new(self.hash_name).digest_size

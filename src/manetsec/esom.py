@@ -334,6 +334,10 @@ class SomModel:
         magic, version, rows, cols, nf = _HEADER.unpack_from(raw, 0)
         if magic != _MAGIC or version != 1:
             raise DatasetError("not a recognized model file")
+        if nf != N_FEATURES:
+            raise DatasetError(f"model has {nf} features, expected {N_FEATURES}")
+        if rows < 2 or cols < 2:
+            raise DatasetError(f"model lattice {rows}x{cols} is smaller than 2x2")
         n = rows * cols
         off = _HEADER.size
         need = off + 4 * n * nf + n + 8 * nf * 2 + 8
@@ -342,15 +346,20 @@ class SomModel:
         weights = np.frombuffer(raw, dtype="<f4", count=n * nf, offset=off
                                 ).reshape(n, nf).astype(float)
         off += 4 * n * nf
-        labeling = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off).astype(np.int8)
+        labeling = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off)
+        if labeling.max() > LABEL_HILL:
+            raise DatasetError(f"model label {labeling.max()} is not 0, 1 or 2")
         off += n
         mean = np.frombuffer(raw, dtype="<f8", count=nf, offset=off).copy()
         off += 8 * nf
         std = np.frombuffer(raw, dtype="<f8", count=nf, offset=off).copy()
         off += 8 * nf
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise DatasetError("model normalization needs a finite mean and a finite positive std")
         (hq,) = struct.unpack_from("<d", raw, off)
         return cls(grid=SomGrid(rows=rows, cols=cols, weights=weights),
-                   labeling=labeling, stats=NormStats(mean=mean, std=std), hill_quantile=hq)
+                   labeling=labeling.astype(np.int8), stats=NormStats(mean=mean, std=std),
+                   hill_quantile=hq)
 
 
 def save_model(path, model: SomModel) -> None:
@@ -434,7 +443,7 @@ def read_verdicts_csv(path) -> list[str]:
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
-        if header is None or header[0] != "verdict":
+        if not header or header[0] != "verdict":
             raise DatasetError("not a verdict file")
         for i, row in enumerate(reader, start=2):
             if not row:

@@ -28,8 +28,8 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .crypto import (MAX_NONCE, CipherSuite, IntegrityFailure, KeyMaterial, Nonce,
-                     NonceSource, xor_combine)
+from .crypto import (MAX_NONCE, CipherSuite, IntegrityFailure, KeyMaterial, NonceSource,
+                     xor_combine)
 from .keytree import (
     Graph,
     KeyTree,
@@ -238,19 +238,17 @@ class ProtocolNode:
         st.exchange_active = True
         step1 = MessageKind.AUTH_STEP1 if family == "auth" else MessageKind.JOIN_STEP_A
         nonce = self.nonces.fresh()
-        st.pending_nonces["up_echo"] = nonce.value
-        pt = wire.pack_auth_step1(st.my_id, st.parent_id, nonce)
-        return [ProtocolMessage(step1, st.my_id, st.parent_id, (st.my_id, st.parent_id),
-                                self.suite.encrypt(st.master_key, pt, self.rng))]
+        st.pending_nonces["up_echo"] = nonce
+        return [self._seal(step1, st.parent_id, (st.my_id, st.parent_id), st.master_key,
+                           st.my_id, st.parent_id, nonce)]
 
     def begin_agreement(self) -> list[ProtocolMessage]:
         st = self.state
         assert st.role == ROLE_ROOT and st.subkey is not None
         nonce = self.nonces.fresh()
-        st.pending_nonces["agree_root"] = nonce.value
-        pt = wire.pack_agree_step1(st.my_id, st.subkey, nonce)
-        return [ProtocolMessage(MessageKind.AGREE_STEP1, st.my_id, BROADCAST, (st.my_id,),
-                                self.suite.encrypt(st.master_key, pt, self.rng))]
+        st.pending_nonces["agree_root"] = nonce
+        return [self._seal(MessageKind.AGREE_STEP1, BROADCAST, (st.my_id,), st.master_key,
+                           st.my_id, st.subkey, nonce)]
 
     def begin_global_rekey(self) -> list[ProtocolMessage]:
         st = self.state
@@ -258,17 +256,15 @@ class ProtocolNode:
         fresh = self.suite.new_key(self.rng)
         st.rekey_tentative = st.session_key ^ fresh
         nonce = self._await_confirmations(st.rekey_tentative)
-        pt = wire.pack_rekey(st.my_id, fresh, nonce)
-        return [ProtocolMessage(MessageKind.GLOBAL_REKEY, st.my_id, BROADCAST, (st.my_id,),
-                                self.suite.encrypt(st.session_key, pt, self.rng))]
+        return [self._seal(MessageKind.GLOBAL_REKEY, BROADCAST, (st.my_id,), st.session_key,
+                           st.my_id, fresh, nonce)]
 
-    def _await_confirmations(self, key: KeyMaterial) -> Nonce:
+    def _await_confirmations(self, key: KeyMaterial) -> int:
         """Checker: draw the challenge nonce and open a confirmation window for `key`."""
         st = self.state
         nonce = self.nonces.fresh()
-        st.pending_nonces["rekey_ch"] = nonce.value
-        st.expected_confirm = self.suite.digest(
-            wire.confirm_digest_input(st.my_id, nonce.value + 1, key))
+        st.pending_nonces["rekey_ch"] = nonce
+        st.expected_confirm = self._confirm_digest(MessageKind.AGREE_STEP3, st.my_id, nonce, key)
         st.confirmations = set()
         st.confirm_failures = set()
         return nonce
@@ -280,11 +276,10 @@ class ProtocolNode:
         fresh = self.suite.new_key(self.rng)
         nonce = self.nonces.fresh()
         lk_new = lk_old ^ fresh
-        st.local_rekey_peer[st.root_id] = (nonce.value, lk_new)
-        pt = wire.pack_rekey(st.my_id, fresh, nonce)
-        msg1 = ProtocolMessage(MessageKind.LOCAL_REKEY_STEP1, st.my_id, st.root_id,
-                               (st.my_id,), self.suite.encrypt(lk_old, pt, self.rng))
-        digest = self.suite.digest(wire.confirm_digest_input(st.my_id, nonce.value + 1, lk_new))
+        st.local_rekey_peer[st.root_id] = (nonce, lk_new)
+        msg1 = self._seal(MessageKind.LOCAL_REKEY_STEP1, st.root_id, (st.my_id,), lk_old,
+                          st.my_id, fresh, nonce)
+        digest = self._confirm_digest(MessageKind.LOCAL_REKEY_STEP3, st.my_id, nonce, lk_new)
         msg3 = ProtocolMessage(MessageKind.LOCAL_REKEY_STEP3, st.my_id, st.root_id,
                                (st.my_id,), digest)
         # the member commits its side now; the root confirms or the epoch aborts
@@ -324,12 +319,24 @@ class ProtocolNode:
         self.counters[counter] += 1
         return []
 
-    def _open(self, key: KeyMaterial, payload: bytes, unpack, *width) -> tuple | None:
-        """Decrypt and parse a frame body; None when either step fails."""
+    def _seal(self, kind: MessageKind, receiver: NodeId, ids: tuple[NodeId, ...],
+              key: KeyMaterial, *fields) -> ProtocolMessage:
+        """Pack `fields` in the layout of `kind` and encrypt them under `key`."""
+        pt = wire.pack(kind, self.key_len, *fields)
+        return ProtocolMessage(kind, self.state.my_id, receiver, ids,
+                               self.suite.encrypt(key, pt, self.rng))
+
+    def _open(self, key: KeyMaterial, msg: ProtocolMessage) -> tuple | None:
+        """Decrypt a frame body and parse it by its kind's layout; None if either fails."""
         try:
-            return unpack(self.suite.decrypt(key, payload), *width)
+            return wire.unpack(msg.kind, self.suite.decrypt(key, msg.payload), self.key_len)
         except (IntegrityFailure, wire.WireError):
             return None
+
+    def _confirm_digest(self, kind: MessageKind, node: NodeId, nonce: int,
+                        key: KeyMaterial) -> bytes:
+        """Digest proving `key` to the holder of `nonce`: hashes node, nonce+1, key."""
+        return self.suite.digest(wire.pack(kind, self.key_len, node, nonce + 1, key))
 
     def _nonce_fresh(self, peer: NodeId, value: int) -> bool:
         """Record-and-check replay defense for peer-issued nonces.
@@ -354,7 +361,7 @@ class ProtocolNode:
     # step 1: descendant opened an exchange towards us (we are the ascendant)
     def _on_step1(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
-        fields = self._open(st.master_key, msg.payload, wire.unpack_auth_step1)
+        fields = self._open(st.master_key, msg)
         if fields is None:
             return self._drop("integrity_failures")
         id_d, id_a, nonce_d = fields
@@ -363,18 +370,17 @@ class ProtocolNode:
         if not self._nonce_fresh(id_d, nonce_d):
             return self._drop("nonce_mismatch")
         nonce_a = self.nonces.fresh()
-        st.pending_nonces[f"down_echo:{id_d}"] = nonce_a.value
+        st.pending_nonces[f"down_echo:{id_d}"] = nonce_a
         st.pending_nonces[f"down_seen:{id_d}"] = nonce_d
         step2 = MessageKind.AUTH_STEP2 if msg.kind == MessageKind.AUTH_STEP1 else MessageKind.JOIN_STEP_B
-        pt2 = wire.pack_auth_step2(st.my_id, id_d, nonce_d + 1, nonce_a)
-        return [ProtocolMessage(step2, st.my_id, id_d, (st.my_id, id_d),
-                                self.suite.encrypt(st.master_key, pt2, self.rng))]
+        return [self._seal(step2, id_d, (st.my_id, id_d), st.master_key,
+                           st.my_id, id_d, nonce_d + 1, nonce_a)]
 
     # step 2: our ascendant answered; prove freshness and send the fold up
     # once every awaited child has reported
     def _on_step2(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
-        fields = self._open(st.master_key, msg.payload, wire.unpack_auth_step2)
+        fields = self._open(st.master_key, msg)
         if fields is None:
             return self._drop("integrity_failures")
         id_a, id_d, echoed, nonce_a = fields
@@ -412,14 +418,13 @@ class ProtocolNode:
         st.exchange_active = False
         st.parent_channel_ready = False
         step3 = MessageKind.AUTH_STEP3 if st.exchange_family == "auth" else MessageKind.JOIN_STEP_C
-        pt = wire.pack_auth_step3(st.parent_id, st.my_id, nonce_a + 1, k_up, share)
-        return [ProtocolMessage(step3, st.my_id, st.parent_id, (st.parent_id, st.my_id),
-                                self.suite.encrypt(st.master_key, pt, self.rng))]
+        return [self._seal(step3, st.parent_id, (st.parent_id, st.my_id), st.master_key,
+                           st.parent_id, st.my_id, nonce_a + 1, k_up, share)]
 
     # step 3: a descendant handed up its intermediate key
     def _on_step3(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
-        fields = self._open(st.master_key, msg.payload, wire.unpack_auth_step3, self.key_len)
+        fields = self._open(st.master_key, msg)
         if fields is None:
             return self._drop("integrity_failures")
         id_a, id_d, echoed, k_up, share = fields
@@ -456,7 +461,7 @@ class ProtocolNode:
     # agreement step 1: root broadcast the subkey
     def _on_agree1(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
-        fields = self._open(st.master_key, msg.payload, wire.unpack_agree_step1, self.key_len)
+        fields = self._open(st.master_key, msg)
         if fields is None:
             return self._drop("integrity_failures")
         rid, z, nonce_root = fields
@@ -472,15 +477,14 @@ class ProtocolNode:
             self.refresh_share()
             st.session_key = z ^ st.share
             nonce_ch = self._await_confirmations(st.session_key)
-            pt2 = wire.pack_agree_step2(st.my_id, st.share, nonce_root + 1, nonce_ch)
-            return [ProtocolMessage(MessageKind.AGREE_STEP2, st.my_id, BROADCAST, (st.my_id,),
-                                    self.suite.encrypt(st.master_key, pt2, self.rng))]
+            return [self._seal(MessageKind.AGREE_STEP2, BROADCAST, (st.my_id,), st.master_key,
+                               st.my_id, st.share, nonce_root + 1, nonce_ch)]
         return []
 
     # agreement step 2: checker broadcast its share; compute K and confirm
     def _on_agree2(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
-        fields = self._open(st.master_key, msg.payload, wire.unpack_agree_step2, self.key_len)
+        fields = self._open(st.master_key, msg)
         if fields is None:
             return self._drop("integrity_failures")
         cid, share_ch, echoed, nonce_ch = fields
@@ -497,7 +501,7 @@ class ProtocolNode:
         """Member: adopt `key` as the session key and confirm it to the checker."""
         st = self.state
         st.session_key = key
-        digest = self.suite.digest(wire.confirm_digest_input(cid, nonce + 1, key))
+        digest = self._confirm_digest(MessageKind.AGREE_STEP3, cid, nonce, key)
         return [ProtocolMessage(MessageKind.AGREE_STEP3, st.my_id, cid, (st.my_id, cid), digest)]
 
     # confirmation digests flow to the checker for both agreement and rekey
@@ -521,7 +525,7 @@ class ProtocolNode:
         st = self.state
         if st.session_key is None or st.role == ROLE_CHECKER:
             return self._drop("unexpected")
-        fields = self._open(st.session_key, msg.payload, wire.unpack_rekey, self.key_len)
+        fields = self._open(st.session_key, msg)
         if fields is None:
             return self._drop("integrity_failures")
         cid, fresh, nonce_ch = fields
@@ -538,7 +542,7 @@ class ProtocolNode:
         lk_old = st.local_keys.get(msg.sender)
         if lk_old is None:
             return self._drop("unexpected")
-        fields = self._open(lk_old, msg.payload, wire.unpack_rekey, self.key_len)
+        fields = self._open(lk_old, msg)
         if fields is None:
             return self._drop("integrity_failures")
         jid, fresh, nonce_j = fields
@@ -554,7 +558,7 @@ class ProtocolNode:
         if st.role != ROLE_ROOT or msg.sender not in st.local_rekey_peer:
             return self._drop("unexpected")
         nonce_j, lk_new = st.local_rekey_peer[msg.sender]
-        want = self.suite.digest(wire.confirm_digest_input(msg.sender, nonce_j + 1, lk_new))
+        want = self._confirm_digest(MessageKind.LOCAL_REKEY_STEP3, msg.sender, nonce_j, lk_new)
         if not hmac.compare_digest(msg.payload, want):
             return self._drop("integrity_failures")
         del st.local_rekey_peer[msg.sender]
@@ -568,7 +572,7 @@ class ProtocolNode:
         ek = st.edge_keys.get(msg.sender)
         if ek is None:
             return self._drop("unexpected")
-        fields = self._open(ek, msg.payload, wire.unpack_rekey, self.key_len)
+        fields = self._open(ek, msg)
         if fields is None:
             return self._drop("integrity_failures")
         sid, salt, nonce = fields
@@ -589,9 +593,8 @@ class ProtocolNode:
             if ek is None:
                 continue  # unreachable edge: the orchestrator keys edges first
             nonce = self.nonces.fresh()
-            pt = wire.pack_rekey(st.my_id, salt, nonce)
-            out.append(ProtocolMessage(MessageKind.MASTER_REKEY, st.my_id, child,
-                                       (st.my_id, child), self.suite.encrypt(ek, pt, self.rng)))
+            out.append(self._seal(MessageKind.MASTER_REKEY, child, (st.my_id, child), ek,
+                                  st.my_id, salt, nonce))
         return out
 
 

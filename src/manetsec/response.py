@@ -190,13 +190,13 @@ def distribute_local_maps(suite: CipherSuite, initiator: NodeId, neighbors: set[
     own_bytes = maps[initiator].to_bytes()
     responsive: set[NodeId] = set()
     for j, lk in sorted(keyed.items()):
-        digest = suite.keyed_digest(lk, _digest_input(initiator, own_bytes, nonce1.value))
+        digest = suite.keyed_digest(lk, _digest_input(initiator, own_bytes, nonce1))
         passed = chan("announce", initiator, j, own_bytes, digest)
         if passed is None:
             events.append((now, "map_lost", initiator, j, "announce lost"))
             continue
         payload, dig = passed
-        if suite.verify_keyed_digest(lk, _digest_input(initiator, payload, nonce1.value), dig):
+        if suite.verify_keyed_digest(lk, _digest_input(initiator, payload, nonce1), dig):
             responsive.add(j)
         else:
             events.append((now, "map_tamper", j, initiator, "announce digest mismatch"))
@@ -210,14 +210,14 @@ def distribute_local_maps(suite: CipherSuite, initiator: NodeId, neighbors: set[
             events.append((now, "map_missing", initiator, j, "neighbor has no map"))
             continue
         reply_bytes = maps[j].to_bytes()
-        digest = suite.keyed_digest(keyed[j], _digest_input(j, reply_bytes, nonce1.value + 1))
+        digest = suite.keyed_digest(keyed[j], _digest_input(j, reply_bytes, nonce1 + 1))
         passed = chan("reply", j, initiator, reply_bytes, digest)
         if passed is None:
             missing.add(j)
             events.append((now, "map_lost", initiator, j, "reply lost"))
             continue
         payload, dig = passed
-        if suite.verify_keyed_digest(keyed[j], _digest_input(j, payload, nonce1.value + 1), dig):
+        if suite.verify_keyed_digest(keyed[j], _digest_input(j, payload, nonce1 + 1), dig):
             verified[j] = maps[j]
         else:
             tampered.add(j)
@@ -226,13 +226,13 @@ def distribute_local_maps(suite: CipherSuite, initiator: NodeId, neighbors: set[
     glm = compose_global_local_map(maps[initiator], verified, composed_at=now)
     glm_bytes = glm.to_bytes()
     for j, lk in sorted(keyed.items()):
-        digest = suite.keyed_digest(lk, _digest_input(initiator, glm_bytes, nonce1.value))
+        digest = suite.keyed_digest(lk, _digest_input(initiator, glm_bytes, nonce1))
         passed = chan("summary", initiator, j, glm_bytes, digest)
         if passed is None:
             events.append((now, "map_lost", initiator, j, "summary lost"))
             continue
         payload, dig = passed
-        if not suite.verify_keyed_digest(lk, _digest_input(initiator, payload, nonce1.value), dig):
+        if not suite.verify_keyed_digest(lk, _digest_input(initiator, payload, nonce1), dig):
             events.append((now, "map_tamper", j, initiator, "summary digest mismatch"))
     events.append((now, "map_composed", initiator, None,
                    f"entries={len(glm.entries)} tampered={len(tampered)} missing={len(missing)}"))
@@ -269,7 +269,7 @@ def global_alarm(suite: CipherSuite, victim_map: SecurityMap, gk: KeyMaterial,
     events: list[tuple[float, str, NodeId, NodeId | None, str]] = []
     nonce = nonces.fresh()
     map_bytes = victim_map.to_bytes()
-    digest = suite.keyed_digest(gk, _digest_input(victim, map_bytes, nonce.value))
+    digest = suite.keyed_digest(gk, _digest_input(victim, map_bytes, nonce))
     in_range = sorted(n for n in graph.get(victim, ()) if n in tables)
     accepted: set[NodeId] = set()
     rejected: set[NodeId] = set()
@@ -281,7 +281,7 @@ def global_alarm(suite: CipherSuite, victim_map: SecurityMap, gk: KeyMaterial,
             events.append((now, "alarm_lost", victim, r, "alarm lost"))
             continue
         payload, dig = passed
-        if suite.verify_keyed_digest(gk, _digest_input(victim, payload, nonce.value), dig):
+        if suite.verify_keyed_digest(gk, _digest_input(victim, payload, nonce), dig):
             tables[r].quarantine(victim, graph)
             accepted.add(r)
             events.append((now, "quarantine", r, victim, "victim removed from routes"))

@@ -133,6 +133,8 @@ class ScenarioConfig:
         for ev in self.schedule:
             if not 0 <= ev.time <= self.duration:
                 raise ScenarioError(f"schedule event at {ev.time} outside the run")
+            if ev.node is not None and not 0 <= ev.node < BROADCAST:
+                raise ScenarioError(f"schedule node id {ev.node} outside 0..{BROADCAST - 1}")
         for c in self.dropper_counts:
             if not 0 <= c <= self.node_count - 2:
                 raise ScenarioError(f"dropper sweep count {c} outside 0..{self.node_count - 2}")

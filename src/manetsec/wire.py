@@ -10,8 +10,8 @@ Frame layout (big-endian):
     payload         ciphertext or digest, depending on kind
 
 The cleartext portion never carries key material or nonces; those ride inside
-the encrypted payload. Per-kind plaintext layouts live in WIRE.md and in the
-pack_*/unpack_* helpers below.
+the encrypted payload. `LAYOUTS` is the code's copy of the per-kind plaintext
+table in WIRE.md; `pack` and `unpack` are the only readers of it.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ import enum
 import struct
 from dataclasses import dataclass
 
-from .crypto import KeyMaterial, Nonce
+from .crypto import KeyMaterial
 
 BROADCAST = 0xFFFFFFFF
 _HDR = struct.Struct(">BIIB")
 _LEN = struct.Struct(">H")
 _ID = struct.Struct(">I")
-_NONCE = struct.Struct(">Q")
 
 
 class WireError(Exception):
@@ -93,91 +92,61 @@ class ProtocolMessage:
         return cls(kind=kind, sender=sender, receiver=receiver, ids=ids, payload=raw[off:])
 
 
-# ---------------------------------------------------------------------------
-# Plaintext layouts carried inside the encrypted payload.  Key-material fields
-# take the scenario key width; the caller passes it for unpacking.
-# ---------------------------------------------------------------------------
+# What each kind carries inside its ciphertext or, for the DIGEST_KINDS, what
+# its digest is computed over: I is a 4-byte id, Q an 8-byte nonce or nonce
+# echo, K a key field of the scenario key width. JOIN_REQUEST has no row.
 
-def pack_auth_step1(id_d: int, id_a: int, nonce_d: Nonce) -> bytes:
-    return _ID.pack(id_d) + _ID.pack(id_a) + _NONCE.pack(nonce_d.value)
+LAYOUTS: dict[MessageKind, str] = {
+    MessageKind.AUTH_STEP1: "IIQ",          # ID_d, ID_a, nonce_d
+    MessageKind.AUTH_STEP2: "IIQQ",         # ID_a, ID_d, nonce_d+1, nonce_a
+    MessageKind.AUTH_STEP3: "IIQKK",        # ID_a, ID_d, nonce_a+1, K', S
+    MessageKind.AGREE_STEP1: "IKQ",         # ID_root, z, nonce_root
+    MessageKind.AGREE_STEP2: "IKQQ",        # ID_ch, S_ch, nonce_root+1, nonce_ch
+    MessageKind.AGREE_STEP3: "IQK",         # digest input: ID_ch, nonce_ch+1, K
+    MessageKind.JOIN_STEP_A: "IIQ",
+    MessageKind.JOIN_STEP_B: "IIQQ",
+    MessageKind.JOIN_STEP_C: "IIQKK",
+    MessageKind.GLOBAL_REKEY: "IKQ",        # ID_ch, fresh, nonce_ch
+    MessageKind.LOCAL_REKEY_STEP1: "IKQ",   # ID_j, fresh, nonce_j
+    MessageKind.LOCAL_REKEY_STEP3: "IQK",   # digest input: ID_j, nonce_j+1, LK_new
+    MessageKind.MASTER_REKEY: "IKQ",        # ID_parent, salt, nonce
+}
 
-
-def unpack_auth_step1(pt: bytes) -> tuple[int, int, int]:
-    if len(pt) != 16:
-        raise WireError("bad auth step1 plaintext")
-    return (*struct.unpack(">II", pt[:8]), _NONCE.unpack(pt[8:])[0])
-
-
-def pack_auth_step2(id_a: int, id_d: int, echoed: int, nonce_a: Nonce) -> bytes:
-    return _ID.pack(id_a) + _ID.pack(id_d) + _NONCE.pack(echoed) + _NONCE.pack(nonce_a.value)
-
-
-def unpack_auth_step2(pt: bytes) -> tuple[int, int, int, int]:
-    if len(pt) != 24:
-        raise WireError("bad auth step2 plaintext")
-    a, d = struct.unpack(">II", pt[:8])
-    echoed, nv = struct.unpack(">QQ", pt[8:])
-    return a, d, echoed, nv
+# key width -> (struct, indices of the K fields) per kind code, None for a
+# kind without a row; indexed by code so no lookup hashes a MessageKind
+_COMPILED: dict[int, list[tuple[struct.Struct, tuple[int, ...]] | None]] = {}
 
 
-def pack_auth_step3(id_a: int, id_d: int, echoed: int,
-                    k_up: KeyMaterial, share: KeyMaterial) -> bytes:
-    # Carries the sender's intermediate key and its bare share; the share is
-    # what lets the root assemble the level-1 local keys.
-    return (_ID.pack(id_a) + _ID.pack(id_d) + _NONCE.pack(echoed)
-            + k_up.data + share.data)
+def _compiled(kind: MessageKind, key_bytes: int) -> tuple[struct.Struct, tuple[int, ...]]:
+    table = _COMPILED.get(key_bytes)
+    if table is None:
+        table = _COMPILED[key_bytes] = [None] * (max(MessageKind) + 1)
+        for k, layout in LAYOUTS.items():
+            keys = tuple(i for i, c in enumerate(layout) if c == "K")
+            table[k] = (struct.Struct(">" + layout.replace("K", f"{key_bytes}s")), keys)
+    if table[kind] is None:
+        raise WireError(f"{MessageKind(kind).name} carries no plaintext")
+    return table[kind]
 
 
-def unpack_auth_step3(pt: bytes, key_bytes: int) -> tuple[int, int, int, KeyMaterial, KeyMaterial]:
-    if len(pt) != 16 + 2 * key_bytes:
-        raise WireError("bad auth step3 plaintext")
-    a, d = struct.unpack(">II", pt[:8])
-    (echoed,) = _NONCE.unpack(pt[8:16])
-    k_up = KeyMaterial(pt[16 : 16 + key_bytes])
-    share = KeyMaterial(pt[16 + key_bytes :])
-    return a, d, echoed, k_up, share
+def pack(kind: MessageKind, key_bytes: int, *fields) -> bytes:
+    """The plaintext of `kind`: ids and nonces as ints, keys as KeyMaterial."""
+    layout, key_fields = _compiled(kind, key_bytes)
+    fields = list(fields)
+    for i in key_fields:
+        fields[i] = fields[i].data
+        if len(fields[i]) != key_bytes:
+            raise WireError(f"{len(fields[i])}-byte key field in a {key_bytes}-byte layout")
+    return layout.pack(*fields)
 
 
-def pack_agree_step1(id_root: int, z: KeyMaterial, nonce: Nonce) -> bytes:
-    return _ID.pack(id_root) + z.data + _NONCE.pack(nonce.value)
-
-
-def unpack_agree_step1(pt: bytes, key_bytes: int) -> tuple[int, KeyMaterial, int]:
-    if len(pt) != 12 + key_bytes:
-        raise WireError("bad agree step1 plaintext")
-    (rid,) = _ID.unpack(pt[:4])
-    z = KeyMaterial(pt[4 : 4 + key_bytes])
-    (nv,) = _NONCE.unpack(pt[4 + key_bytes :])
-    return rid, z, nv
-
-
-def pack_agree_step2(id_ch: int, share: KeyMaterial, echoed: int, nonce_ch: Nonce) -> bytes:
-    return _ID.pack(id_ch) + share.data + _NONCE.pack(echoed) + _NONCE.pack(nonce_ch.value)
-
-
-def unpack_agree_step2(pt: bytes, key_bytes: int) -> tuple[int, KeyMaterial, int, int]:
-    if len(pt) != 20 + key_bytes:
-        raise WireError("bad agree step2 plaintext")
-    (cid,) = _ID.unpack(pt[:4])
-    share = KeyMaterial(pt[4 : 4 + key_bytes])
-    echoed, nv = struct.unpack(">QQ", pt[4 + key_bytes :])
-    return cid, share, echoed, nv
-
-
-def confirm_digest_input(id_target: int, nonce_succ: int, key: KeyMaterial) -> bytes:
-    """Byte layout hashed for session/rekey confirmations: id, nonce+1, key."""
-    return _ID.pack(id_target) + _NONCE.pack(nonce_succ) + key.data
-
-
-def pack_rekey(id_sender: int, share: KeyMaterial, nonce: Nonce) -> bytes:
-    """Shared layout for GLOBAL_REKEY, LOCAL_REKEY_STEP1 and MASTER_REKEY."""
-    return _ID.pack(id_sender) + share.data + _NONCE.pack(nonce.value)
-
-
-def unpack_rekey(pt: bytes, key_bytes: int) -> tuple[int, KeyMaterial, int]:
-    if len(pt) != 12 + key_bytes:
-        raise WireError("bad rekey plaintext")
-    (sid,) = _ID.unpack(pt[:4])
-    share = KeyMaterial(pt[4 : 4 + key_bytes])
-    (nv,) = _NONCE.unpack(pt[4 + key_bytes :])
-    return sid, share, nv
+def unpack(kind: MessageKind, plaintext: bytes, key_bytes: int) -> tuple:
+    """Inverse of pack; raises WireError unless the length fits the layout exactly."""
+    layout, key_fields = _compiled(kind, key_bytes)
+    if len(plaintext) != layout.size:
+        raise WireError(f"{len(plaintext)}-byte {MessageKind(kind).name} plaintext, "
+                        f"want {layout.size}")
+    fields = list(layout.unpack(plaintext))
+    for i in key_fields:
+        fields[i] = KeyMaterial(fields[i])
+    return tuple(fields)

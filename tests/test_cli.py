@@ -251,6 +251,39 @@ class TestDetectorPipeline:
         assert main(["evaluate", "--verdicts", str(verdicts), "--truth", str(truth)]) == 1
         assert capsys.readouterr().err == f"error: {verdicts}: row 2: bad verdict 'maybe'\n"
 
+    @pytest.mark.parametrize("defect, message", [
+        ("features", "model has 3 features, expected 7"),
+        ("label", "model label 7 is not 0, 1 or 2"),
+        ("lattice", "model lattice 0x0 is smaller than 2x2"),
+        ("std", "model normalization needs a finite mean and a finite positive std"),
+    ])
+    def test_unusable_model_is_input_error(self, tmp_path, capsys, defect, message):
+        rows = cols = 0 if defect == "lattice" else 2
+        nf = 3 if defect == "features" else 7
+        labeling = np.array([0, 7, 1, 2][:rows * cols], dtype=np.int8)
+        if defect != "label":
+            labeling[labeling == 7] = 0
+        stats = esom.NormStats(mean=np.zeros(nf),
+                               std=np.zeros(nf) if defect == "std" else np.ones(nf))
+        model = tmp_path / "model.bin"
+        esom.save_model(model, esom.SomModel(
+            esom.SomGrid(rows, cols, np.zeros((rows * cols, nf))), labeling, stats))
+        data = tmp_path / "d.csv"
+        write_dataset(data, 5, 2.0, 6)
+        out = tmp_path / "v.csv"
+        assert main(["classify", "--model", str(model), "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+        assert not out.exists()
+
+    def test_verdict_file_with_blank_first_line(self, tmp_path, capsys):
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_text("\nverdict,best_match,distance\nnormal,0,0\n")
+        truth = tmp_path / "truth.csv"
+        write_dataset(truth, 1, 2.0, 6)
+        assert main(["evaluate", "--verdicts", str(verdicts), "--truth", str(truth)]) == 1
+        assert capsys.readouterr().err == f"error: {verdicts}: not a verdict file\n"
+
     def test_bad_model_file_is_named(self, tmp_path, capsys):
         model = tmp_path / "model.bin"
         model.write_bytes(b"ESM")

@@ -6,7 +6,7 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from manetsec.crypto import MAX_NONCE, CipherSuite, KeyMaterial, Nonce, xor_combine
+from manetsec.crypto import MAX_NONCE, CipherSuite, KeyMaterial, xor_combine
 from manetsec.protocol import (
     CheckerVerificationFailure,
     GroupSession,
@@ -19,13 +19,7 @@ from manetsec.protocol import (
     _ids_blob,
 )
 from manetsec.keytree import TreeError, bfs_parents, key_path
-from manetsec.wire import (
-    BROADCAST,
-    MessageKind,
-    ProtocolMessage,
-    pack_agree_step1,
-    pack_auth_step1,
-)
+from manetsec.wire import BROADCAST, MessageKind, ProtocolMessage, pack
 
 from conftest import make_graph, random_geometric
 
@@ -223,7 +217,7 @@ class TestPeriodicRekeys:
         msg = next(m for m in reversed(session.transport.messages) if m.kind == kind)
         from manetsec import wire
         pt = suite.decrypt(key, msg.payload)
-        _, share, _ = wire.unpack_rekey(pt, suite.key_bits // 8)
+        _, share, _ = wire.unpack(kind, pt, suite.key_bits // 8)
         return share
 
     def test_global_rekey_algebra(self, fig4_session, suite):
@@ -395,12 +389,13 @@ class TestRobustness:
         # answer AUTH_STEP1 from 6, checker 5 would answer AGREE_STEP1
         s = GroupSession(fig4_graph, 1, set(range(1, 19)), suite, seed=7, checker=5,
                          unsafe_skip_nonce_checks=weakened)
-        top = Nonce(MAX_NONCE, 0)
+        kb = suite.key_bits // 8
         frames = {
             2: ProtocolMessage(MessageKind.AUTH_STEP1, 6, 2, (6, 2), suite.encrypt(
-                s.master_key, pack_auth_step1(6, 2, top), rng)),
+                s.master_key, pack(MessageKind.AUTH_STEP1, kb, 6, 2, MAX_NONCE), rng)),
             5: ProtocolMessage(MessageKind.AGREE_STEP1, 1, BROADCAST, (1,), suite.encrypt(
-                s.master_key, pack_agree_step1(1, suite.zero_key(), top), rng)),
+                s.master_key, pack(MessageKind.AGREE_STEP1, kb, 1, suite.zero_key(), MAX_NONCE),
+                rng)),
         }
         for receiver, msg in frames.items():
             node = s.nodes[receiver]

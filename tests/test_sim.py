@@ -500,6 +500,15 @@ class TestScenarioParser:
         with pytest.raises(sim.ScenarioError, match=r"s\.cfg:1: unknown key 'bogus'"):
             sim.parse_scenario(path)
 
+    @pytest.mark.parametrize("node", [-1, 2**32 - 1, 2**32])
+    @pytest.mark.parametrize("key", ["join_at", "leave_at"])
+    def test_schedule_node_id_must_fit_below_broadcast(self, tmp_path, key, node):
+        path = tmp_path / "s.cfg"
+        path.write_text(f"node_count = 20\nseed = 1\n{key} = 10:{node}\n")
+        with pytest.raises(sim.ScenarioError,
+                           match=rf"schedule node id {node} outside 0\.\.4294967294"):
+            sim.parse_scenario(path)
+
     @pytest.mark.parametrize("line, message", [
         ("som_rows = 1", "at least 2x2"),
         ("som_epochs = 0", "epochs must be positive"),

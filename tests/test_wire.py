@@ -1,24 +1,18 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from manetsec.crypto import KeyMaterial, Nonce
+from manetsec.crypto import KeyMaterial
 from manetsec.wire import (
     BROADCAST,
+    DIGEST_KINDS,
+    LAYOUTS,
     MessageKind,
     ProtocolMessage,
     WireError,
-    confirm_digest_input,
-    pack_agree_step1,
-    pack_agree_step2,
-    pack_auth_step1,
-    pack_auth_step2,
-    pack_auth_step3,
-    pack_rekey,
-    unpack_agree_step1,
-    unpack_agree_step2,
-    unpack_auth_step1,
-    unpack_auth_step2,
-    unpack_auth_step3,
-    unpack_rekey,
+    pack,
+    unpack,
 )
 
 KB = 16  # 128-bit scenario width
@@ -71,45 +65,115 @@ class TestFrameConformance:
             ProtocolMessage(MessageKind.AUTH_STEP1, 1, 2, (), b"z" * 70_000).to_bytes()
 
 
+K = MessageKind
+
+
 class TestPayloadLayouts:
     def test_auth_step1_hex(self):
-        pt = pack_auth_step1(9, 2, Nonce(0x0102030405060708, 9))
+        pt = pack(K.AUTH_STEP1, KB, 9, 2, 0x0102030405060708)
         assert pt.hex() == "00000009000000020102030405060708"
-        assert unpack_auth_step1(pt) == (9, 2, 0x0102030405060708)
+        assert unpack(K.AUTH_STEP1, pt, KB) == (9, 2, 0x0102030405060708)
 
     def test_auth_step2(self):
-        pt = pack_auth_step2(2, 9, 0x11, Nonce(0x22, 2))
-        assert unpack_auth_step2(pt) == (2, 9, 0x11, 0x22)
+        pt = pack(K.AUTH_STEP2, KB, 2, 9, 0x11, 0x22)
+        assert unpack(K.AUTH_STEP2, pt, KB) == (2, 9, 0x11, 0x22)
 
     def test_auth_step3_carries_fold_and_share(self, rng):
         k, s = KeyMaterial.random(rng), KeyMaterial.random(rng)
-        pt = pack_auth_step3(2, 9, 0x33, k, s)
-        assert unpack_auth_step3(pt, KB) == (2, 9, 0x33, k, s)
+        pt = pack(K.AUTH_STEP3, KB, 2, 9, 0x33, k, s)
+        assert unpack(K.AUTH_STEP3, pt, KB) == (2, 9, 0x33, k, s)
 
     def test_agree_step1_hex(self):
         z = KeyMaterial(bytes.fromhex("00112233445566778899aabbccddeeff"))
-        pt = pack_agree_step1(1, z, Nonce(0x1122334455667788, 1))
+        pt = pack(K.AGREE_STEP1, KB, 1, z, 0x1122334455667788)
         assert pt.hex() == ("00000001"
                             "00112233445566778899aabbccddeeff"
                             "1122334455667788")
-        assert unpack_agree_step1(pt, KB) == (1, z, 0x1122334455667788)
+        assert unpack(K.AGREE_STEP1, pt, KB) == (1, z, 0x1122334455667788)
 
     def test_agree_step2(self, rng):
         s = KeyMaterial.random(rng)
-        pt = pack_agree_step2(5, s, 7, Nonce(8, 5))
-        assert unpack_agree_step2(pt, KB) == (5, s, 7, 8)
+        pt = pack(K.AGREE_STEP2, KB, 5, s, 7, 8)
+        assert unpack(K.AGREE_STEP2, pt, KB) == (5, s, 7, 8)
 
     def test_rekey_layout(self, rng):
         s = KeyMaterial.random(rng)
-        pt = pack_rekey(3, s, Nonce(44, 3))
-        assert unpack_rekey(pt, KB) == (3, s, 44)
+        for kind in (K.GLOBAL_REKEY, K.LOCAL_REKEY_STEP1, K.MASTER_REKEY):
+            pt = pack(kind, KB, 3, s, 44)
+            assert pt == pack(K.AGREE_STEP1, KB, 3, s, 44)
+            assert unpack(kind, pt, KB) == (3, s, 44)
 
     def test_confirm_digest_input_layout(self):
         k = KeyMaterial(bytes(range(16)))
-        blob = confirm_digest_input(5, 0x99, k)
-        assert blob == bytes.fromhex("00000005") + (0x99).to_bytes(8, "big") + k.data
+        for kind in DIGEST_KINDS:
+            blob = pack(kind, KB, 5, 0x99, k)
+            assert blob == bytes.fromhex("00000005") + (0x99).to_bytes(8, "big") + k.data
 
     def test_wrong_width_unpacks_fail(self, rng):
-        pt = pack_agree_step1(1, KeyMaterial.random(rng, 128), Nonce(1, 1))
+        pt = pack(K.AGREE_STEP1, KB, 1, KeyMaterial.random(rng, 128), 1)
         with pytest.raises(WireError):
-            unpack_agree_step1(pt, 32)
+            unpack(K.AGREE_STEP1, pt, 32)
+
+    def test_join_request_has_no_layout(self):
+        assert K.JOIN_REQUEST not in LAYOUTS and len(LAYOUTS) == 13
+        with pytest.raises(WireError):
+            unpack(K.JOIN_REQUEST, b"", KB)
+
+
+def _sample_fields(layout, width, rng):
+    return tuple(KeyMaterial.random(rng, 8 * width) if c == "K"
+                 else rng.getrandbits(32 if c == "I" else 64) for c in layout)
+
+
+class TestLayoutTable:
+    @pytest.mark.parametrize("width", [10, 16, 24, 32])
+    @pytest.mark.parametrize("kind", sorted(LAYOUTS), ids=lambda k: k.name)
+    def test_round_trip_every_kind(self, rng, kind, width):
+        layout = LAYOUTS[kind]
+        fields = _sample_fields(layout, width, rng)
+        pt = pack(kind, width, *fields)
+        sizes = {"I": 4, "Q": 8, "K": width}
+        assert len(pt) == sum(sizes[c] for c in layout)
+        assert unpack(kind, pt, width) == fields
+        for bad in (pt[:-1], pt + b"\x00"):
+            with pytest.raises(WireError):
+                unpack(kind, bad, width)
+
+    @pytest.mark.parametrize("width", [10, 16, 24, 32])
+    @pytest.mark.parametrize("kind", sorted(k for k, v in LAYOUTS.items() if "K" in v),
+                             ids=lambda k: k.name)
+    def test_key_field_off_by_one_refused(self, rng, kind, width):
+        fields = list(_sample_fields(LAYOUTS[kind], width, rng))
+        at = LAYOUTS[kind].index("K")
+        for off in (-1, 1):
+            fields[at] = KeyMaterial(bytes(width + off))
+            with pytest.raises(WireError):
+                pack(kind, width, *fields)
+
+
+class TestWireDoc:
+    """WIRE.md's kind table must say what the code does."""
+
+    FIELD = {"4": "I", "8": "Q", "W": "K"}
+
+    def rows(self):
+        text = (Path(__file__).resolve().parents[1] / "WIRE.md").read_text()
+        table = text.split("## Kind codes", 1)[1].split("\n\n", 2)[1]
+        for line in table.splitlines()[2:]:
+            code, name, payload, layout = (c.strip() for c in line.strip("|").split("|"))
+            yield int(code), name, payload, layout
+
+    def test_kind_table_matches_layouts(self):
+        rows = list(self.rows())
+        assert [(code, name) for code, name, _, _ in rows] == [(k.value, k.name) for k in K]
+        documented = {}
+        for code, name, payload, layout in rows:
+            assert (payload == "digest") == (K(code) in DIGEST_KINDS), name
+            alias = re.match(r"as (\w+)", layout)
+            if alias:
+                documented[K(code)] = documented[K[alias.group(1)]]
+            elif "`" in layout:
+                fields = layout.split("`")[1]
+                documented[K(code)] = "".join(self.FIELD[w] for w in
+                                              re.findall(r"\((\w)\)", fields))
+        assert documented == LAYOUTS
