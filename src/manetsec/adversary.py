@@ -36,32 +36,32 @@ __all__ = [
 class NodeKnowledge:
     """Everything one party holds at capture time."""
 
-    node_id: int
     keys: list[KeyMaterial] = field(default_factory=list)   # decryption-capable
     secrets: set[bytes] = field(default_factory=set)         # raw key values
     delivered: list[ProtocolMessage] = field(default_factory=list)
-    epoch: int = 0
 
 
 def capture_knowledge(session: GroupSession, node_id: int) -> NodeKnowledge:
     """Snapshot a member's key state and its delivered-message log."""
     keys = session.nodes[node_id].state.key_material()
-    return NodeKnowledge(
-        node_id=node_id,
-        keys=keys,
-        secrets={k.data for k in keys},
-        delivered=list(session.transport.delivered.get(node_id, ())),
-        epoch=session.epoch,
-    )
+    return NodeKnowledge(keys=keys, secrets={k.data for k in keys},
+                         delivered=list(session.transport.delivered.get(node_id, ())))
+
+
+# Encrypted kinds whose plaintext carries a key field: opening any other frame
+# can never add a candidate, so the oracle does not try.
+_KEY_CARRYING = frozenset(kind for kind, layout in wire.LAYOUTS.items()
+                          if "K" in layout and kind not in wire.DIGEST_KINDS)
 
 
 def candidate_group_keys(suite: CipherSuite, keys: list[KeyMaterial],
                          messages: list[ProtocolMessage]) -> set[bytes]:
     """All group keys derivable from `keys` plus the given transcript slice.
 
-    Decrypts every ciphertext under every key, pairs recovered subkeys with
-    recovered checker shares, and follows XOR ratchets whose carrier it can
-    open. Digest payloads contribute nothing (preimage resistance assumed).
+    Decrypts every key-carrying ciphertext under every key, pairs recovered
+    subkeys with recovered checker shares, and follows XOR ratchets whose
+    carrier it can open. Digest payloads contribute nothing (preimage
+    resistance assumed), and neither do frames without a key field.
     """
     kb = suite.key_bits // 8
     candidates: set[bytes] = set()
@@ -77,7 +77,7 @@ def candidate_group_keys(suite: CipherSuite, keys: list[KeyMaterial],
         return None, None
 
     for msg in messages:
-        if msg.kind in wire.DIGEST_KINDS or msg.kind not in wire.LAYOUTS:
+        if msg.kind not in _KEY_CARRYING:
             continue
         key, pt = try_open(msg.payload)
         if pt is None:
@@ -158,8 +158,8 @@ def replay_once(session: GroupSession, rng: random.Random) -> bool:
     if not msgs:
         return False
     msg = msgs[rng.randrange(len(msgs))]
-    targets = session.transport.peek_targets(msg, session.members)
-    return replay_moves_state(session, msg, [t for t in targets if t in session.nodes])
+    return replay_moves_state(session, msg,
+                              session.transport.peek_targets(msg, session.nodes.keys()))
 
 
 # -- whole-suite driver ----------------------------------------------------------

@@ -52,10 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV with 7 feature columns + label")
     p.add_argument("--model", required=True, help="output model file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rows", type=int, default=50)
-    p.add_argument("--cols", type=int, default=80)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--hill-quantile", type=float, default=0.85)
+    p.add_argument("--rows", type=int, default=esom.SomConfig.rows)
+    p.add_argument("--cols", type=int, default=esom.SomConfig.cols)
+    p.add_argument("--epochs", type=int, default=esom.SomConfig.epochs)
+    p.add_argument("--hill-quantile", type=float, default=esom.SomConfig.hill_quantile)
 
     p = sub.add_parser("classify", help="classify a CSV against a trained model")
     p.add_argument("--model", required=True)
@@ -127,8 +127,8 @@ def cmd_attack_suite(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.seed is None:
-        return _input_error("train needs --seed (reproducibility is mandatory)")
+    if args.seed is None or args.seed < 0:
+        return _input_error("train needs a non-negative --seed (reproducibility is mandatory)")
     data, labels = esom.read_dataset_csv(args.data)
     if len(data) < 2:
         return _input_error(f"{args.data}: training needs at least two samples")

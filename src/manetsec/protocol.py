@@ -24,7 +24,7 @@ import hmac
 import random
 import struct
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -65,13 +65,11 @@ class ProtocolAbort(Exception):
 class InitiationTimeout(ProtocolAbort):
     def __init__(self, edges):
         super().__init__(f"initiation incomplete on edges: {sorted(edges)}")
-        self.edges = edges
 
 
 class CheckerVerificationFailure(ProtocolAbort):
     def __init__(self, nodes):
         super().__init__(f"checker rejected confirmations from: {sorted(nodes)}")
-        self.nodes = nodes
 
 
 class RekeyFailure(ProtocolAbort):
@@ -112,7 +110,6 @@ class NodeState:
     children_received: dict[NodeId, tuple[KeyMaterial, KeyMaterial]] = field(default_factory=dict)
     pending_nonces: dict[str, int] = field(default_factory=dict)
     seen_nonces: dict[NodeId, set[int]] = field(default_factory=dict)
-    epoch: int = 0
     # tree context, maintained by the orchestrator
     parent_id: NodeId | None = None
     children: tuple[NodeId, ...] = ()
@@ -196,10 +193,6 @@ class ProtocolNode:
 
     # -- orchestrator-facing helpers ----------------------------------------
 
-    @property
-    def node_id(self) -> NodeId:
-        return self.state.my_id
-
     def configure(self, parent: NodeId | None, children, root_id: NodeId,
                   checker_id: NodeId, role: str) -> None:
         st = self.state
@@ -263,7 +256,6 @@ class ProtocolNode:
         """Checker: draw the challenge nonce and open a confirmation window for `key`."""
         st = self.state
         nonce = self.nonces.fresh()
-        st.pending_nonces["rekey_ch"] = nonce
         st.expected_confirm = self._confirm_digest(MessageKind.AGREE_STEP3, st.my_id, nonce, key)
         st.confirmations = set()
         st.confirm_failures = set()
@@ -654,16 +646,17 @@ class Transport:
     def should_drop(self, msg: ProtocolMessage) -> bool:
         return False
 
-    def targets(self, msg: ProtocolMessage, members: set[int]) -> list[int]:
+    def targets(self, msg: ProtocolMessage, members: Collection[int]) -> list[int]:
         if msg.receiver == BROADCAST:
             return sorted(m for m in members if m != msg.sender)
         return [msg.receiver] if msg.receiver in members else []
 
-    def peek_targets(self, msg: ProtocolMessage, members: set[int]) -> list[int]:
+    def peek_targets(self, msg: ProtocolMessage, members: Collection[int]) -> list[int]:
         """Like targets() but with no side effects (no capture, no logs)."""
         return self.targets(msg, members)
 
-    def deliver(self, msg: ProtocolMessage, members: set[int]) -> list[tuple[int, ProtocolMessage]]:
+    def deliver(self, msg: ProtocolMessage,
+                members: Collection[int]) -> list[tuple[int, ProtocolMessage]]:
         raw = msg.to_bytes()
         self.transcript += raw
         self.messages.append(msg)
@@ -693,13 +686,15 @@ class GroupSession:
     after rolling back to the pre-epoch checkpoint. All five epoch methods
     run their body inside `_epoch()`, the one place a rollback happens.
 
-    A rollback restores every node's state (NodeState.checkpoint), the node
-    set (a leaver or a dropped member comes back, a joiner goes), the tree,
-    the graph, the checker, the master key, the epoch and the keys. It keeps
-    on purpose what must not run backwards: each node's `seen_nonces`, so
-    nonces burned during the aborted epoch stay burned; `NonceSource.used`;
-    the drop `counters`; and every RNG position, so a retry draws fresh
-    shares and nonces.
+    Each fact is stored once: `members`, `checker`, `master_key` and `epoch`
+    are read-only views of `nodes`, `tree`, the root's NodeState and the
+    commit record `keys`. A rollback restores every node's state
+    (NodeState.checkpoint), the node set (a leaver or a dropped member comes
+    back, a joiner goes), the tree, the graph and `keys`; the views follow.
+    It keeps on purpose what must not run backwards: each node's
+    `seen_nonces`, so nonces burned during the aborted epoch stay burned;
+    `NonceSource.used`; the drop `counters`; and every RNG position, so a
+    retry draws fresh shares and nonces.
     """
 
     def __init__(self, graph: Graph, root: NodeId, members: set[NodeId], suite: CipherSuite,
@@ -709,20 +704,35 @@ class GroupSession:
         self.seed = seed
         self.graph = {n: set(nbs) for n, nbs in graph.items()}
         self.root = root
-        self.members = set(members)
+        members = set(members)
         self.transport = transport if transport is not None else Transport()
         self.rng = random.Random(_sub_seed(seed, "session"))
-        self.master_key = master_key if master_key is not None else suite.new_key(self.rng)
-        self.checker = checker if checker is not None else select_checker(
-            root, self.graph, self.rng, self.members)
-        self.tree = build_tree(root, self.members, self.graph, self.checker)
+        master_key = master_key if master_key is not None else suite.new_key(self.rng)
+        if checker is None:
+            checker = select_checker(root, self.graph, self.rng, members)
+        self.tree = build_tree(root, members, self.graph, checker)
         self.unsafe_skip_nonce_checks = unsafe_skip_nonce_checks
-        self.nodes: dict[NodeId, ProtocolNode] = {}
-        for m in sorted(self.members):
-            self.nodes[m] = self._new_node(m, self.master_key)
+        self.nodes = {m: self._new_node(m, master_key) for m in sorted(members)}
         self._configure_all()
-        self.epoch = 0
         self.keys: SessionKeys | None = None
+
+    # -- views of the stored state ---------------------------------------------
+
+    @property
+    def members(self) -> set[NodeId]:
+        return set(self.nodes)
+
+    @property
+    def checker(self) -> NodeId:
+        return self.tree.checker
+
+    @property
+    def master_key(self) -> KeyMaterial:
+        return self.nodes[self.root].state.master_key
+
+    @property
+    def epoch(self) -> int:
+        return self.keys.epoch if self.keys is not None else 0
 
     # -- plumbing -------------------------------------------------------------
 
@@ -744,7 +754,7 @@ class GroupSession:
         queue = deque(initial)
         while queue:
             msg = queue.popleft()
-            for rcv, delivered in self.transport.deliver(msg, self.members):
+            for rcv, delivered in self.transport.deliver(msg, self.nodes.keys()):
                 node = self.nodes.get(rcv)
                 if node is not None:
                     queue.extend(node.step(delivered))
@@ -753,27 +763,22 @@ class GroupSession:
     def _epoch(self):
         """One epoch attempt: the body commits, or an abort rolls it all back.
 
-        This is the only place a rollback happens. KeyTree is frozen and
-        build/attach/detach return new trees, so the tree is kept by reference.
+        This is the only place a rollback happens. The body replaces `nodes`,
+        `tree`, `graph` and `keys` instead of changing them in place (KeyTree
+        is frozen), so those four are kept by reference and only the node
+        states are checkpointed.
         """
-        nodes = dict(self.nodes)
-        states = [(node, node.state.checkpoint()) for node in nodes.values()]
-        saved = (self.master_key, self.epoch, self.keys, self.tree, self.checker,
-                 set(self.members), {n: set(v) for n, v in self.graph.items()})
+        saved = (self.nodes, self.tree, self.graph, self.keys)
+        states = [(node, node.state.checkpoint()) for node in self.nodes.values()]
         try:
             yield
         except (ProtocolAbort, TreeError):
-            self.nodes = nodes
+            self.nodes, self.tree, self.graph, self.keys = saved
             for node, st in states:
                 node.state = st
-            (self.master_key, self.epoch, self.keys, self.tree, self.checker,
-             self.members, self.graph) = saved
             raise
 
     def _commit(self) -> SessionKeys:
-        self.epoch += 1
-        for node in self.nodes.values():
-            node.state.epoch = self.epoch
         # close the checker's confirmation window so stale confirmation
         # replays can never poison a later epoch's verification
         ch = self.nodes[self.checker].state
@@ -783,18 +788,15 @@ class GroupSession:
         root = self.nodes[self.root]
         self.keys = SessionKeys(gk=root.state.session_key,
                                 local_keys=dict(root.state.local_keys),
-                                epoch=self.epoch)
+                                epoch=self.epoch + 1)
         return self.keys
 
     # -- oracle-facing views ---------------------------------------------------
 
     def share_ledger(self) -> dict[NodeId, KeyMaterial]:
         """Current contributory shares of every party, checker included."""
-        out = {}
-        for nid, node in self.nodes.items():
-            if node.state.share is not None:
-                out[nid] = node.state.share
-        return out
+        return {nid: node.state.share for nid, node in self.nodes.items()
+                if node.state.share is not None}
 
     def gk_oracle(self) -> KeyMaterial:
         """Independent XOR fold of the share ledger; must equal the GK."""
@@ -802,10 +804,7 @@ class GroupSession:
 
     def current_secrets(self) -> set[bytes]:
         """Every key-material value currently live anywhere in the group."""
-        out: set[bytes] = {self.master_key.data}
-        for node in self.nodes.values():
-            out.update(k.data for k in node.state.key_material())
-        return out
+        return {k.data for node in self.nodes.values() for k in node.state.key_material()}
 
     # -- protocol phases -------------------------------------------------------
 
@@ -816,14 +815,14 @@ class GroupSession:
         Member shares are drawn fresh unless an explicit share map is given
         (tests inject known values through it).
         """
-        for m in sorted(self.members):
+        for m in sorted(self.nodes):
             if m != self.checker:
                 if shares is not None:
                     self.nodes[m].state.share = shares[m]
                 else:
                     self.nodes[m].refresh_share()
         msgs: list[ProtocolMessage] = []
-        for m in sorted(self.members):
+        for m in sorted(self.nodes):
             msgs.extend(self.nodes[m].begin_exchange("auth", set(self.tree.children.get(m, ()))))
         self._pump(msgs)
         root = self.nodes[self.root]
@@ -861,22 +860,23 @@ class GroupSession:
 
     def member_join(self, joiner: NodeId, edges: set[NodeId]) -> SessionKeys:
         """Admit a node: rotate the master key, refresh its key path, re-agree."""
-        if joiner in self.members:
+        if joiner in self.nodes:
             raise ValueError(f"node {joiner} is already a member")
         self._require_established()
         with self._epoch():
-            self.graph.setdefault(joiner, set())
+            # a new dict: only the joiner's and its neighbours' sets are copied
+            graph = dict(self.graph)
+            graph[joiner] = set(graph.get(joiner, ()))
             for e in edges:
-                if e in self.graph:
-                    self.graph[joiner].add(e)
-                    self.graph[e].add(joiner)
-            new_members = self.members | {joiner}
-            ids = sorted(new_members)
+                if e in graph:
+                    graph[joiner].add(e)
+                    graph[e] = graph[e] | {joiner}
+            self.graph = graph
             epoch_new = self.epoch + 1
 
             joiner_node = self._new_node(joiner, self.master_key)  # placeholder master
-            self.nodes[joiner] = joiner_node
-            self.members = new_members
+            self.nodes = {**self.nodes, joiner: joiner_node}
+            ids = sorted(self.nodes)
             self._pump(joiner_node.join_request())
 
             # accept-all policy: everyone rolls the master chain forward, the
@@ -884,7 +884,6 @@ class GroupSession:
             for nid, node in self.nodes.items():
                 if nid != joiner:
                     node.rotate_master_join(epoch_new, ids)
-            self.master_key = derive_master_key(self.suite, self.master_key, epoch_new, ids)
             joiner_node.state.master_key = self.master_key
 
             self.tree = attach_member(self.tree, joiner, self.graph)
@@ -898,7 +897,7 @@ class GroupSession:
     def member_leave(self, leaver: NodeId) -> SessionKeys:
         """Expel a node: re-layer, rotate the master key with fresh entropy
         spread over per-edge keys, refresh affected paths, re-agree."""
-        if leaver not in self.members:
+        if leaver not in self.nodes:
             raise ValueError(f"node {leaver} is not a member")
         if leaver == self.root:
             raise UnsupportedLeave("the protocol initiator cannot leave")
@@ -914,13 +913,10 @@ class GroupSession:
             if new_checker is not None:
                 self.nodes[new_checker].state.share = None
             self.tree = det.tree
-            self.checker = det.tree.checker
             self.graph = graph2
-            del self.nodes[leaver]
-            for d in det.dropped:
-                self.nodes.pop(d, None)
-            self.members = self.members - {leaver} - det.dropped
-            ids = sorted(self.members)
+            gone = det.dropped | {leaver}
+            self.nodes = {n: node for n, node in self.nodes.items() if n not in gone}
+            ids = sorted(self.nodes)
             epoch_new = self.epoch + 1
             self._configure_all()
 
@@ -947,7 +943,6 @@ class GroupSession:
                      if node.state.pending_membership is not None]
             if stale:
                 raise RekeyFailure(f"master rekey did not reach: {sorted(stale)}")
-            self.master_key = root.state.master_key
 
             # every node that moved, lost a child or must hide material the
             # leaver saw re-reports its fold; only the affected draw new shares
@@ -985,8 +980,7 @@ class GroupSession:
 
     def periodic_global_rekey(self) -> SessionKeys:
         """Checker-driven GK ratchet: GK_new = GK_old xor fresh share."""
-        if self.keys is None:
-            raise RekeyFailure("no established session key to update")
+        self._require_established()
         with self._epoch():
             checker = self.nodes[self.checker]
             self._pump(checker.begin_global_rekey())

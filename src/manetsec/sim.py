@@ -20,6 +20,7 @@ import hashlib
 import math
 import random
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,12 +72,6 @@ class TrafficConfig:
             raise ScenarioError("attack window must fit inside the run duration")
         if self.sample_interval <= 0:
             raise ScenarioError("sample_interval must be positive")
-
-
-@dataclass
-class AdversaryRole:
-    kind: str
-    params: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -153,7 +148,7 @@ class World:
     range_m: float
     mobility: MobilityConfig
     rng: np.random.Generator
-    adversaries: dict[NodeId, AdversaryRole] = field(default_factory=dict)
+    adversaries: dict[NodeId, str] = field(default_factory=dict)  # id -> adversary kind
     time: float = 0.0
 
     def index(self, node: NodeId) -> int:
@@ -197,11 +192,11 @@ def init_world(config: ScenarioConfig, seed: int) -> World:
         rng=rng,
     )
     for d in config.droppers:
-        world.adversaries[d] = AdversaryRole(DROPPER)
+        world.adversaries[d] = DROPPER
     for e in config.eavesdroppers:
-        world.adversaries[e] = AdversaryRole(EAVESDROPPER)
+        world.adversaries[e] = EAVESDROPPER
     for r in config.replayers:
-        world.adversaries[r] = AdversaryRole(REPLAYER, {"at": list(config.replay_at)})
+        world.adversaries[r] = REPLAYER
     return world
 
 
@@ -261,21 +256,21 @@ class RadioTransport(Transport):
         self.undelivered = 0
 
     def _capture(self, hearers, msg: ProtocolMessage) -> None:
-        for nid, role in self.world.adversaries.items():
-            if role.kind in (EAVESDROPPER, REPLAYER) and nid in hearers:
+        for nid, kind in self.world.adversaries.items():
+            if kind in (EAVESDROPPER, REPLAYER) and nid in hearers:
                 self.captured.setdefault(nid, []).append(msg)
 
-    def targets(self, msg: ProtocolMessage, members: set[int]) -> list[int]:
+    def targets(self, msg: ProtocolMessage, members: Collection[int]) -> list[int]:
         out, hearers, reachable = self._resolve(msg, members)
         self._capture(hearers, msg)
         if not reachable:
             self.undelivered += 1
         return out
 
-    def peek_targets(self, msg: ProtocolMessage, members: set[int]) -> list[int]:
+    def peek_targets(self, msg: ProtocolMessage, members: Collection[int]) -> list[int]:
         return self._resolve(msg, members)[0]
 
-    def _resolve(self, msg: ProtocolMessage, members: set[int]):
+    def _resolve(self, msg: ProtocolMessage, members: Collection[int]):
         graph = connectivity(self.world)
         if msg.receiver == BROADCAST:
             component = set(bfs_parents(graph, msg.sender)) if msg.sender in graph else set()
@@ -344,9 +339,8 @@ def generate_features(world: World, graph: Graph, traffic: TrafficConfig,
         route = shortest_route(graph, src, dst)
         hops = len(route) - 1 if route else 0
         intermediates = route[1:-1] if route else []
-        attacked = bool(in_window and any(
-            world.adversaries.get(h, AdversaryRole("")).kind == DROPPER
-            for h in intermediates))
+        attacked = bool(in_window and any(world.adversaries.get(h) == DROPPER
+                                          for h in intermediates))
         draw = {name: rng.normal(mu, sd) for name, (mu, sd) in _BASELINES.items()}
         vec = np.array([
             max(draw["nav"] * payload_scale, 0.0),
@@ -527,8 +521,8 @@ def _run_cell(config: ScenarioConfig, seed: int):
         replay_changes += _replayers_fire(session, world, transport, events)
     eaves_hits = 0
     width = suite.key_bits // 8
-    for nid, role in world.adversaries.items():
-        if role.kind == EAVESDROPPER:
+    for nid, kind in world.adversaries.items():
+        if kind == EAVESDROPPER:
             blob = b"".join(m.to_bytes() for m in transport.captured.get(nid, []))
             eaves_hits += adv.scan_for_secrets(blob, secrets, width) if secrets else 0
 
@@ -571,14 +565,14 @@ def _replayers_fire(session: GroupSession, world: World, transport: "RadioTransp
     """
     changes = 0
     got_it = {m: {id(x) for x in msgs} for m, msgs in transport.delivered.items()}
-    for nid, role in world.adversaries.items():
-        if role.kind != REPLAYER:
+    for nid, kind in world.adversaries.items():
+        if kind != REPLAYER:
             continue
         # snapshot first: re-sending makes the transport capture again
         stored = list(transport.captured.get(nid, ()))
         for msg in stored:
-            victims = [m for m in transport.peek_targets(msg, session.members)
-                       if m in session.nodes and id(msg) in got_it.get(m, ())]
+            victims = [m for m in transport.peek_targets(msg, session.nodes.keys())
+                       if id(msg) in got_it.get(m, ())]
             changes += adv.replay_moves_state(session, msg, victims)
         if stored:
             events.append((world.time, "replay_burst", nid, None,
@@ -668,7 +662,7 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
         maps: dict[NodeId, resp.SecurityMap] = {}
         for nid, vs in per_node.items():
             window = vs[-config.coverage_window:]
-            if len(window) >= config.coverage_window and nid in session.members:
+            if len(window) >= config.coverage_window and nid in session.nodes:
                 attacks = sum(v == esom.VERDICT_ATTACK for v in window)
                 maps[nid] = resp.SecurityMap(owner=nid, attack_count=attacks,
                                              window=len(window), epoch=session.epoch,
@@ -722,41 +716,51 @@ class _List:
         return tuple(self.item(x) for x in value.split(",") if x.strip())
 
 
+def _finite(value: str) -> float:
+    """Parser of every float a scenario holds: nan and the infinities are refused."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not finite")
+    return x
+
+
 def _event(kind: str):
     """Item parser of a schedule key: `time:node` for joins and leaves, else `time`."""
     def parse(item: str) -> ScheduleEvent:
         if kind in ("join", "leave"):
             t, _, n = item.partition(":")
-            return ScheduleEvent(float(t), kind, int(n))
-        return ScheduleEvent(float(item), kind)
+            return ScheduleEvent(_finite(t), kind, int(n))
+        return ScheduleEvent(_finite(item), kind)
     return parse
 
 
 # file key -> (section of ScenarioConfig, None for the config itself; field; parser)
 _KEYS = {
-    "node_count": (None, "node_count", int), "area_width": (None, "area_width", float),
-    "area_height": (None, "area_height", float), "range": (None, "range_m", float),
-    "duration": (None, "duration", float), "root": (None, "root", int),
+    "node_count": (None, "node_count", int),
+    "area_width": (None, "area_width", _finite), "area_height": (None, "area_height", _finite),
+    "range": (None, "range_m", _finite),
+    "duration": (None, "duration", _finite), "root": (None, "root", int),
     "key_bits": (None, "key_bits", int), "cipher": (None, "cipher", str),
     "hash": (None, "hash_name", str), "seed": (None, "seed", int),
     "coverage_window": (None, "coverage_window", int),
-    "pause_times": (None, "pause_times", _List(float)),
-    "replay_at": (None, "replay_at", _List(float)),
+    "pause_times": (None, "pause_times", _List(_finite)),
+    "replay_at": (None, "replay_at", _List(_finite)),
     "droppers": (None, "droppers", _List(int)),
     "eavesdroppers": (None, "eavesdroppers", _List(int)),
     "replayers": (None, "replayers", _List(int)),
     "dropper_counts": (None, "dropper_counts", _List(int)),
-    "speed_min": ("mobility", "speed_min", float), "speed_max": ("mobility", "speed_max", float),
-    "pause_time": ("mobility", "pause_time", float),
+    "speed_min": ("mobility", "speed_min", _finite),
+    "speed_max": ("mobility", "speed_max", _finite),
+    "pause_time": ("mobility", "pause_time", _finite),
     "generators": ("traffic", "generators", int),
     "destinations": ("traffic", "destinations", int),
-    "mean_payload": ("traffic", "mean_payload", float),
-    "attack_start": ("traffic", "attack_start", float),
-    "attack_end": ("traffic", "attack_end", float),
-    "sample_interval": ("traffic", "sample_interval", float),
-    "effect_size": ("traffic", "effect_size", float),
+    "mean_payload": ("traffic", "mean_payload", _finite),
+    "attack_start": ("traffic", "attack_start", _finite),
+    "attack_end": ("traffic", "attack_end", _finite),
+    "sample_interval": ("traffic", "sample_interval", _finite),
+    "effect_size": ("traffic", "effect_size", _finite),
     "som_rows": ("som", "rows", int), "som_cols": ("som", "cols", int),
-    "som_epochs": ("som", "epochs", int), "hill_quantile": ("som", "hill_quantile", float),
+    "som_epochs": ("som", "epochs", int), "hill_quantile": ("som", "hill_quantile", _finite),
     "join_at": (None, "schedule", _List(_event("join"))),
     "leave_at": (None, "schedule", _List(_event("leave"))),
     "global_rekey_at": (None, "schedule", _List(_event("global_rekey"))),

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from manetsec import adversary, wire
 from manetsec.adversary import (
     backward_secrecy_candidates,
     candidate_group_keys,
@@ -12,8 +13,9 @@ from manetsec.adversary import (
     run_security_suite,
     scan_for_secrets,
 )
-from manetsec.crypto import CipherSuite, KeyMaterial
+from manetsec.crypto import CipherSuite, IntegrityFailure, KeyMaterial
 from manetsec.protocol import GroupSession
+from manetsec.wire import MessageKind
 
 from conftest import make_graph
 
@@ -58,6 +60,94 @@ class TestOracleMachinery:
         pairs = {bytes(a ^ b for a, b in zip(x.data, y.data))
                  for x, y in itertools.combinations(keys, 2)}
         assert cands == {k.data for k in keys} | pairs
+
+
+def reference_candidate_group_keys(suite, keys, messages):
+    """The oracle before it skipped frames without a key field: it tries to
+    open every non-digest frame under every key."""
+    kb = suite.key_bits // 8
+    candidates = set()
+    subkeys = list(keys)
+    pool = list({k.data: k for k in keys}.values())
+
+    def try_open(payload):
+        for key in pool:
+            try:
+                return key, suite.decrypt(key, payload)
+            except IntegrityFailure:
+                continue
+        return None, None
+
+    for msg in messages:
+        if msg.kind in wire.DIGEST_KINDS or msg.kind not in wire.LAYOUTS:
+            continue
+        key, pt = try_open(msg.payload)
+        if pt is None:
+            continue
+        try:
+            carried = [f for f in wire.unpack(msg.kind, pt, kb) if isinstance(f, KeyMaterial)]
+        except wire.WireError:
+            continue
+        if msg.kind == MessageKind.AGREE_STEP2:
+            candidates.update((z ^ carried[0]).data for z in subkeys)
+            continue
+        if msg.kind == MessageKind.AGREE_STEP1:
+            candidates.add(carried[0].data)
+        elif msg.kind in (MessageKind.GLOBAL_REKEY, MessageKind.LOCAL_REKEY_STEP1,
+                          MessageKind.MASTER_REKEY):
+            candidates.add((key ^ carried[0]).data)
+        subkeys.extend(carried)
+    recovered = list({k.data: k for k in subkeys}.values())
+    for i, a in enumerate(recovered):
+        candidates.add(a.data)
+        candidates.update((a ^ b).data for b in recovered[i + 1:])
+    return candidates
+
+
+def opens(suite, keys, msg):
+    for key in keys:
+        try:
+            suite.decrypt(key, msg.payload)
+            return True
+        except IntegrityFailure:
+            continue
+    return False
+
+
+class TestOracleEquivalence:
+    def test_keyless_frames_never_add_a_candidate(self, churn_session, suite, monkeypatch):
+        s = churn_session
+        rng = random.Random(3)
+        captures = []  # (knowledge, transcript slice, (epoch, roster) after a leave)
+        stolen = []    # the root's keys before every epoch: they open every frame
+        for joiner in range(100, 103):
+            victim = rng.choice(sorted(s.members - {s.root}))
+            former = set(s.graph[victim])
+            know = capture_knowledge(s, victim)
+            stolen.extend(capture_knowledge(s, s.root).keys)
+            mark = len(s.transport.broadcasts)
+            s.member_leave(victim)
+            captures.append((know, s.transport.broadcasts[mark:],
+                             (s.epoch, sorted(s.members))))
+            pre = s.transport.broadcasts[-30:]
+            stolen.extend(capture_knowledge(s, s.root).keys)
+            s.member_join(joiner, {e for e in former if e in s.members})
+            captures.append((capture_knowledge(s, joiner), pre, None))
+
+        def oracle_outputs():
+            return [forward_secrecy_candidates(suite, know, frames, *after) if after
+                    else backward_secrecy_candidates(suite, know, frames)
+                    for know, frames, after in captures]
+
+        current = oracle_outputs()
+        monkeypatch.setattr(adversary, "candidate_group_keys", reference_candidate_group_keys)
+        assert oracle_outputs() == current and all(current)
+        # the stolen keys open keyless frames, so the skip is exercised
+        frames = s.transport.messages
+        assert any(opens(suite, stolen, m) for m in frames
+                   if "K" not in wire.LAYOUTS.get(m.kind, "K"))
+        assert candidate_group_keys(suite, stolen, frames) == \
+            reference_candidate_group_keys(suite, stolen, frames)
 
 
 class TestForwardSecrecy:

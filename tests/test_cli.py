@@ -169,6 +169,22 @@ class TestDetectorPipeline:
         assert main(["train", "--data", str(train_csv),
                      "--model", str(tmp_path / "m.bin")]) == 1
 
+    def test_negative_train_seed_is_input_error(self, tmp_path, capsys):
+        train_csv = tmp_path / "train.csv"
+        write_dataset(train_csv, 50, 2.0, 4)
+        model = tmp_path / "m.bin"
+        assert main(["train", "--data", str(train_csv), "--model", str(model),
+                     "--seed", "-3"]) == 1
+        assert capsys.readouterr().err == \
+            "error: train needs a non-negative --seed (reproducibility is mandatory)\n"
+        assert not model.exists()
+
+    def test_train_defaults_are_the_som_defaults(self):
+        args = cli.build_parser().parse_args(["train", "--data", "d.csv", "--model", "m.bin"])
+        default = esom.SomConfig()
+        assert (args.rows, args.cols, args.epochs, args.hill_quantile) == \
+            (default.rows, default.cols, default.epochs, default.hill_quantile)
+
     def test_train_on_empty_file(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -161,6 +161,15 @@ class TestMemberJoin:
         for node in fig4_session.nodes.values():
             assert node.state.master_key == fig4_session.master_key
 
+    def test_committed_join_leaves_the_old_graph_alone(self, fig4_session):
+        s = fig4_session
+        s.establish()
+        held = s.graph
+        before = {n: set(nbs) for n, nbs in held.items()}
+        s.member_join(19, {6, 7})
+        assert held == before
+        assert s.graph[19] == {6, 7} and 19 in s.graph[6] and 19 in s.graph[7]
+
     def test_duplicate_join_rejected(self, fig4_session):
         fig4_session.establish()
         with pytest.raises(ValueError):
@@ -442,7 +451,7 @@ def full_state():
         my_id=3, master_key=k[0], role="member", share=k[1], intermediate=k[2],
         subkey=k[3], session_key=k[4], local_keys={3: k[5]}, edge_keys={1: k[6], 7: k[7]},
         children_received={7: (k[8], k[9])}, pending_nonces={"up_echo": 11},
-        seen_nonces={1: {5, 9}}, epoch=4, parent_id=1, children=(7,), root_id=1,
+        seen_nonces={1: {5, 9}}, parent_id=1, children=(7,), root_id=1,
         checker_id=2, exchange_active=True, exchange_family="join",
         parent_channel_ready=True, pending_children={7}, pending_membership=(5, (1, 3, 7)),
         expected_confirm=b"digest", confirmations={1}, confirm_failures={7},
@@ -565,6 +574,8 @@ class TestRollback:
         # retries it instead
         for kind, pick in [("establish", 0)] + ops:
             nodes_before, members_before = set(s.nodes), set(s.members)
+            views_before = (s.tree, s.keys, s.checker, s.epoch, s.master_key)
+            graph_before = {v: set(nbs) for v, nbs in s.graph.items()}
             prints_before, seen_before = rollback_view(s)
             logged = {t: len(log) for t, log in transport.delivered.items()}
             try:
@@ -590,6 +601,8 @@ class TestRollback:
             except (ProtocolAbort, TreeError):
                 assert set(s.nodes) == nodes_before
                 assert s.members == members_before
+                assert (s.tree, s.keys, s.checker, s.epoch, s.master_key) == views_before
+                assert s.graph == graph_before
                 prints_after, seen_after = rollback_view(s)
                 assert prints_after == prints_before
                 for nid, seen in seen_before.items():
@@ -606,6 +619,7 @@ class TestRollback:
                             assert node.state.fingerprint() == before
                 continue
             assert set(s.nodes) == s.members
+            assert s.epoch == views_before[3] + 1 == s.keys.epoch
             gk = s.gk_oracle()
             assert all(node.state.session_key == gk for node in s.nodes.values())
 

@@ -173,7 +173,7 @@ class TestRadioTransport:
         for i, c in enumerate(coords):
             w.positions[i] = c
         for nid, kind in adversaries:
-            w.adversaries[nid] = sim.AdversaryRole(kind)
+            w.adversaries[nid] = kind
         return w
 
     def test_broadcast_from_isolated_node(self):
@@ -248,7 +248,7 @@ class TestFeatureStream:
                                                      effect_size=0.0),
                            droppers=(1,))
         w, g, pairs = self.pairs_and_graph(cfg, 4)
-        w.adversaries[1] = sim.AdversaryRole(sim.DROPPER)
+        w.adversaries[1] = sim.DROPPER
         w.time = 30.0
         out_a = sim.generate_features(w, g, cfg.traffic, pairs, np.random.default_rng(7))
         w.adversaries.clear()
@@ -265,7 +265,7 @@ class TestFeatureStream:
         w.positions[0] = (0, 0)
         w.positions[1] = (200, 0)
         w.positions[2] = (400, 0)
-        w.adversaries[1] = sim.AdversaryRole(sim.DROPPER)
+        w.adversaries[1] = sim.DROPPER
         g = sim.connectivity(w)
         pairs = [(0, 2)]
         rng = np.random.default_rng(3)
@@ -281,7 +281,7 @@ class TestFeatureStream:
         w.positions[0] = (0, 0)
         w.positions[1] = (200, 0)
         w.positions[2] = (400, 0)
-        w.adversaries[1] = sim.AdversaryRole(sim.DROPPER)
+        w.adversaries[1] = sim.DROPPER
         g = sim.connectivity(w)
         traffic = sim.TrafficConfig(generators=1, destinations=1,
                                     attack_start=0, attack_end=60, effect_size=6.0)
@@ -508,6 +508,24 @@ class TestScenarioParser:
         with pytest.raises(sim.ScenarioError,
                            match=rf"schedule node id {node} outside 0\.\.4294967294"):
             sim.parse_scenario(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("line", [
+        "area_width = {}", "area_height = {}", "range = {}", "duration = {}",
+        "speed_min = {}", "speed_max = {}", "pause_time = {}", "pause_times = 0, {}",
+        "mean_payload = {}", "attack_start = {}", "attack_end = {}",
+        "sample_interval = {}", "effect_size = {}", "hill_quantile = {}",
+        "replay_at = 5, {}", "join_at = {}:20", "leave_at = {}:3",
+        "global_rekey_at = {}", "local_rekey_at = {}",
+    ])
+    def test_non_finite_floats_are_refused_on_their_line(self, tmp_path, line, value):
+        path = tmp_path / "s.cfg"
+        text = line.format(value)
+        path.write_text(f"node_count = 20\nseed = 1\n{text}\n")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        with pytest.raises(sim.ScenarioError) as err:
+            sim.parse_scenario(path)
+        assert str(err.value) == f"{path}:3: bad value for {key}: {raw!r}"
 
     @pytest.mark.parametrize("line, message", [
         ("som_rows = 1", "at least 2x2"),
