@@ -97,6 +97,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack_suite(args) -> int:
+    for flag, count in (("--cycles", args.cycles), ("--replay-trials", args.replay_trials)):
+        if count < 1:
+            # a suite that ran no trials would certify every goal
+            return _input_error(f"attack-suite needs {flag} of at least 1, got {count}")
     config, seed = _config_and_seed(args)
     suite = CipherSuite(config.cipher, config.hash_name, config.key_bits)
     report = run_security_suite(seed, suite=suite, cycles=args.cycles,

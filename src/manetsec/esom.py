@@ -45,12 +45,11 @@ _STD_FLOOR = 1e-9
 
 
 class DatasetError(Exception):
-    """Malformed dataset, verdict or model file; carries the offending row
-    number, and the file's path once a reader of that file re-raises it."""
+    """Malformed dataset, verdict or model file; the message names the
+    offending row, and the file's path once a reader of that file re-raises it."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message if row is None else f"row {row}: {message}")
-        self.row = row
 
 
 def _names_file(read):

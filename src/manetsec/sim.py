@@ -137,7 +137,13 @@ class ScenarioConfig:
 
 @dataclass
 class World:
-    """Mutable simulation state; advance with mobility_step."""
+    """Mutable simulation state; advance with mobility_step.
+
+    `mobility_step`, `add_node` and `remove_node` bump `version`, and
+    `graph()` builds the in-range adjacency once per version. A direct write
+    to `positions` bumps nothing, so code that makes one calls
+    `connectivity(world)` instead.
+    """
 
     ids: list[NodeId]
     positions: np.ndarray          # (n, 2) meters
@@ -150,11 +156,22 @@ class World:
     rng: np.random.Generator
     adversaries: dict[NodeId, str] = field(default_factory=dict)  # id -> adversary kind
     time: float = 0.0
+    version: int = field(default=0, init=False, repr=False, compare=False)
+    _graph: tuple[int, Graph] | None = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def index(self, node: NodeId) -> int:
         return self.ids.index(node)
 
+    def graph(self) -> Graph:
+        """`connectivity(self)` for the current version, built once and shared
+        by every caller; callers must not mutate it."""
+        if self._graph is None or self._graph[0] != self.version:
+            self._graph = (self.version, connectivity(self))
+        return self._graph[1]
+
     def add_node(self, node: NodeId, position: np.ndarray) -> None:
+        self.version += 1
         self.ids.append(node)
         self.positions = np.vstack([self.positions, position[None, :]])
         self.waypoints = np.vstack([self.waypoints, position[None, :]])
@@ -163,6 +180,7 @@ class World:
 
     def remove_node(self, node: NodeId) -> None:
         idx = self.index(node)
+        self.version += 1
         self.ids.pop(idx)
         self.positions = np.delete(self.positions, idx, axis=0)
         self.waypoints = np.delete(self.waypoints, idx, axis=0)
@@ -220,33 +238,43 @@ def mobility_step(world: World, dt: float) -> World:
         else:
             world.positions[i] += to_go * (step / dist)
     world.time += dt
+    world.version += 1
     return world
 
 
 def connectivity(world: World) -> Graph:
-    """Undirected in-range adjacency; the 250 m boundary itself connects."""
-    pos = world.positions
-    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-    within = d2 <= world.range_m * world.range_m
-    graph: Graph = {nid: set() for nid in world.ids}
-    ii, jj = np.nonzero(within)
-    for a, b in zip(ii, jj):
-        if a != b:
-            graph[world.ids[a]].add(world.ids[b])
+    """Undirected in-range adjacency; the 250 m boundary itself connects.
+
+    Uncached; `World.graph()` keeps one per world version. Each neighbour set
+    is filled in ascending index order.
+    """
+    x, y = world.positions.T
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    within = dx * dx + dy * dy <= world.range_m * world.range_m
+    np.fill_diagonal(within, False)
+    neighbours = np.asarray(world.ids, dtype=np.int64)[np.nonzero(within)[1]].tolist()
+    graph: Graph = {}
+    start = 0
+    for nid, end in zip(world.ids, np.cumsum(within.sum(axis=1)).tolist()):
+        graph[nid] = set(neighbours[start:end])
+        start = end
     return graph
 
 
 class RadioTransport(Transport):
     """Range-checked delivery over the live world.
 
-    Each radio transmission reaches exactly the nodes within range of the
-    transmitter. Unicasts to a distant receiver are relayed along the
-    shortest in-range path (the ad hoc routing layer such networks run),
-    broadcasts flood hop-by-hop through the connected component. Adversaries
-    listen per hop: eavesdroppers record every message some transmitting hop
-    put in their range, replayers store what they hear for later
-    re-injection. Droppers run the protocol faithfully, so control messages
-    are never dropped here.
+    Each frame reads the world's one graph for its current version
+    (`World.graph()`), so a pump between two world changes builds the
+    topology once. Each radio transmission reaches exactly the nodes within
+    range of the transmitter. Unicasts to a distant receiver are relayed
+    along the shortest in-range path (the ad hoc routing layer such networks
+    run), broadcasts flood hop-by-hop through the connected component.
+    Adversaries listen per hop: eavesdroppers record every message some
+    transmitting hop put in their range, replayers store what they hear for
+    later re-injection. Droppers run the protocol faithfully, so control
+    messages are never dropped here.
     """
 
     def __init__(self, world: World):
@@ -271,7 +299,7 @@ class RadioTransport(Transport):
         return self._resolve(msg, members)[0]
 
     def _resolve(self, msg: ProtocolMessage, members: Collection[int]):
-        graph = connectivity(self.world)
+        graph = self.world.graph()
         if msg.receiver == BROADCAST:
             component = set(bfs_parents(graph, msg.sender)) if msg.sender in graph else set()
             return (sorted(m for m in members if m != msg.sender and m in component),
@@ -439,7 +467,7 @@ def _run_cell(config: ScenarioConfig, seed: int):
     events: list[tuple[float, str, object, object, str]] = []
     row: dict = {c: None for c in _COLUMNS}
 
-    graph = connectivity(world)
+    graph = world.graph()
     component = set(bfs_parents(graph, config.root))
     members = set(world.ids) & component
     unreachable = set(world.ids) - members
@@ -494,12 +522,10 @@ def _run_cell(config: ScenarioConfig, seed: int):
 
     t = 0.0
     while t < config.duration:
-        graph = connectivity(world)
         while due and due[0].time <= t:
             ev = due.popleft()
             if session is not None:
-                _apply_schedule_event(ev, session, world, graph, config, events, attempt)
-                graph = connectivity(world)
+                _apply_schedule_event(ev, session, world, events, attempt)
         while replay_due and replay_due[0] <= t:
             replay_due.popleft()
             if session is not None:
@@ -507,7 +533,7 @@ def _run_cell(config: ScenarioConfig, seed: int):
         active = sorted(session.members) if session is not None else sorted(world.ids)
         pairs = traffic_pairs(active, config.traffic)
         for src, (vec, attacked) in generate_features(
-                world, graph, config.traffic, pairs, feat_rng).items():
+                world, world.graph(), config.traffic, pairs, feat_rng).items():
             samples.append((src, vec, attacked))
         mobility_step(world, config.traffic.sample_interval)
         t = world.time
@@ -581,7 +607,7 @@ def _replayers_fire(session: GroupSession, world: World, transport: "RadioTransp
 
 
 def _apply_schedule_event(ev: ScheduleEvent, session: GroupSession, world: World,
-                          graph: Graph, config: ScenarioConfig, events, attempt) -> None:
+                          events, attempt) -> None:
     if ev.kind == "join":
         nid = ev.node
         if nid is None or nid in session.members:
@@ -594,7 +620,7 @@ def _apply_schedule_event(ev: ScheduleEvent, session: GroupSession, world: World
             base = world.positions[world.index(anchor)]
             offset = world.rng.uniform(-world.range_m / 4, world.range_m / 4, size=2)
             world.add_node(nid, np.clip(base + offset, (0, 0), world.area))
-        g = connectivity(world)
+        g = world.graph()
         edges = g.get(nid, set()) & session.members
         session.graph = _member_subgraph(g, session.members | {nid})
         if attempt("join", lambda: session.member_join(nid, edges)):
@@ -604,7 +630,7 @@ def _apply_schedule_event(ev: ScheduleEvent, session: GroupSession, world: World
         if nid is None or nid not in session.members or nid == session.root:
             events.append((world.time, "epoch_abort", "leave", nid, "bad leave target"))
             return
-        session.graph = _member_subgraph(graph, session.members)
+        session.graph = _member_subgraph(world.graph(), session.members)
         if attempt("leave", lambda: session.member_leave(nid)):
             world.remove_node(nid)
             events.append((world.time, "leave", nid, None, "member departed"))
@@ -670,7 +696,7 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
 
         # authenticated map exchange on the root's one-hop group; pairs that
         # drifted out of radio reach lose their messages
-        graph = _member_subgraph(connectivity(world), session.members)
+        graph = _member_subgraph(world.graph(), session.members)
         lks = session.keys.local_keys
         root = session.root
 

@@ -126,6 +126,21 @@ class TestAttackSuite:
         assert main(["attack-suite", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: attack-suite needs --seed or a seed in the config\n"
 
+    @pytest.mark.parametrize("flag", ["--cycles", "--replay-trials"])
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_count_below_one_is_input_error(self, scenario_file, tmp_path, capsys,
+                                            flag, count):
+        # a suite that runs no trials must not print PASS for every goal
+        out = tmp_path / "suite"
+        argv = ["attack-suite", "--config", str(scenario_file), "--cycles", "3",
+                "--replay-trials", "10", "--out", str(out)]
+        argv[argv.index(flag) + 1] = count
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: attack-suite needs {flag} of at least 1, got {count}\n"
+        assert "PASS" not in captured.out
+        assert not out.exists()
+
     def test_verdicts_written(self, scenario_file, tmp_path):
         out = tmp_path / "suite"
         main(["attack-suite", "--config", str(scenario_file),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from manetsec import sim
+from manetsec import cli, sim
 from manetsec.esom import SomConfig
 from manetsec.keytree import bfs_levels
 from manetsec.response import RoutingTable
@@ -129,6 +131,102 @@ class TestConnectivity:
                 d = math.dist(w.positions[i], w.positions[j])
                 assert (b in g[a]) == (d <= w.range_m)
                 assert (a in g[b]) == (b in g[a])
+
+
+def reference_connectivity(world):
+    """The original builder: an (n, n, 2) broadcast and a loop over every
+    in-range pair. Its neighbour sets are the order reference."""
+    pos = world.positions
+    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+    within = d2 <= world.range_m * world.range_m
+    graph = {nid: set() for nid in world.ids}
+    ii, jj = np.nonzero(within)
+    for a, b in zip(ii, jj):
+        if a != b:
+            graph[world.ids[a]].add(world.ids[b])
+    return graph
+
+
+def scaled_world(n, seed):
+    # the density of scenario_basic (50 nodes on 1800 x 1000 m)
+    side = math.sqrt(n / 50)
+    cfg = sim.ScenarioConfig(node_count=n, area_width=1800 * side, area_height=1000 * side)
+    return sim.init_world(cfg, seed)
+
+
+class TestConnectivityBuild:
+    @pytest.mark.parametrize("n", [30, 200, 1000])
+    def test_equals_the_pair_loop_in_content_and_order(self, n):
+        w = scaled_world(n, n)
+        sim.mobility_step(w, 5.0)
+        w.remove_node(w.ids[3])  # ids no longer equal row indices
+        w.add_node(5000, w.positions[7] + 10.0)
+        got, ref = sim.connectivity(w), reference_connectivity(w)
+        assert list(got) == list(ref)
+        for nid in ref:
+            assert got[nid] == ref[nid]
+            assert list(got[nid]) == list(ref[nid])
+
+    def test_matches_kdtree_pairs_on_the_boundary(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        w = scaled_world(1000, 3)
+        # exactly 250 m apart: along x, along y and on a 3-4-5 diagonal
+        # (integer coordinates, so every squared distance is exact); then a
+        # pair a hair beyond range
+        for i, xy in enumerate([(1000, 1000), (1250, 1000), (3000, 2000), (3000, 2250),
+                                (5000, 3000), (5150, 3200), (7000, 100), (7000, 350.0001)]):
+            w.positions[i] = xy
+        g = sim.connectivity(w)
+        edges = {(a, b) for a in g for b in g[a] if a < b}
+        assert edges == spatial.cKDTree(w.positions).query_pairs(w.range_m)
+        assert {(0, 1), (2, 3), (4, 5)} <= edges and (6, 7) not in edges
+        assert all(a in g[b] for a, b in edges)
+
+
+class TestWorldGraph:
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           ops=st.lists(st.tuples(st.sampled_from(["move", "add", "remove"]),
+                                  st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                        max_size=12))
+    def test_graph_follows_every_world_change(self, seed, n, ops):
+        w = sim.init_world(small_config(node_count=n), seed)
+        next_id = n
+        for kind, a, b in [("move", 1.0, 0.0)] + ops:
+            if kind == "move":
+                sim.mobility_step(w, 0.5 + 30 * a)
+            elif kind == "add":
+                w.add_node(next_id, np.array([a * w.area[0], b * w.area[1]]))
+                next_id += 1
+            elif len(w.ids) > 1:
+                w.remove_node(w.ids[int(a * len(w.ids)) % len(w.ids)])
+            g = w.graph()
+            assert g == sim.connectivity(w)
+            assert w.graph() is g  # no change, no rebuild
+
+    def test_each_world_change_bumps_the_version(self):
+        w = sim.init_world(small_config(node_count=4), 2)
+        versions = [w.version]
+        sim.mobility_step(w, 1.0)
+        versions.append(w.version)
+        w.add_node(9, np.array([10.0, 10.0]))
+        versions.append(w.version)
+        w.remove_node(1)
+        versions.append(w.version)
+        assert versions == sorted(set(versions))
+        assert "version" not in repr(w)
+
+    def test_topology_built_once_per_world_change(self, monkeypatch):
+        # one build per tick plus one after each membership event, never
+        # one per radio frame
+        cfg = sim.parse_scenario(DEMOS / "scenario_basic.cfg")
+        calls = []
+        build = sim.connectivity
+        monkeypatch.setattr(sim, "connectivity", lambda w: calls.append(1) or build(w))
+        sim.run_scenario(cfg)
+        ticks = math.ceil(cfg.duration / cfg.traffic.sample_interval)
+        assert 0 < len(calls) <= ticks + len(cfg.schedule) + 2
 
 
 class TestShortestRoute:
@@ -415,6 +513,57 @@ class TestRunScenario:
                 for pause in (20, 20.0)]
         assert runs[0].to_csv() == runs[1].to_csv()
         assert runs[0].trace_text() == runs[1].trace_text()
+
+
+# benchmarks/workloads.py RADIO_CONFIG at n = 1000, on an area of the same
+# density as its 200-node scenario
+RADIO_1000 = """\
+node_count = 1000
+area_width = 8050
+area_height = 4472
+range = 250
+duration = 30
+root = 0
+seed = 42
+speed_min = 0
+speed_max = 10
+pause_time = 20
+generators = 20
+destinations = 10
+mean_payload = 512
+attack_start = 10
+attack_end = 30
+effect_size = 4.0
+droppers = 5,6,12,25,67,75,98,103,123,166
+eavesdroppers = 9,140
+replayers = 101,184
+som_rows = 12
+som_cols = 16
+som_epochs = 2
+coverage_window = 30
+global_rekey_at = 12
+join_at = 15:1000
+local_rekey_at = 18
+leave_at = 20:1000
+"""
+
+
+class TestScale:
+    def test_radio_1000_outputs_are_pinned(self, tmp_path, capsys):
+        # the paper's scale question: 1000 mobile nodes; the digests are
+        # those of the earlier per-frame topology build
+        cfg = tmp_path / "radio_1000.cfg"
+        cfg.write_text(RADIO_1000)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        metrics = (out / "metrics.csv").read_text()
+        row = dict(zip(*(line.split(",") for line in metrics.splitlines())))
+        assert (row["members"], row["epochs_succeeded"], row["epochs_aborted"]) == \
+            ("906", "5", "0")
+        assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == \
+            "f5b428e5a043c97631b00b58215f4f48527f370d94852b186d11afbb18abe9c8"
+        assert hashlib.sha256((out / "events.log").read_bytes()).hexdigest() == \
+            "168412956758ac73ebc33ca532cd626e5a9ab52626dfd949d6d0ba6dcc6454a7"
 
 
 class TestScenarioParser:
