@@ -190,14 +190,60 @@ def compute_umatrix(grid: SomGrid) -> np.ndarray:
     return (total / count).ravel()
 
 
-def bmu_indices(grid: SomGrid, data: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Exhaustive best-matching unit per sample, ties to the lowest index."""
+_BMU_BLOCK = 256  # samples per GEMM block: a (256, n_neurons) float64 screen
+
+
+def _exact_d2(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Squared distances summed over the last axis, the reference formula."""
+    return ((x - w) ** 2).sum(axis=-1)
+
+
+def bmu_indices(grid: SomGrid, data: np.ndarray) -> np.ndarray:
+    """Exhaustive best-matching unit per sample, ties to the lowest index.
+
+    Bit for bit the argmin of `_exact_d2` over all neurons. A GEMM screen
+    ‖w‖² − 2·x·wᵀ (the squared distance less ‖x‖²) keeps the neurons within
+    a rounding bound of each row's screen minimum, and only those are
+    measured with `_exact_d2`. A row without a finite bound or a finite
+    exact minimum (overflow, inf or nan) is measured against every neuron.
+    """
     data = np.atleast_2d(np.asarray(data, dtype=float))
+    w = np.asarray(grid.weights, dtype=float)
+    w2 = np.einsum("ij,ij->i", w, w)
+    # Rounding bound, with u = ε/2, X = ‖x‖², W = max‖w‖² and d features.
+    # The screen of neuron j is off by at most γ_d·‖w_j‖² (the norm)
+    # + γ_d·(X + ‖w_j‖²) (2·x·w_j in any summation order, as
+    # Σ|x_i·w_ji| ≤ (X + ‖w_j‖²)/2) + u·(X + 2‖w_j‖²) (the subtraction),
+    # about e1 = 2(d+1)u·(X + W). An exact distance E_j is off from the
+    # true D_j ≤ 2(X + W) by at most γ_{d+3}·D_j, about e2 = 2(d+3)u·(X + W).
+    # With j* the exact argmin and m the screen argmin, E_j* ≤ E_m gives
+    # screen_j* ≤ screen_m + 2·e1 + 2·e2 = screen_m + 4(d+2)ε·(X + W).
+    # The bound takes four times that, plus 16(d+2) subnormal units for
+    # products and squares that underflow.
+    finfo = np.finfo(float)
+    tol_scale = 16 * (w.shape[1] + 2)
     out = np.empty(len(data), dtype=np.int64)
-    for s in range(0, len(data), chunk):
-        block = data[s : s + chunk]
-        d2 = ((block[:, None, :] - grid.weights[None, :, :]) ** 2).sum(axis=2)
-        out[s : s + chunk] = np.argmin(d2, axis=1)
+    for s in range(0, len(data), _BMU_BLOCK):
+        x = data[s : s + _BMU_BLOCK]
+        with np.errstate(over="ignore", invalid="ignore"):
+            screen = x @ w.T
+            screen *= -2.0
+            screen += w2
+            x2 = np.einsum("ij,ij->i", x, x)
+            thresh = screen.min(axis=1) + tol_scale * (
+                finfo.eps * (x2 + w2.max()) + finfo.smallest_subnormal)
+        thresh[~np.isfinite(thresh)] = np.nan  # compares false: no candidates
+        rows, cols = np.divmod(np.flatnonzero(screen <= thresh[:, None]), len(w))
+        exact = _exact_d2(x[rows], w[cols])
+        # one winner per row: least exact distance, then lowest neuron index
+        order = np.lexsort((cols, exact, rows))
+        win = order[np.flatnonzero(np.diff(rows, prepend=-1))]
+        best = np.full(len(x), np.nan)
+        best[rows[win]] = exact[win]
+        out[s + rows[win]] = cols[win]
+        redo = np.flatnonzero(~np.isfinite(best))
+        if redo.size:
+            out[s + redo] = np.argmin(_exact_d2(x[redo, None, :], w), axis=1)
     return out
 
 

@@ -710,9 +710,8 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
                                              channel=radio)
             tampers += len(res.tampered)
             events.extend(res.events)
+        # an alarm's receivers rebuild their routes as they quarantine
         tables = {n: resp.RoutingTable(owner=n) for n in session.members}
-        for t in tables.values():
-            t.rebuild(graph)
         for nid, smap in sorted(maps.items()):
             if resp.check_global_trigger(smap, min_window=config.coverage_window):
                 nonces = NonceSource(nid, random.Random(seed ^ nid))

@@ -1,7 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from manetsec import esom
 
@@ -215,6 +217,107 @@ class TestClassification:
         for p, b in zip(pts, batch):
             single = classify_one(model.grid, model.labeling, p)
             assert (single.verdict, single.best_match) == (b.verdict, b.best_match)
+
+
+def reference_bmu_indices(grid, data, chunk=512):
+    """The broadcast search that `bmu_indices` replaced: a (chunk, N, d)
+    difference cube per block, argmin with ties to the lowest index."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    out = np.empty(len(data), dtype=np.int64)
+    for s in range(0, len(data), chunk):
+        block = data[s : s + chunk]
+        d2 = ((block[:, None, :] - grid.weights[None, :, :]) ** 2).sum(axis=2)
+        out[s : s + chunk] = np.argmin(d2, axis=1)
+    return out
+
+
+@st.composite
+def bmu_cases(draw):
+    """A map and samples built to sit on or near the screen's rounding bound:
+    exact ties, samples on neurons, 1-ulp near-ties and mixed magnitudes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):   # small integers: exact ties everywhere
+        weights = rng.integers(0, 3, size=(n, 7)).astype(float)
+    else:
+        weights = rng.normal(size=(n, 7))
+    exps = [-162, -158, -150, -8, 0, 8, 150]   # squares below 1e-308 are subnormal
+    mag = 10.0 ** draw(st.sampled_from(exps))
+    if draw(st.booleans()):   # one magnitude per neuron
+        weights *= 10.0 ** rng.choice(exps, size=(n, 1))
+    else:
+        weights *= mag
+    if n > 1 and draw(st.booleans()):   # duplicated neurons
+        weights[rng.integers(n, size=n // 2)] = weights[rng.integers(n, size=n // 2)]
+    if n > 1 and draw(st.booleans()):   # neurons one ulp from another
+        src, dst = rng.integers(n, size=(2, n // 2))
+        weights[dst] = np.nextafter(weights[src], rng.choice([-np.inf, np.inf], size=(len(src), 7)))
+    length = draw(st.sampled_from([257, 256, 255, 10000, 1, 0]))
+    kind = rng.integers(5, size=length)
+    a, b = rng.integers(n, size=(2, length))
+    scale = np.where(rng.random((length, 1)) < 0.5, mag,
+                     10.0 ** rng.choice(exps, size=(length, 1)))
+    data = np.select(
+        [kind[:, None] == 0, kind[:, None] == 1, kind[:, None] == 2, kind[:, None] == 3],
+        [weights[a],                                               # on a neuron
+         np.nextafter(weights[a], rng.choice([-np.inf, np.inf], size=(length, 7))),
+         (weights[a] + weights[b]) / 2,                            # equidistant
+         np.nextafter((weights[a] + weights[b]) / 2, np.inf)],
+        rng.normal(size=(length, 7)) * scale)                      # anywhere
+    return esom.SomGrid(1, n, weights), data
+
+
+class TestBmuSearch:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(case=bmu_cases())
+    def test_equals_reference(self, case):
+        grid, data = case
+        got = esom.bmu_indices(grid, data)
+        assert got.dtype == np.int64 and got.shape == (len(data),)
+        assert np.array_equal(got, reference_bmu_indices(grid, data))
+
+    def test_overflowing_rows_fall_back_to_the_exact_search(self):
+        # the CSV reader accepts these; ‖x‖² overflows, so the screen has no
+        # finite bound and the rows are searched exactly (every distance inf:
+        # index 0)
+        rng = np.random.default_rng(67)
+        grid = esom.SomGrid(4, 5, rng.normal(size=(20, 7)))
+        data = np.vstack([rng.normal(size=(3, 7)), np.full((2, 7), 1e200),
+                          np.full((2, 7), 1e300), -np.full((1, 7), 1e300),
+                          rng.normal(size=(3, 7)) * 1e300, rng.normal(size=(3, 7))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = esom.bmu_indices(grid, data)
+            want = reference_bmu_indices(grid, data)
+        assert np.array_equal(got, want)
+        assert np.all(got[3:11] == 0)
+
+    def test_overflowing_map_falls_back_to_the_exact_search(self):
+        rng = np.random.default_rng(71)
+        weights = rng.normal(size=(20, 7))
+        weights[5] = 1e200
+        grid = esom.SomGrid(4, 5, weights)
+        data = np.vstack([rng.normal(size=(300, 7)), np.full((1, 7), 1e200)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = esom.bmu_indices(grid, data)
+            want = reference_bmu_indices(grid, data)
+        assert np.array_equal(got, want)
+        assert got[-1] == 5
+
+    def test_classify_memory_is_bounded(self):
+        # the broadcast search held a (512, 4000, 7) float64 cube: 115 MB
+        rng = np.random.default_rng(73)
+        grid = esom.SomGrid(50, 80, rng.normal(size=(4000, 7)))
+        labeling = rng.integers(0, 3, size=4000).astype(np.int8)
+        points = rng.normal(size=(10000, 7))
+        tracemalloc.start()
+        try:
+            results = esom.classify_batch(grid, labeling, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 10000
+        assert peak < 32 * 2**20
 
 
 class TestEvaluate:

@@ -501,6 +501,17 @@ class TestRunScenario:
         # node 3 has no in-range member at t = 5, so the join aborts
         assert [e[1:3] for e in report.events if e[0] == 5.0] == [("epoch_abort", "join")]
 
+    @pytest.mark.parametrize("name", ["scenario_basic.cfg", "scenario_dropper_sweep.cfg"])
+    def test_routes_rebuilt_only_on_quarantine(self, monkeypatch, name):
+        # no routing table is built up front: every rebuild is an alarm
+        # receiver quarantining the victim (scenario_basic raises no alarm)
+        cfg = sim.parse_scenario(DEMOS / name)
+        calls = []
+        rebuild = RoutingTable.rebuild
+        monkeypatch.setattr(RoutingTable, "rebuild",
+                            lambda t, graph: calls.append(t.owner) or rebuild(t, graph))
+        report = sim.run_scenario(cfg)
+        assert calls == [e[2] for e in report.events if e[1] == "quarantine"]
 
     def test_int_and_float_pause_seed_the_same_cell(self):
         # a pause built in code (20) and one parsed from a file (20.0) are the
