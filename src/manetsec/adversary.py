@@ -144,12 +144,21 @@ def scan_for_secrets(transcript: bytes, secrets: set[bytes], width: int = 16) ->
 
 
 def replay_moves_state(session: GroupSession, msg: ProtocolMessage, victims) -> bool:
-    """Step every victim through `msg` again; True if any node's state moved."""
+    """Step every victim through `msg` again; True if any node's state moved.
+
+    A victim's state before the step is its `checkpoint()` plus a copy of
+    `seen_nonces`, which the checkpoint shares; both compare by `==`, so a
+    replay that only burns a nonce still counts. `NodeState.fingerprint()`
+    gives the same verdict and is its test oracle.
+    """
     nodes = [session.nodes[v] for v in victims]
-    before = [node.state.fingerprint() for node in nodes]
+    before = [(node.state.checkpoint(),
+               {peer: set(seen) for peer, seen in node.state.seen_nonces.items()})
+              for node in nodes]
     for node in nodes:
         node.step(msg)  # discard any output: state is the question
-    return before != [node.state.fingerprint() for node in nodes]
+    return any(node.state != snap or node.state.seen_nonces != seen
+               for node, (snap, seen) in zip(nodes, before))
 
 
 def replay_once(session: GroupSession, rng: random.Random) -> bool:

@@ -390,6 +390,8 @@ class SomModel:
             raise DatasetError("model file length mismatch")
         weights = np.frombuffer(raw, dtype="<f4", count=n * nf, offset=off
                                 ).reshape(n, nf).astype(float)
+        if not np.isfinite(weights).all():
+            raise DatasetError("model weights must be finite")
         off += 4 * n * nf
         labeling = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off)
         if labeling.max() > LABEL_HILL:

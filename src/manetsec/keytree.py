@@ -9,8 +9,9 @@ immutable snapshots.
 Every traversal in the package follows one rule, implemented once in
 `bfs_parents`: breadth-first from a root, expanding each node's neighbors in
 ascending ID order, so the first (and kept) path to a node runs through its
-lowest-ID candidate parent. Tree layering, radio routes and flood components,
-and the response layer's first hops all come from it.
+lowest-ID candidate parent. Tree layering and the response layer's first hops
+come from it. Radio routes (`sim.shortest_route`) are the same lowest-ID BFS
+paths, walked greedily over a hop-count map instead.
 """
 
 from __future__ import annotations
@@ -110,13 +111,12 @@ def build_tree(root: NodeId, members: set[NodeId], graph: Graph, checker: NodeId
                    level=level, height=height, checker=checker)
 
 
-def bfs_parents(graph: Graph, root: NodeId, enter: Callable[[NodeId], bool] | None = None,
-                goal: NodeId | None = None) -> dict[NodeId, NodeId]:
+def bfs_parents(graph: Graph, root: NodeId,
+                enter: Callable[[NodeId], bool] | None = None) -> dict[NodeId, NodeId]:
     """Lowest-ID BFS from `root`: each reached node -> its parent, root -> root.
 
     Keys are in visit order. Neighbors are expanded in ascending ID order,
-    only nodes that `enter` accepts are entered (the root always is), and the
-    search stops as soon as it reaches `goal`.
+    and only nodes that `enter` accepts are entered (the root always is).
     """
     parent = {root: root}
     frontier = deque([root])
@@ -126,8 +126,6 @@ def bfs_parents(graph: Graph, root: NodeId, enter: Callable[[NodeId], bool] | No
             if nb in parent or (enter is not None and not enter(nb)):
                 continue
             parent[nb] = node
-            if nb == goal:
-                return parent
             frontier.append(nb)
     return parent
 

@@ -20,7 +20,7 @@ import hashlib
 import math
 import random
 from collections import deque
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,10 +139,12 @@ class ScenarioConfig:
 class World:
     """Mutable simulation state; advance with mobility_step.
 
-    `mobility_step`, `add_node` and `remove_node` bump `version`, and
-    `graph()` builds the in-range adjacency once per version. A direct write
-    to `positions` bumps nothing, so code that makes one calls
-    `connectivity(world)` instead.
+    `mobility_step`, `add_node` and `remove_node` bump `version`. One cache
+    entry, `(version, graph, hop maps)`, holds what the radio layer derives
+    from a version: `graph()` builds the in-range adjacency once per version,
+    and `hops(root)` builds the hop-count map rooted at a node on the first
+    request in that version. A direct write to `positions` bumps nothing, so
+    code that makes one calls `connectivity(world)` instead.
     """
 
     ids: list[NodeId]
@@ -157,18 +159,28 @@ class World:
     adversaries: dict[NodeId, str] = field(default_factory=dict)  # id -> adversary kind
     time: float = 0.0
     version: int = field(default=0, init=False, repr=False, compare=False)
-    _graph: tuple[int, Graph] | None = field(default=None, init=False, repr=False,
-                                              compare=False)
+    _topology: tuple[int, Graph, dict[NodeId, dict[NodeId, int]]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def index(self, node: NodeId) -> int:
         return self.ids.index(node)
 
+    def _current(self) -> tuple[int, Graph, dict[NodeId, dict[NodeId, int]]]:
+        if self._topology is None or self._topology[0] != self.version:
+            self._topology = (self.version, connectivity(self), {})
+        return self._topology
+
     def graph(self) -> Graph:
         """`connectivity(self)` for the current version, built once and shared
         by every caller; callers must not mutate it."""
-        if self._graph is None or self._graph[0] != self.version:
-            self._graph = (self.version, connectivity(self))
-        return self._graph[1]
+        return self._current()[1]
+
+    def hops(self, root: NodeId) -> dict[NodeId, int]:
+        """`hop_map(self.graph(), root)`, built once per version; read-only."""
+        _, graph, maps = self._current()
+        if root not in maps:
+            maps[root] = hop_map(graph, root)
+        return maps[root]
 
     def add_node(self, node: NodeId, position: np.ndarray) -> None:
         self.version += 1
@@ -219,24 +231,38 @@ def init_world(config: ScenarioConfig, seed: int) -> World:
 
 
 def mobility_step(world: World, dt: float) -> World:
-    """Random waypoint: head to the target, pause on arrival, pick anew."""
+    """Random waypoint: head to the target, pause on arrival, pick anew.
+
+    The loop runs on Python floats; each operation is the IEEE one the
+    per-row numpy form did, so every position is the same to the bit.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     m = world.mobility
     w, h = world.area
-    for i in range(len(world.ids)):
-        if world.time < world.pause_until[i]:
+    now, rng = world.time, world.rng
+    positions, waypoints = world.positions.tolist(), world.waypoints.tolist()
+    speeds, pause_until = world.speeds.tolist(), world.pause_until.tolist()
+    for i, (px, py) in enumerate(positions):
+        if now < pause_until[i]:
             continue
-        to_go = world.waypoints[i] - world.positions[i]
-        dist = math.hypot(*to_go)
-        step = world.speeds[i] * dt
+        wx, wy = waypoints[i]
+        gx, gy = wx - px, wy - py
+        dist = math.hypot(gx, gy)
+        step = speeds[i] * dt
         if dist <= step or dist == 0.0:
-            world.positions[i] = world.waypoints[i]
-            world.pause_until[i] = world.time + m.pause_time
-            world.waypoints[i] = (world.rng.uniform(0.0, w), world.rng.uniform(0.0, h))
-            world.speeds[i] = world.rng.uniform(m.speed_min, m.speed_max)
+            positions[i] = waypoints[i]
+            pause_until[i] = now + m.pause_time
+            waypoints[i] = [rng.uniform(0.0, w), rng.uniform(0.0, h)]
+            speeds[i] = rng.uniform(m.speed_min, m.speed_max)
         else:
-            world.positions[i] += to_go * (step / dist)
+            f = step / dist
+            positions[i] = [px + gx * f, py + gy * f]
+    if positions:
+        world.positions[:] = positions
+        world.waypoints[:] = waypoints
+        world.speeds[:] = speeds
+        world.pause_until[:] = pause_until
     world.time += dt
     world.version += 1
     return world
@@ -245,13 +271,18 @@ def mobility_step(world: World, dt: float) -> World:
 def connectivity(world: World) -> Graph:
     """Undirected in-range adjacency; the 250 m boundary itself connects.
 
-    Uncached; `World.graph()` keeps one per world version. Each neighbour set
-    is filled in ascending index order.
+    Uncached; `World.graph()` keeps one per world version, next to that
+    version's hop maps. The squared distances are summed in place, two (n, n)
+    temporaries in all, in the order `dx*dx + dy*dy`. Each neighbour set is
+    filled in ascending index order.
     """
     x, y = world.positions.T
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    within = dx * dx + dy * dy <= world.range_m * world.range_m
+    d2 = np.subtract.outer(x, x)
+    d2 *= d2
+    dy = np.subtract.outer(y, y)
+    dy *= dy
+    d2 += dy
+    within = d2 <= world.range_m * world.range_m
     np.fill_diagonal(within, False)
     neighbours = np.asarray(world.ids, dtype=np.int64)[np.nonzero(within)[1]].tolist()
     graph: Graph = {}
@@ -265,16 +296,17 @@ def connectivity(world: World) -> Graph:
 class RadioTransport(Transport):
     """Range-checked delivery over the live world.
 
-    Each frame reads the world's one graph for its current version
-    (`World.graph()`), so a pump between two world changes builds the
-    topology once. Each radio transmission reaches exactly the nodes within
-    range of the transmitter. Unicasts to a distant receiver are relayed
-    along the shortest in-range path (the ad hoc routing layer such networks
-    run), broadcasts flood hop-by-hop through the connected component.
-    Adversaries listen per hop: eavesdroppers record every message some
-    transmitting hop put in their range, replayers store what they hear for
-    later re-injection. Droppers run the protocol faithfully, so control
-    messages are never dropped here.
+    Each frame reads the world's one graph and hop maps for its current
+    version (`World.graph()`, `World.hops()`), so a pump between two world
+    changes builds the topology once and each hop map at most once. Each
+    radio transmission reaches exactly the nodes within range of the
+    transmitter. Unicasts to a distant receiver are relayed along the
+    lowest-ID shortest in-range path (the ad hoc routing layer such networks
+    run), broadcasts flood hop-by-hop through the connected component: the
+    key set of the sender's hop map. Adversaries listen per hop:
+    eavesdroppers record every message some transmitting hop put in their
+    range, replayers store what they hear for later re-injection. Droppers
+    run the protocol faithfully, so control messages are never dropped here.
     """
 
     def __init__(self, world: World):
@@ -299,12 +331,13 @@ class RadioTransport(Transport):
         return self._resolve(msg, members)[0]
 
     def _resolve(self, msg: ProtocolMessage, members: Collection[int]):
-        graph = self.world.graph()
+        world = self.world
+        graph = world.graph()
         if msg.receiver == BROADCAST:
-            component = set(bfs_parents(graph, msg.sender)) if msg.sender in graph else set()
+            component = world.hops(msg.sender).keys() if msg.sender in graph else set()
             return (sorted(m for m in members if m != msg.sender and m in component),
                     component, True)
-        route = (shortest_route(graph, msg.sender, msg.receiver)
+        route = (shortest_route(graph, msg.sender, msg.receiver, world.hops)
                  if msg.sender in graph and msg.receiver in graph else None)
         if route is None or msg.receiver not in members:
             return [], set(graph.get(msg.sender, ())) | {msg.sender}, False
@@ -328,17 +361,43 @@ _BASELINES = {
 }
 
 
-def shortest_route(graph: Graph, src: NodeId, dst: NodeId) -> list[NodeId] | None:
-    """Lowest-ID BFS route; None when the destination is unreachable."""
+def hop_map(graph: Graph, root: NodeId) -> dict[NodeId, int]:
+    """BFS hop count from `root` to every node it reaches, root included."""
+    hops = {root: 0}
+    frontier = deque([root])
+    while frontier:
+        node = frontier.popleft()
+        level = hops[node] + 1
+        for nb in graph.get(node, ()):
+            if nb not in hops:
+                hops[nb] = level
+                frontier.append(nb)
+    return hops
+
+
+def shortest_route(graph: Graph, src: NodeId, dst: NodeId,
+                   hops: Callable[[NodeId], dict[NodeId, int]] | None = None,
+                   ) -> list[NodeId] | None:
+    """Lowest-ID BFS route; None when the destination is unreachable.
+
+    That route is the lexicographically least shortest path, so it is the
+    greedy walk from `src` that always steps to the lowest-ID neighbour one
+    hop closer to `dst`. The walk reads the hop map rooted at `dst`, from
+    `hops(dst)` (`World.hops` caches one per version) or built here. Routes
+    of zero and one hop need no map.
+    """
     if src == dst:
         return [src]
-    prev = bfs_parents(graph, src, goal=dst)
-    if dst not in prev:
+    if dst in graph.get(src, ()):
+        return [src, dst]
+    to_dst = hops(dst) if hops is not None else hop_map(graph, dst)
+    if src not in to_dst:
         return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    return path[::-1]
+    path = [src]
+    for level in range(to_dst[src] - 1, 0, -1):
+        path.append(min(nb for nb in graph[path[-1]] if to_dst.get(nb) == level))
+    path.append(dst)
+    return path
 
 
 def traffic_pairs(members: list[NodeId], traffic: TrafficConfig) -> list[tuple[NodeId, NodeId]]:
@@ -349,10 +408,11 @@ def traffic_pairs(members: list[NodeId], traffic: TrafficConfig) -> list[tuple[N
     return [(s, dests[i % len(dests)]) for i, s in enumerate(sources)]
 
 
-def generate_features(world: World, graph: Graph, traffic: TrafficConfig,
+def generate_features(world: World, traffic: TrafficConfig,
                       pairs: list[tuple[NodeId, NodeId]], rng: np.random.Generator,
                       ) -> dict[NodeId, tuple[np.ndarray, bool]]:
-    """One interval of per-source samples plus ground truth.
+    """One interval of per-source samples plus ground truth, on the world's
+    current graph and hop maps.
 
     A source is under attack when the clock is inside the attack window and
     some intermediate hop of its current route is a dropper; then rx_rate and
@@ -362,9 +422,10 @@ def generate_features(world: World, graph: Graph, traffic: TrafficConfig,
     t = world.time
     in_window = traffic.attack_start <= t < traffic.attack_end
     payload_scale = traffic.mean_payload / 512.0
+    graph = world.graph()
     out: dict[NodeId, tuple[np.ndarray, bool]] = {}
     for src, dst in pairs:
-        route = shortest_route(graph, src, dst)
+        route = shortest_route(graph, src, dst, world.hops)
         hops = len(route) - 1 if route else 0
         intermediates = route[1:-1] if route else []
         attacked = bool(in_window and any(world.adversaries.get(h) == DROPPER
@@ -533,7 +594,7 @@ def _run_cell(config: ScenarioConfig, seed: int):
         active = sorted(session.members) if session is not None else sorted(world.ids)
         pairs = traffic_pairs(active, config.traffic)
         for src, (vec, attacked) in generate_features(
-                world, world.graph(), config.traffic, pairs, feat_rng).items():
+                world, config.traffic, pairs, feat_rng).items():
             samples.append((src, vec, attacked))
         mobility_step(world, config.traffic.sample_interval)
         t = world.time

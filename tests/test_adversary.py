@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from manetsec import adversary, wire
+from manetsec import adversary, sim, wire
 from manetsec.adversary import (
     backward_secrecy_candidates,
     candidate_group_keys,
@@ -14,6 +14,7 @@ from manetsec.adversary import (
     scan_for_secrets,
 )
 from manetsec.crypto import CipherSuite, IntegrityFailure, KeyMaterial
+from manetsec.esom import SomConfig
 from manetsec.protocol import GroupSession
 from manetsec.wire import MessageKind
 
@@ -195,6 +196,70 @@ class TestReplayHarness:
         churn_session.periodic_global_rekey()
         rng = random.Random(0)
         assert sum(replay_once(churn_session, rng) for _ in range(100)) == 0
+
+
+def fingerprint_verdicts(monkeypatch):
+    """Route every replay through a wrapper that records the checkpoint
+    verdict beside a fingerprint before/after comparison of the same step."""
+    pairs = []
+    checked = adversary.replay_moves_state
+
+    def both(session, msg, victims):
+        victims = list(victims)
+        before = [session.nodes[v].state.fingerprint() for v in victims]
+        verdict = checked(session, msg, victims)
+        pairs.append((verdict, before != [session.nodes[v].state.fingerprint()
+                                          for v in victims]))
+        return verdict
+
+    monkeypatch.setattr(adversary, "replay_moves_state", both)
+    return pairs
+
+
+class TestReplayVerdict:
+    def test_equals_the_fingerprint_on_every_suite_replay(self, monkeypatch):
+        pairs = fingerprint_verdicts(monkeypatch)
+        report = run_security_suite(seed=77, cycles=20, replay_trials=60)
+        assert len(pairs) == report.replay_trials == 61
+        assert all(verdict == oracle for verdict, oracle in pairs)
+        assert report.replay_failures == 0
+
+    def test_equals_the_fingerprint_when_replays_move_state(self, monkeypatch):
+        pairs = fingerprint_verdicts(monkeypatch)
+        report = run_security_suite(seed=123, cycles=3, replay_trials=30,
+                                    weaken_nonce_check=True)
+        assert all(verdict == oracle for verdict, oracle in pairs)
+        assert sum(verdict for verdict, _ in pairs) == report.replay_failures > 0
+
+    def test_equals_the_fingerprint_on_radio_replays(self, monkeypatch):
+        pairs = fingerprint_verdicts(monkeypatch)
+        cfg = sim.ScenarioConfig(
+            node_count=16, area_width=600, area_height=400, duration=20,
+            traffic=sim.TrafficConfig(generators=4, destinations=2,
+                                      attack_start=5, attack_end=20),
+            som=SomConfig(rows=6, cols=8, epochs=2), coverage_window=10,
+            replayers=(5,), replay_at=(10.0,),
+            schedule=(sim.ScheduleEvent(8.0, "global_rekey"),))
+        row = sim.run_scenario(cfg, 29).rows[0]
+        assert len(pairs) > 10 and all(verdict == oracle for verdict, oracle in pairs)
+        assert row["replay_state_changes"] == 0
+
+    @pytest.mark.parametrize("peer", [1, 9])  # a peer already seen, and a new one
+    def test_a_burned_nonce_alone_moves_state(self, churn_session, peer):
+        node = churn_session.nodes[3]
+        node.state.seen_nonces.setdefault(1, set())
+        msg = churn_session.transport.messages[0]
+
+        def burn_only(m):
+            node.state.seen_nonces.setdefault(peer, set()).add(2**40 + 7)
+            return []
+
+        node.step = burn_only
+        before = node.state.fingerprint()
+        assert adversary.replay_moves_state(churn_session, msg, [3]) is True
+        assert node.state.fingerprint() != before
+        node.step = lambda m: []
+        assert adversary.replay_moves_state(churn_session, msg, [3]) is False
 
 
 class TestSecuritySuite:

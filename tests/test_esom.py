@@ -403,6 +403,24 @@ class TestModelIO:
         with pytest.raises(esom.DatasetError):
             esom.SomModel.from_bytes(b"XXXX" + raw[4:])
 
+    def test_non_finite_weights_rejected(self, tmp_path):
+        # a nan weight poisons every BMU distance, so classification would
+        # fall back to neuron 0's region for every sample
+        model = esom.SomModel(
+            grid=esom.SomGrid(rows=2, cols=2, weights=np.zeros((4, esom.N_FEATURES))),
+            labeling=np.array([0, 1, 2, 0], dtype=np.int8),
+            stats=esom.NormStats(mean=np.zeros(esom.N_FEATURES),
+                                 std=np.ones(esom.N_FEATURES)))
+        path = tmp_path / "model.bin"
+        esom.save_model(path, model)
+        assert esom.load_model(path).grid.weights.shape == (4, esom.N_FEATURES)
+        raw = path.read_bytes()
+        for neuron, value in ((1, np.nan), (3, np.inf)):
+            at = esom._HEADER.size + 4 * (neuron * esom.N_FEATURES + 2)
+            path.write_bytes(raw[:at] + np.array([value], dtype="<f4").tobytes() + raw[at + 4:])
+            with pytest.raises(esom.DatasetError, match="weights must be finite"):
+                esom.load_model(path)
+
 
 class TestCsvIO:
     def test_round_trip(self, tmp_path):

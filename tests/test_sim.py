@@ -2,12 +2,13 @@ import hashlib
 import math
 import random
 import re
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from manetsec import cli, sim
 from manetsec.esom import SomConfig
@@ -106,6 +107,86 @@ class TestMobility:
             assert np.all(w.positions[:, 0] >= -1e-9)
             assert np.all(w.positions[:, 0] <= 600 + 1e-9)
             assert np.all(w.positions[:, 1] <= 400 + 1e-9)
+
+
+def reference_mobility_step(world, dt):
+    """The per-row numpy loop that `mobility_step` replaced, kept as its
+    bit-for-bit oracle."""
+    m = world.mobility
+    w, h = world.area
+    for i in range(len(world.ids)):
+        if world.time < world.pause_until[i]:
+            continue
+        to_go = world.waypoints[i] - world.positions[i]
+        dist = math.hypot(*to_go)
+        step = world.speeds[i] * dt
+        if dist <= step or dist == 0.0:
+            world.positions[i] = world.waypoints[i]
+            world.pause_until[i] = world.time + m.pause_time
+            world.waypoints[i] = (world.rng.uniform(0.0, w), world.rng.uniform(0.0, h))
+            world.speeds[i] = world.rng.uniform(m.speed_min, m.speed_max)
+        else:
+            world.positions[i] += to_go * (step / dist)
+    world.time += dt
+    world.version += 1
+    return world
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMobilityOracle:
+    @staticmethod
+    def rig(w):
+        # node 0 lands exactly on its waypoint (a 3-4-5 leg at 5 m/s for
+        # 1 s), node 1 has a zero-length leg and node 2 stays paused a while
+        w.positions[0] = (100.0, 100.0)
+        w.waypoints[0] = (103.0, 104.0)
+        w.speeds[0] = 5.0
+        w.waypoints[1] = w.positions[1]
+        w.speeds[1] = 0.0
+        w.pause_until[:3] = (0.0, 0.0, 7.5)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12),
+           pause=st.sampled_from([0.0, 2.0, 5.5]), speed=st.sampled_from([(0, 10), (5, 5)]),
+           ops=st.lists(st.tuples(st.sampled_from(["move", "move", "add", "remove"]),
+                                  st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                        min_size=10, max_size=40))
+    def test_bit_identical_to_the_numpy_loop(self, seed, n, pause, speed, ops):
+        cfg = small_config(node_count=n, mobility=sim.MobilityConfig(
+            speed_min=speed[0], speed_max=speed[1], pause_time=pause))
+        worlds = [sim.init_world(cfg, seed), sim.init_world(cfg, seed)]
+        next_id = n
+        for w in worlds:
+            self.rig(w)
+        for kind, a, b in [("move", 0.0, 0.0)] + ops:
+            for w, step in zip(worlds, (sim.mobility_step, reference_mobility_step)):
+                if kind == "move":
+                    step(w, 1.0 if a < 0.3 else 0.25 + 4 * a)
+                elif kind == "add":
+                    w.add_node(next_id, np.array([a * w.area[0], b * w.area[1]]))
+                elif len(w.ids) > 1:
+                    w.remove_node(w.ids[int(a * len(w.ids)) % len(w.ids)])
+            next_id += kind == "add"
+            got, ref = worlds
+            for name in ("positions", "waypoints", "speeds", "pause_until"):
+                assert same_bits(getattr(got, name), getattr(ref, name)), name
+            assert got.rng.bit_generator.state == ref.rng.bit_generator.state
+            assert (got.time, got.version, got.ids) == (ref.time, ref.version, ref.ids)
+
+    def test_rigged_legs_take_their_branches(self):
+        w = sim.init_world(small_config(node_count=3, mobility=sim.MobilityConfig(
+            speed_min=1, speed_max=2, pause_time=0.0)), 4)
+        self.rig(w)
+        paused = w.positions[2].copy()
+        sim.mobility_step(w, 1.0)
+        assert list(w.positions[0]) == [103.0, 104.0]   # arrived, new leg drawn
+        assert list(w.waypoints[0]) != [103.0, 104.0] and 1 <= w.speeds[0] <= 2
+        assert 1 <= w.speeds[1] <= 2                    # zero leg: arrived at once
+        assert np.array_equal(w.positions[2], paused)
 
 
 class TestConnectivity:
@@ -229,6 +310,28 @@ class TestWorldGraph:
         assert 0 < len(calls) <= ticks + len(cfg.schedule) + 2
 
 
+def reference_shortest_route(graph, src, dst):
+    """The goal-directed lowest-ID BFS that `sim.shortest_route` replaced:
+    expand each node's neighbours in ascending order from `src` and stop on
+    reaching `dst`."""
+    if src == dst:
+        return [src]
+    prev = {src: src}
+    frontier = deque([src])
+    while frontier and dst not in prev:
+        node = frontier.popleft()
+        for nb in sorted(graph.get(node, ())):
+            if nb not in prev:
+                prev[nb] = node
+                frontier.append(nb)
+    if dst not in prev:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
 class TestShortestRoute:
     def test_lowest_id_tie_rule(self):
         # two equal two-hop routes; the set {1, 8} iterates 8 first, so only
@@ -262,6 +365,65 @@ class TestShortestRoute:
                     assert all(b in graph[a] for a, b in zip(route, route[1:]))
                     if dst != owner:
                         assert table.next_hop[dst] == route[1]
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ids=st.lists(st.integers(0, 70), min_size=1, max_size=14, unique=True),
+           edges=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=40))
+    @example(ids=[0, 1, 3, 8], edges=[(0, 3), (0, 1), (3, 2), (1, 2)])  # 0-1-3 ties 0-8-3
+    @example(ids=[0, 1, 2, 3, 9, 17], edges=[(0, 1), (2, 3), (4, 5)])
+    def test_equals_the_goal_bfs(self, ids, edges):
+        # ids above 7 make sets iterate out of ascending order; random edge
+        # sets give ties, one-hop pairs, isolated nodes and split components
+        graph = {nid: set() for nid in ids}
+        for a, b in edges:
+            a, b = ids[a % len(ids)], ids[b % len(ids)]
+            if a != b:
+                graph[a].add(b)
+                graph[b].add(a)
+        maps = {}
+
+        def cached(root):
+            return maps.setdefault(root, sim.hop_map(graph, root))
+
+        def no_map(root):
+            raise AssertionError("a route of at most one hop asked for a map")
+
+        nodes = ids + [max(ids) + 1]  # plus one id outside the graph
+        for src in nodes:
+            for dst in nodes:
+                ref = reference_shortest_route(graph, src, dst)
+                assert sim.shortest_route(graph, src, dst) == ref
+                short = src == dst or dst in graph.get(src, ())
+                assert sim.shortest_route(graph, src, dst, no_map if short else cached) == ref
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14),
+           ops=st.lists(st.tuples(st.sampled_from(["move", "add", "remove"]),
+                                  st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                        max_size=10))
+    def test_world_routes_follow_every_world_change(self, seed, n, ops):
+        # new ids 8 apart scramble set order; every map is read before the
+        # next change, so a stale one would be served if it survived
+        w = sim.init_world(small_config(node_count=n, range_m=200), seed)
+        next_id = 64
+        for kind, a, b in [("move", 1.0, 0.0)] + ops:
+            if kind == "move":
+                sim.mobility_step(w, 0.5 + 30 * a)
+            elif kind == "add":
+                w.add_node(next_id, np.array([a * w.area[0], b * w.area[1]]))
+                next_id += 8
+            elif len(w.ids) > 1:
+                w.remove_node(w.ids[int(a * len(w.ids)) % len(w.ids)])
+            graph = sim.connectivity(w)
+            for src in w.ids:
+                for dst in w.ids:
+                    assert sim.shortest_route(w.graph(), src, dst, w.hops) == \
+                        reference_shortest_route(graph, src, dst)
+            for root in w.ids:
+                assert w.hops(root) == sim.hop_map(graph, root)
+                assert w.hops(root) is w.hops(root)  # built once per version
 
 
 class TestRadioTransport:
@@ -326,18 +488,16 @@ class TestRadioTransport:
 
 
 class TestFeatureStream:
-    def pairs_and_graph(self, cfg, seed):
+    def world_and_pairs(self, cfg, seed):
         w = sim.init_world(cfg, seed)
-        g = sim.connectivity(w)
-        members = sorted(set(w.ids))
-        return w, g, sim.traffic_pairs(members, cfg.traffic)
+        return w, sim.traffic_pairs(sorted(w.ids), cfg.traffic)
 
     def test_no_adversaries_all_normal(self):
         cfg = small_config()
-        w, g, pairs = self.pairs_and_graph(cfg, 4)
+        w, pairs = self.world_and_pairs(cfg, 4)
         w.time = 30.0  # inside the attack window, but nobody drops
         rng = np.random.default_rng(0)
-        out = sim.generate_features(w, g, cfg.traffic, pairs, rng)
+        out = sim.generate_features(w, cfg.traffic, pairs, rng)
         assert out and all(not attacked for _, attacked in out.values())
 
     def test_null_effect_size_matches_baseline(self):
@@ -345,12 +505,12 @@ class TestFeatureStream:
                                                      attack_start=0, attack_end=60,
                                                      effect_size=0.0),
                            droppers=(1,))
-        w, g, pairs = self.pairs_and_graph(cfg, 4)
+        w, pairs = self.world_and_pairs(cfg, 4)
         w.adversaries[1] = sim.DROPPER
         w.time = 30.0
-        out_a = sim.generate_features(w, g, cfg.traffic, pairs, np.random.default_rng(7))
+        out_a = sim.generate_features(w, cfg.traffic, pairs, np.random.default_rng(7))
         w.adversaries.clear()
-        out_b = sim.generate_features(w, g, cfg.traffic, pairs, np.random.default_rng(7))
+        out_b = sim.generate_features(w, cfg.traffic, pairs, np.random.default_rng(7))
         for src in out_a:
             assert np.allclose(out_a[src][0], out_b[src][0])
 
@@ -364,13 +524,12 @@ class TestFeatureStream:
         w.positions[1] = (200, 0)
         w.positions[2] = (400, 0)
         w.adversaries[1] = sim.DROPPER
-        g = sim.connectivity(w)
         pairs = [(0, 2)]
         rng = np.random.default_rng(3)
         w.time = 10.0
-        assert sim.generate_features(w, g, cfg.traffic, pairs, rng)[0][1] is False
+        assert sim.generate_features(w, cfg.traffic, pairs, rng)[0][1] is False
         w.time = 30.0
-        vec, attacked = sim.generate_features(w, g, cfg.traffic, pairs, rng)[0]
+        vec, attacked = sim.generate_features(w, cfg.traffic, pairs, rng)[0]
         assert attacked is True
 
     def test_effect_shifts_expected_features(self):
@@ -380,15 +539,14 @@ class TestFeatureStream:
         w.positions[1] = (200, 0)
         w.positions[2] = (400, 0)
         w.adversaries[1] = sim.DROPPER
-        g = sim.connectivity(w)
         traffic = sim.TrafficConfig(generators=1, destinations=1,
                                     attack_start=0, attack_end=60, effect_size=6.0)
         w.time = 30.0
         rng_a = np.random.default_rng(11)
         rng_b = np.random.default_rng(11)
-        vec_attacked, _ = sim.generate_features(w, g, traffic, [(0, 2)], rng_a)[0]
+        vec_attacked, _ = sim.generate_features(w, traffic, [(0, 2)], rng_a)[0]
         w.adversaries.clear()
-        vec_clean, _ = sim.generate_features(w, g, traffic, [(0, 2)], rng_b)[0]
+        vec_clean, _ = sim.generate_features(w, traffic, [(0, 2)], rng_b)[0]
         assert vec_attacked[2] < vec_clean[2]      # rx_rate down
         assert vec_attacked[4] > vec_clean[4]      # data retransmissions up
         assert vec_attacked[6] < vec_clean[6]      # forwarding count down
