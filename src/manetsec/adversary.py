@@ -14,22 +14,14 @@ traffic but not unicast exchanges between other parties.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
 from .crypto import CipherSuite, IntegrityFailure, KeyMaterial
 from .protocol import GroupSession, derive_master_key
-from .wire import MessageKind, ProtocolMessage
+from .wire import BROADCAST, MessageKind, ProtocolMessage
 from . import wire
-
-__all__ = [
-    "NodeKnowledge",
-    "capture_knowledge",
-    "candidate_group_keys",
-    "scan_for_secrets",
-    "replay_once",
-    "replay_moves_state",
-]
 
 
 @dataclass
@@ -129,12 +121,25 @@ def backward_secrecy_candidates(suite: CipherSuite, know: NodeKnowledge,
     return candidate_group_keys(suite, list(know.keys), pre_broadcasts + know.delivered)
 
 
-def scan_for_secrets(transcript: bytes, secrets: set[bytes], width: int = 16) -> int:
-    """Count byte-aligned occurrences of any secret in the raw wire bytes."""
+def broadcasts_since(messages: list[ProtocolMessage], mark: int) -> list[ProtocolMessage]:
+    """The broadcast frames among `messages[mark:]`: what a leaver goes on hearing."""
+    return [m for m in messages[mark:] if m.receiver == BROADCAST]
+
+
+def last_broadcasts(messages: list[ProtocolMessage], n: int) -> list[ProtocolMessage]:
+    """The last `n` broadcast frames in send order, found walking back from the end."""
+    back = (m for m in reversed(messages) if m.receiver == BROADCAST)
+    return list(itertools.islice(back, n))[::-1]
+
+
+def scan_for_secrets(transcript: bytes, secrets: set[bytes]) -> int:
+    """Count byte-aligned occurrences of any secret (all of one width) in the raw bytes."""
     if not secrets:
         return 0
     widths = {len(s) for s in secrets}
-    assert widths == {width}, "secret scan expects uniform key width"
+    if len(widths) != 1:
+        raise ValueError(f"secret scan expects one key width, got {sorted(widths)}")
+    (width,) = widths
     t = bytes(transcript)
     hits = 0
     for i in range(len(t) - width + 1):
@@ -236,19 +241,19 @@ def run_security_suite(seed: int, suite: CipherSuite | None = None, cycles: int 
         victim = candidates[rng.randrange(len(candidates))]
         former_edges = set(session.graph[victim])
         know = capture_knowledge(session, victim)
-        mark = len(session.transport.broadcasts)
+        mark = len(session.transport.messages)
         keys_after = session.member_leave(victim)
         report.epochs += 1
         all_secrets |= session.current_secrets()
 
-        post = session.transport.broadcasts[mark:]
+        post = broadcasts_since(session.transport.messages, mark)
         cands = forward_secrecy_candidates(suite, know, post, session.epoch,
                                            sorted(session.members))
         report.leaver_trials += 1
         if keys_after.gk.data in cands or keys_after.gk.data in know.secrets:
             report.leaver_breaks += 1
 
-        pre = session.transport.broadcasts[-30:]
+        pre = last_broadcasts(session.transport.messages, 30)
         joiner = next_id
         next_id += 1
         edges = {e for e in former_edges if e in session.members}
@@ -263,9 +268,9 @@ def run_security_suite(seed: int, suite: CipherSuite | None = None, cycles: int 
         if any(g in cands_j or g in know_j.secrets for g in historical_gks[:-1]):
             report.joiner_breaks += 1
 
-    transcript = bytes(session.transport.transcript)
+    transcript = session.transport.transcript
     report.transcript_bytes = len(transcript)
-    report.transcript_hits = scan_for_secrets(transcript, all_secrets, suite.key_bits // 8)
+    report.transcript_hits = scan_for_secrets(transcript, all_secrets)
 
     replay_rng = random.Random(seed ^ 0x5EED1E55)
     for _ in range(replay_trials):

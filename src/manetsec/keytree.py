@@ -55,8 +55,11 @@ class KeyTree:
     parent: dict[NodeId, NodeId]            # absent for root
     children: dict[NodeId, list[NodeId]]    # ordered by ascending id
     level: dict[NodeId, int]
-    height: int
     checker: NodeId
+
+    @property
+    def height(self) -> int:
+        return max(self.level.values())
 
     def members(self) -> set[NodeId]:
         return set(self.level)
@@ -106,9 +109,8 @@ def build_tree(root: NodeId, members: set[NodeId], graph: Graph, checker: NodeId
         level[node] = level[up] + 1
         children[node] = []
         children[up].append(node)
-    height = max(level.values())
     return KeyTree(root=root, parent=parent, children=children,
-                   level=level, height=height, checker=checker)
+                   level=level, checker=checker)
 
 
 def bfs_parents(graph: Graph, root: NodeId,
@@ -162,7 +164,7 @@ def attach_member(tree: KeyTree, new_node: NodeId, graph: Graph) -> KeyTree:
     children[new_node] = []
     children[parent] = sorted(children[parent] + [new_node])
     return KeyTree(root=tree.root, parent=parents, children=children, level=level,
-                   height=max(tree.height, best_level + 1), checker=tree.checker)
+                   checker=tree.checker)
 
 
 def detach_member(tree: KeyTree, leaver: NodeId, graph: Graph,
@@ -208,16 +210,3 @@ def dump_tree(tree: KeyTree) -> str:
         p = tree.parent.get(node)
         lines.append(f"{tree.level[node]},{node},{'' if p is None else p}")
     return "\n".join(lines) + "\n"
-
-
-def bfs_levels(root: NodeId, nodes: set[NodeId], graph: Graph) -> dict[NodeId, int]:
-    """Plain BFS hop distances over `nodes`; used as the layering oracle."""
-    dist = {root: 0}
-    frontier = deque([root])
-    while frontier:
-        n = frontier.popleft()
-        for nb in graph.get(n, set()):
-            if nb in nodes and nb not in dist:
-                dist[nb] = dist[n] + 1
-                frontier.append(nb)
-    return dist

@@ -626,19 +626,23 @@ def derive_master_key(suite: CipherSuite, old: KeyMaterial, epoch: int,
 class Transport:
     """Lossless same-tick delivery with full wire capture.
 
-    Keeps the global transcript (what a radio eavesdropper standing everywhere
-    would hear), per-receiver delivery logs and the broadcast-only log used to
-    build adversary oracle inputs. Delivery is instantaneous: a session pumps
-    each message to its receivers as soon as it is sent. Subclasses override
-    mutate()/should_drop() for fault injection, or targets()/peek_targets()
-    for radio semantics.
+    Keeps one frame log, `messages` (every frame in send order, before any
+    mutate()), and the per-receiver index `delivered`. The raw `transcript`
+    a radio eavesdropper standing everywhere would hear and the oracles'
+    broadcast slices are derived from `messages`. Delivery is instantaneous:
+    a session pumps each frame to its receivers as soon as it is sent.
+    Subclasses override mutate()/should_drop() for fault injection, or
+    targets()/peek_targets() for radio semantics.
     """
 
     def __init__(self):
-        self.transcript = bytearray()
         self.messages: list[ProtocolMessage] = []
         self.delivered: dict[int, list[ProtocolMessage]] = {}
-        self.broadcasts: list[ProtocolMessage] = []
+
+    @property
+    def transcript(self) -> bytes:
+        """Every frame sent, as raw wire bytes; one serialization pass per read."""
+        return wire.concat_frames(self.messages)
 
     def mutate(self, raw: bytes, msg: ProtocolMessage) -> bytes:
         return raw
@@ -658,10 +662,7 @@ class Transport:
     def deliver(self, msg: ProtocolMessage,
                 members: Collection[int]) -> list[tuple[int, ProtocolMessage]]:
         raw = msg.to_bytes()
-        self.transcript += raw
         self.messages.append(msg)
-        if msg.receiver == BROADCAST:
-            self.broadcasts.append(msg)
         if self.should_drop(msg):
             return []
         mutated = self.mutate(raw, msg)
@@ -887,8 +888,6 @@ class GroupSession:
             joiner_node.state.master_key = self.master_key
 
             self.tree = attach_member(self.tree, joiner, self.graph)
-            self._configure_all()
-
             path = set(key_path(self.tree, joiner))
             self._run_path_refresh(fresh=path, reporters=path, family="join")
             self.run_session_agreement()

@@ -31,7 +31,7 @@ from .protocol import GroupSession, ProtocolAbort, Transport
 from . import adversary as adv
 from . import esom
 from . import response as resp
-from .wire import BROADCAST, ProtocolMessage
+from .wire import BROADCAST, ProtocolMessage, concat_frames
 
 DROPPER = "dropper"
 EAVESDROPPER = "eavesdropper"
@@ -550,12 +550,11 @@ def _run_cell(config: ScenarioConfig, seed: int):
                        "root is isolated; no group can form"))
     for n in sorted(unreachable):
         events.append((0.0, "out_of_group", n, None, "no tree path to the root"))
-    epochs_attempted = epochs_succeeded = epochs_aborted = 0
+    epochs_succeeded = epochs_aborted = 0
     secrets: set[bytes] = set()
 
     def attempt(label, fn):
-        nonlocal epochs_attempted, epochs_succeeded, epochs_aborted
-        epochs_attempted += 1
+        nonlocal epochs_succeeded, epochs_aborted
         try:
             fn()
             epochs_succeeded += 1
@@ -572,7 +571,6 @@ def _run_cell(config: ScenarioConfig, seed: int):
         events.append((0.0, "tree_built", session.root, session.checker,
                        f"height={session.tree.height} members={len(session.tree.members())}"))
     else:
-        epochs_attempted += 1
         epochs_aborted += 1
 
     schedule = sorted(config.schedule, key=lambda e: (e.time, e.kind, e.node or -1))
@@ -607,16 +605,15 @@ def _run_cell(config: ScenarioConfig, seed: int):
     if session is not None and not config.replay_at:
         replay_changes += _replayers_fire(session, world, transport, events)
     eaves_hits = 0
-    width = suite.key_bits // 8
     for nid, kind in world.adversaries.items():
         if kind == EAVESDROPPER:
-            blob = b"".join(m.to_bytes() for m in transport.captured.get(nid, []))
-            eaves_hits += adv.scan_for_secrets(blob, secrets, width) if secrets else 0
+            blob = concat_frames(transport.captured.get(nid, []))
+            eaves_hits += adv.scan_for_secrets(blob, secrets)
 
     row.update({
         "members": len(session.members) if session is not None else 0,
         "unreachable": len(unreachable),
-        "epochs_attempted": epochs_attempted,
+        "epochs_attempted": epochs_succeeded + epochs_aborted,
         "epochs_succeeded": epochs_succeeded,
         "epochs_aborted": epochs_aborted,
         "eavesdrop_secret_hits": eaves_hits,
@@ -737,7 +734,6 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
     out["unclassified_fraction"] = report.unclassified_fraction
 
     alarms = 0
-    quarantined: set[NodeId] = set()
     tampers = 0
     if session is not None and session.keys is not None:
         # per-node coverage over the last classified samples feeds the response path
@@ -780,10 +776,9 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
                                         nonces, now=world.time,
                                         min_window=config.coverage_window)
                 alarms += 1
-                quarantined.add(nid)
                 events.extend(res.events)
-    out["alarms"] = alarms
-    out["quarantined_nodes"] = len(quarantined)
+    # each alarm quarantines its own map's owner, one alarm per owner
+    out["alarms"] = out["quarantined_nodes"] = alarms
     out["tamper_events"] = tampers
     return out
 

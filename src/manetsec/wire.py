@@ -92,6 +92,14 @@ class ProtocolMessage:
         return cls(kind=kind, sender=sender, receiver=receiver, ids=ids, payload=raw[off:])
 
 
+def concat_frames(frames: list[ProtocolMessage]) -> bytes:
+    """The frames back to back as a listener hears them, built in one buffer."""
+    out = bytearray()
+    for msg in frames:
+        out += msg.to_bytes()
+    return bytes(out)
+
+
 # What each kind carries inside its ciphertext or, for the DIGEST_KINDS, what
 # its digest is computed over: I is a 4-byte id, Q an 8-byte nonce or nonce
 # echo, K a key field of the scenario key width. JOIN_REQUEST has no row.

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -13,6 +14,19 @@ def make_graph(edges):
         graph.setdefault(a, set()).add(b)
         graph.setdefault(b, set()).add(a)
     return graph
+
+
+def bfs_levels(root, nodes, graph):
+    """Plain BFS hop distances over `nodes`; the layering and hop-map oracle."""
+    dist = {root: 0}
+    frontier = deque([root])
+    while frontier:
+        n = frontier.popleft()
+        for nb in graph.get(n, set()):
+            if nb in nodes and nb not in dist:
+                dist[nb] = dist[n] + 1
+                frontier.append(nb)
+    return dist
 
 
 def random_geometric(n, radius, rng, w=1.0, h=1.0):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,9 +7,11 @@ import pytest
 from manetsec import adversary, sim, wire
 from manetsec.adversary import (
     backward_secrecy_candidates,
+    broadcasts_since,
     candidate_group_keys,
     capture_knowledge,
     forward_secrecy_candidates,
+    last_broadcasts,
     replay_once,
     run_security_suite,
     scan_for_secrets,
@@ -34,14 +37,15 @@ class TestOracleMachinery:
     def test_live_member_recovers_current_gk(self, churn_session, suite):
         # positive control: the oracle is strong enough to find what it should
         know = capture_knowledge(churn_session, 4)
-        cands = candidate_group_keys(suite, know.keys, churn_session.transport.broadcasts)
+        cands = candidate_group_keys(suite, know.keys,
+                                     broadcasts_since(churn_session.transport.messages, 0))
         assert churn_session.keys.gk.data in cands
 
     def test_oracle_with_stolen_master_succeeds(self, churn_session, suite):
         know = capture_knowledge(churn_session, 4)
-        mark = len(churn_session.transport.broadcasts)
+        mark = len(churn_session.transport.messages)
         keys = churn_session.member_leave(4)
-        post = churn_session.transport.broadcasts[mark:]
+        post = broadcasts_since(churn_session.transport.messages, mark)
         stolen = know.keys + [churn_session.master_key]
         cands = candidate_group_keys(suite, stolen, know.delivered + post)
         assert keys.gk.data in cands
@@ -49,8 +53,13 @@ class TestOracleMachinery:
     def test_scan_finds_planted_secret(self):
         secret = bytes(range(16))
         blob = b"noise" + secret + b"more"
-        assert scan_for_secrets(blob, {secret}, 16) == 1
-        assert scan_for_secrets(b"clean bytes only", {secret}, 16) == 0
+        assert scan_for_secrets(blob, {secret}) == 1
+        assert scan_for_secrets(b"clean bytes only", {secret}) == 0
+
+    def test_scan_rejects_mixed_secret_widths(self):
+        # one window width cannot match both; a silent pass would hide a leak
+        with pytest.raises(ValueError):
+            scan_for_secrets(b"noise" + bytes(range(24)), {bytes(range(16)), bytes(range(24))})
 
     def test_pairwise_xor_is_never_narrowed(self, suite):
         # more recovered keys than any fixed cap: every pair still XORs
@@ -126,11 +135,11 @@ class TestOracleEquivalence:
             former = set(s.graph[victim])
             know = capture_knowledge(s, victim)
             stolen.extend(capture_knowledge(s, s.root).keys)
-            mark = len(s.transport.broadcasts)
+            mark = len(s.transport.messages)
             s.member_leave(victim)
-            captures.append((know, s.transport.broadcasts[mark:],
+            captures.append((know, broadcasts_since(s.transport.messages, mark),
                              (s.epoch, sorted(s.members))))
-            pre = s.transport.broadcasts[-30:]
+            pre = last_broadcasts(s.transport.messages, 30)
             stolen.extend(capture_knowledge(s, s.root).keys)
             s.member_join(joiner, {e for e in former if e in s.members})
             captures.append((capture_knowledge(s, joiner), pre, None))
@@ -151,15 +160,57 @@ class TestOracleEquivalence:
             reference_candidate_group_keys(suite, stolen, frames)
 
 
+class TestSuiteOracleInputs:
+    # sha256 of every frame run_security_suite hands its two secrecy oracles,
+    # tagged F (a leaver's later broadcasts) or B (a joiner's earlier ones);
+    # an off-by-one in either broadcast slice changes it
+    ORACLE_INPUTS_SHA256 = "aa10a982254a78f3d6e384b5dc9095f0f1373f20f2f2c809d488777e9add0cb7"
+
+    def test_oracle_inputs_are_pinned(self, monkeypatch):
+        h = hashlib.sha256()
+        forward, backward = forward_secrecy_candidates, backward_secrecy_candidates
+
+        def feed(tag, frames):
+            h.update(tag)
+            for msg in frames:
+                h.update(msg.to_bytes())
+
+        def forward_logged(suite, know, post, *after):
+            feed(b"F", post)
+            return forward(suite, know, post, *after)
+
+        def backward_logged(suite, know, pre):
+            feed(b"B", pre)
+            return backward(suite, know, pre)
+
+        monkeypatch.setattr(adversary, "forward_secrecy_candidates", forward_logged)
+        monkeypatch.setattr(adversary, "backward_secrecy_candidates", backward_logged)
+        report = run_security_suite(77, cycles=20, replay_trials=10)
+        assert report.all_passed()
+        assert h.hexdigest() == self.ORACLE_INPUTS_SHA256
+
+    def test_broadcast_slices_match_a_filtered_log(self, churn_session):
+        churn_session.member_join(50, {0})
+        churn_session.member_leave(50)
+        msgs = churn_session.transport.messages
+        every = [m for m in msgs if m.receiver == wire.BROADCAST]
+        assert 0 < len(every) < len(msgs)
+        for mark in (0, 1, len(msgs) // 2, len(msgs)):
+            assert broadcasts_since(msgs, mark) == every[sum(m.receiver == wire.BROADCAST
+                                                             for m in msgs[:mark]):]
+        for n in (0, 1, 30, len(every) + 5):
+            assert last_broadcasts(msgs, n) == every[len(every) - min(n, len(every)):]
+
+
 class TestForwardSecrecy:
     def test_leaver_cannot_compute_new_gk(self, churn_session, suite):
         for _ in range(3):
             victim = max(churn_session.members - {churn_session.root,
                                                   churn_session.checker})
             know = capture_knowledge(churn_session, victim)
-            mark = len(churn_session.transport.broadcasts)
+            mark = len(churn_session.transport.messages)
             keys = churn_session.member_leave(victim)
-            post = churn_session.transport.broadcasts[mark:]
+            post = broadcasts_since(churn_session.transport.messages, mark)
             cands = forward_secrecy_candidates(suite, know, post, churn_session.epoch,
                                                sorted(churn_session.members))
             assert keys.gk.data not in cands
@@ -168,9 +219,9 @@ class TestForwardSecrecy:
     def test_departed_checker_excluded(self, churn_session, suite):
         victim = churn_session.checker
         know = capture_knowledge(churn_session, victim)
-        mark = len(churn_session.transport.broadcasts)
+        mark = len(churn_session.transport.messages)
         keys = churn_session.member_leave(victim)
-        post = churn_session.transport.broadcasts[mark:]
+        post = broadcasts_since(churn_session.transport.messages, mark)
         cands = forward_secrecy_candidates(suite, know, post, churn_session.epoch,
                                            sorted(churn_session.members))
         assert keys.gk.data not in cands
@@ -181,7 +232,7 @@ class TestBackwardSecrecy:
         old = [churn_session.keys.gk.data]
         churn_session.periodic_global_rekey()
         old.append(churn_session.keys.gk.data)
-        pre = list(churn_session.transport.broadcasts)
+        pre = broadcasts_since(churn_session.transport.messages, 0)
         churn_session.member_join(99, {0, 2})
         know = capture_knowledge(churn_session, 99)
         cands = backward_secrecy_candidates(suite, know, pre)

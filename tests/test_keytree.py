@@ -11,7 +11,6 @@ from manetsec.keytree import (
     UnknownNode,
     Unreachable,
     attach_member,
-    bfs_levels,
     build_tree,
     detach_member,
     dump_tree,
@@ -19,7 +18,7 @@ from manetsec.keytree import (
     select_checker,
 )
 
-from conftest import FIG4_EDGES, make_graph, random_geometric
+from conftest import FIG4_EDGES, bfs_levels, make_graph, random_geometric
 
 
 class TestSelectChecker:

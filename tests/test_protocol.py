@@ -427,16 +427,21 @@ class TestRobustness:
 
 
 class TestTranscriptHygiene:
-    def test_no_cleartext_secrets_quick(self, fig4_session, suite):
+    def test_no_cleartext_secrets_quick(self, fig4_session):
         from manetsec.adversary import scan_for_secrets
         fig4_session.establish()
         fig4_session.member_join(19, {6})
         fig4_session.member_leave(19)
         fig4_session.periodic_global_rekey()
         secrets = fig4_session.current_secrets()
-        hits = scan_for_secrets(bytes(fig4_session.transport.transcript), secrets,
-                                suite.key_bits // 8)
+        hits = scan_for_secrets(fig4_session.transport.transcript, secrets)
         assert hits == 0
+
+    def test_transcript_is_derived_from_the_frame_log(self, fig4_session):
+        fig4_session.establish()
+        transport = fig4_session.transport
+        assert set(vars(transport)) == {"messages", "delivered"}
+        assert transport.transcript == b"".join(m.to_bytes() for m in transport.messages)
 
     def test_wire_fidelity(self, fig4_session):
         fig4_session.establish()

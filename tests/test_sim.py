@@ -12,11 +12,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from manetsec import cli, sim
 from manetsec.esom import SomConfig
-from manetsec.keytree import bfs_levels
 from manetsec.response import RoutingTable
 from manetsec.wire import BROADCAST, MessageKind, ProtocolMessage
 
-from conftest import make_graph, random_geometric
+from conftest import bfs_levels, make_graph, random_geometric
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
