@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 import random
-import secrets
 import struct
 from dataclasses import dataclass, field
 
@@ -28,9 +27,6 @@ __all__ = [
     "WidthMismatch",
     "NonceExhausted",
     "xor_combine",
-    "hash_bytes",
-    "keyed_hash",
-    "verify_keyed_hash",
 ]
 
 MAX_NONCE = 2**64 - 1
@@ -131,22 +127,6 @@ class NonceSource:
                 return v
 
 
-def hash_bytes(data: bytes, hash_name: str = "sha256") -> Digest:
-    """Deterministic one-way hash of `data` under the named algorithm."""
-    return hashlib.new(hash_name, data).digest()
-
-
-def keyed_hash(key: KeyMaterial, data: bytes, hash_name: str = "sha256") -> Digest:
-    """HMAC over `data`; forgery without the key is infeasible."""
-    return _hmac.new(key.data, data, hash_name).digest()
-
-
-def verify_keyed_hash(
-    key: KeyMaterial, data: bytes, digest: Digest, hash_name: str = "sha256"
-) -> bool:
-    return _hmac.compare_digest(keyed_hash(key, data, hash_name), digest)
-
-
 class CipherSuite:
     """Scenario-wide choice of cipher, hash and key width.
 
@@ -193,7 +173,7 @@ class CipherSuite:
         out = b""
         counter = 0
         while len(out) < self.key_bits // 8:
-            out += hash_bytes(struct.pack(">I", counter) + buf, self.hash_name)
+            out += hashlib.new(self.hash_name, struct.pack(">I", counter) + buf).digest()
             counter += 1
         return KeyMaterial(out[: self.key_bits // 8])
 
@@ -205,14 +185,15 @@ class CipherSuite:
 
     # -- authenticated encryption -----------------------------------------
 
-    def encrypt(self, key: KeyMaterial, plaintext: bytes, rng: random.Random | None = None) -> Ciphertext:
-        """Randomized authenticated encryption.
+    def encrypt(self, key: KeyMaterial, plaintext: bytes, rng: random.Random) -> Ciphertext:
+        """Randomized authenticated encryption; the IV is drawn from `rng`.
 
-        A deterministic `rng` keeps whole runs reproducible; with rng=None the
-        IV comes from the OS.
+        A seeded `rng` keeps whole runs reproducible; `random.SystemRandom()`
+        draws the IV from the OS.
         """
         self._check_key(key)
-        iv = self._random_bytes(self._GCM_IV if self.cipher == "aesgcm" else 16, rng)
+        n = self._GCM_IV if self.cipher == "aesgcm" else 16
+        iv = rng.getrandbits(n * 8).to_bytes(n, "big")
         if self.cipher == "aesgcm":
             return iv + AESGCM(key.data).encrypt(iv, plaintext, None)
         return self._ctrhmac_encrypt(key, iv, plaintext)
@@ -229,26 +210,19 @@ class CipherSuite:
                 raise IntegrityFailure("authentication tag mismatch") from e
         return self._ctrhmac_decrypt(key, ct)
 
-    @staticmethod
-    def _random_bytes(n: int, rng: random.Random | None) -> bytes:
-        if rng is None:
-            return secrets.token_bytes(n)
-        return rng.getrandbits(n * 8).to_bytes(n, "big")
-
     # -- ctrhmac construction ----------------------------------------------
     # Encrypt-then-MAC with subkeys split off the suite key by hashing; the
     # keystream is hash(enc_key, iv, block counter).
 
     def _subkeys(self, key: KeyMaterial) -> tuple[bytes, bytes]:
-        enc = hash_bytes(b"enc" + key.data, self.hash_name)
-        mac = hash_bytes(b"mac" + key.data, self.hash_name)
-        return enc, mac
+        return (hashlib.new(self.hash_name, b"enc" + key.data).digest(),
+                hashlib.new(self.hash_name, b"mac" + key.data).digest())
 
     def _keystream(self, enc_key: bytes, iv: bytes, n: int) -> bytes:
         out = b""
         block = 0
         while len(out) < n:
-            out += hash_bytes(enc_key + iv + struct.pack(">Q", block), self.hash_name)
+            out += hashlib.new(self.hash_name, enc_key + iv + struct.pack(">Q", block)).digest()
             block += 1
         return out[:n]
 
@@ -271,10 +245,12 @@ class CipherSuite:
     # -- digests -------------------------------------------------------------
 
     def digest(self, data: bytes) -> Digest:
-        return hash_bytes(data, self.hash_name)
+        """Deterministic one-way hash of `data` under the suite's hash."""
+        return hashlib.new(self.hash_name, data).digest()
 
     def keyed_digest(self, key: KeyMaterial, data: bytes) -> Digest:
-        return keyed_hash(key, data, self.hash_name)
+        """HMAC over `data`; forgery without the key is infeasible."""
+        return _hmac.new(key.data, data, self.hash_name).digest()
 
     def verify_keyed_digest(self, key: KeyMaterial, data: bytes, digest: Digest) -> bool:
-        return verify_keyed_hash(key, data, digest, self.hash_name)
+        return _hmac.compare_digest(self.keyed_digest(key, data), digest)

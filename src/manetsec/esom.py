@@ -43,6 +43,12 @@ VERDICT_OF = {LABEL_NORMAL: VERDICT_NORMAL, LABEL_ATTACK: VERDICT_ATTACK,
 
 _STD_FLOOR = 1e-9
 
+# Training schedule: learning rate and neighborhood radius fall linearly
+# over the run; the radius starts at half the longer lattice side.
+_LR_START = 0.5
+_LR_END = 0.05
+_RADIUS_END = 1.0
+
 
 class DatasetError(Exception):
     """Malformed dataset, verdict or model file; the message names the
@@ -101,10 +107,6 @@ class SomConfig:
     rows: int = 50
     cols: int = 80
     epochs: int = 20
-    lr_start: float = 0.5
-    lr_end: float = 0.05
-    radius_start: float | None = None   # defaults to max(rows, cols) / 2
-    radius_end: float = 1.0
     hill_quantile: float = 0.85
 
     def validate(self) -> None:
@@ -114,8 +116,6 @@ class SomConfig:
             raise ValueError("epochs must be positive")
         if not 0.0 < self.hill_quantile < 1.0:
             raise ValueError("hill_quantile must lie in (0, 1)")
-        if self.lr_start <= 0 or self.lr_end <= 0:
-            raise ValueError("learning rates must be positive")
 
 
 @dataclass
@@ -150,7 +150,7 @@ def train_som(data: np.ndarray, config: SomConfig, rng: np.random.Generator,
     lo, hi = data.min(axis=0), data.max(axis=0)
     weights = rng.uniform(size=(n_neurons, dim)) * (hi - lo) + lo
     rr, cc = np.divmod(np.arange(n_neurons), config.cols)
-    r0 = config.radius_start if config.radius_start is not None else max(config.rows, config.cols) / 2
+    r0 = max(config.rows, config.cols) / 2
     total = config.epochs * n
     step = 0
     denom = max(total - 1, 1)
@@ -158,8 +158,8 @@ def train_som(data: np.ndarray, config: SomConfig, rng: np.random.Generator,
         for idx in rng.permutation(n):
             x = data[idx]
             t = step / denom
-            lr = config.lr_start + (config.lr_end - config.lr_start) * t
-            rad = r0 + (config.radius_end - r0) * t
+            lr = _LR_START + (_LR_END - _LR_START) * t
+            rad = r0 + (_RADIUS_END - r0) * t
             diff = weights - x
             bmu = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
             d2 = (rr - rr[bmu]) ** 2 + (cc - cc[bmu]) ** 2
@@ -404,6 +404,8 @@ class SomModel:
         if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
             raise DatasetError("model normalization needs a finite mean and a finite positive std")
         (hq,) = struct.unpack_from("<d", raw, off)
+        if not 0.0 < hq < 1.0:  # nan fails too
+            raise DatasetError(f"model hill_quantile {hq} outside (0, 1)")
         return cls(grid=SomGrid(rows=rows, cols=cols, weights=weights),
                    labeling=labeling.astype(np.int8), stats=NormStats(mean=mean, std=std),
                    hill_quantile=hq)

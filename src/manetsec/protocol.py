@@ -626,12 +626,12 @@ def derive_master_key(suite: CipherSuite, old: KeyMaterial, epoch: int,
 class Transport:
     """Lossless same-tick delivery with full wire capture.
 
-    Keeps one frame log, `messages` (every frame in send order, before any
-    mutate()), and the per-receiver index `delivered`. The raw `transcript`
-    a radio eavesdropper standing everywhere would hear and the oracles'
-    broadcast slices are derived from `messages`. Delivery is instantaneous:
-    a session pumps each frame to its receivers as soon as it is sent.
-    Subclasses override mutate()/should_drop() for fault injection, or
+    Keeps one frame log, `messages` (every frame in send order, as sent,
+    before channel()), and the per-receiver index `delivered`. The raw
+    `transcript` a radio eavesdropper standing everywhere would hear and the
+    oracles' broadcast slices are derived from `messages`. Delivery is
+    instantaneous: a session pumps each frame to its receivers as soon as it
+    is sent. Subclasses override channel() for fault injection, or
     targets()/peek_targets() for radio semantics.
     """
 
@@ -644,11 +644,9 @@ class Transport:
         """Every frame sent, as raw wire bytes; one serialization pass per read."""
         return wire.concat_frames(self.messages)
 
-    def mutate(self, raw: bytes, msg: ProtocolMessage) -> bytes:
-        return raw
-
-    def should_drop(self, msg: ProtocolMessage) -> bool:
-        return False
+    def channel(self, msg: ProtocolMessage) -> ProtocolMessage | None:
+        """The frame as its receivers get it; None when it is lost."""
+        return msg
 
     def targets(self, msg: ProtocolMessage, members: Collection[int]) -> list[int]:
         if msg.receiver == BROADCAST:
@@ -661,16 +659,10 @@ class Transport:
 
     def deliver(self, msg: ProtocolMessage,
                 members: Collection[int]) -> list[tuple[int, ProtocolMessage]]:
-        raw = msg.to_bytes()
         self.messages.append(msg)
-        if self.should_drop(msg):
+        msg = self.channel(msg)
+        if msg is None:
             return []
-        mutated = self.mutate(raw, msg)
-        if mutated is not raw:
-            try:
-                msg = ProtocolMessage.from_bytes(mutated)
-            except wire.WireError:
-                return []
         out = []
         for t in self.targets(msg, members):
             self.delivered.setdefault(t, []).append(msg)
@@ -700,7 +692,7 @@ class GroupSession:
 
     def __init__(self, graph: Graph, root: NodeId, members: set[NodeId], suite: CipherSuite,
                  seed: int, checker: NodeId | None = None, transport: Transport | None = None,
-                 master_key: KeyMaterial | None = None, unsafe_skip_nonce_checks: bool = False):
+                 unsafe_skip_nonce_checks: bool = False):
         self.suite = suite
         self.seed = seed
         self.graph = {n: set(nbs) for n, nbs in graph.items()}
@@ -708,7 +700,7 @@ class GroupSession:
         members = set(members)
         self.transport = transport if transport is not None else Transport()
         self.rng = random.Random(_sub_seed(seed, "session"))
-        master_key = master_key if master_key is not None else suite.new_key(self.rng)
+        master_key = suite.new_key(self.rng)
         if checker is None:
             checker = select_checker(root, self.graph, self.rng, members)
         self.tree = build_tree(root, members, self.graph, checker)

@@ -107,11 +107,6 @@ class RoutingTable:
         self.quarantined.add(node)
         self.rebuild(graph)
 
-    def lift(self, node: NodeId, graph: Graph) -> None:
-        """Re-admit a node (policy decision, e.g. after it re-authenticates)."""
-        self.quarantined.discard(node)
-        self.rebuild(graph)
-
 
 def check_global_trigger(smap: SecurityMap, min_window: int = DEFAULT_MIN_WINDOW) -> bool:
     """True when attack coverage strictly exceeds two thirds of the window."""
@@ -248,7 +243,6 @@ def _digest_input(node: NodeId, payload: bytes, nonce_value: int) -> bytes:
 class AlarmResult:
     victim: NodeId
     accepted: set[NodeId]
-    rejected: set[NodeId]
     events: list[tuple[float, str, NodeId, NodeId | None, str]] = field(default_factory=list)
 
 
@@ -272,12 +266,10 @@ def global_alarm(suite: CipherSuite, victim_map: SecurityMap, gk: KeyMaterial,
     digest = suite.keyed_digest(gk, _digest_input(victim, map_bytes, nonce))
     in_range = sorted(n for n in graph.get(victim, ()) if n in tables)
     accepted: set[NodeId] = set()
-    rejected: set[NodeId] = set()
     events.append((now, "alarm", victim, None, f"coverage={victim_map.coverage:.3f}"))
     for r in in_range:
         passed = chan("alarm", victim, r, map_bytes, digest)
         if passed is None:
-            rejected.add(r)
             events.append((now, "alarm_lost", victim, r, "alarm lost"))
             continue
         payload, dig = passed
@@ -286,9 +278,8 @@ def global_alarm(suite: CipherSuite, victim_map: SecurityMap, gk: KeyMaterial,
             accepted.add(r)
             events.append((now, "quarantine", r, victim, "victim removed from routes"))
         else:
-            rejected.add(r)
             events.append((now, "alarm_tamper", r, victim, "alarm digest mismatch"))
-    return AlarmResult(victim=victim, accepted=accepted, rejected=rejected, events=events)
+    return AlarmResult(victim=victim, accepted=accepted, events=events)
 
 
 def format_events(events) -> str:

@@ -121,18 +121,32 @@ class ScenarioConfig:
             raise ScenarioError(str(e)) from None
         if self.coverage_window < 1:
             raise ScenarioError("coverage_window must be at least 1")
-        for group in (self.droppers, self.eavesdroppers, self.replayers):
+        role: dict[NodeId, str] = {}
+        for kind, group in ((DROPPER, self.droppers), (EAVESDROPPER, self.eavesdroppers),
+                            (REPLAYER, self.replayers)):
             for n in group:
                 if not 0 <= n < self.node_count:
                     raise ScenarioError(f"adversary id {n} outside the initial roster")
+                if role.setdefault(n, kind) != kind:
+                    raise ScenarioError(f"node {n} holds more than one adversary role")
         for ev in self.schedule:
             if not 0 <= ev.time <= self.duration:
                 raise ScenarioError(f"schedule event at {ev.time} outside the run")
             if ev.node is not None and not 0 <= ev.node < BROADCAST:
                 raise ScenarioError(f"schedule node id {ev.node} outside 0..{BROADCAST - 1}")
+        for t in self.replay_at:
+            if not 0 <= t <= self.duration:
+                raise ScenarioError(f"replay at {t} outside the run")
+        most = min(self.node_count - 2, len(self._dropper_pool()))
         for c in self.dropper_counts:
-            if not 0 <= c <= self.node_count - 2:
-                raise ScenarioError(f"dropper sweep count {c} outside 0..{self.node_count - 2}")
+            if not 0 <= c <= most:
+                raise ScenarioError(f"dropper sweep count {c} outside 0..{most}")
+
+    def _dropper_pool(self) -> list[NodeId]:
+        """The ids a dropper sweep draws from, lowest first: neither the root
+        nor an eavesdropper or replayer."""
+        taken = {self.root, *self.eavesdroppers, *self.replayers}
+        return [n for n in range(self.node_count) if n not in taken]
 
 
 @dataclass
@@ -500,8 +514,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> MetricsRepo
         for dcount in dropper_values:
             cell_cfg = replace(config, mobility=replace(config.mobility, pause_time=pause))
             if dcount is not None:
-                usable = [n for n in range(config.node_count) if n != config.root]
-                cell_cfg = replace(cell_cfg, droppers=tuple(usable[:dcount]))
+                cell_cfg = replace(cell_cfg, droppers=tuple(config._dropper_pool()[:dcount]))
             cell_seed = _cell_seed(seed, pause, dcount)
             row, ev = _run_cell(cell_cfg, cell_seed)
             row["pause_time"] = pause
@@ -579,8 +592,10 @@ def _run_cell(config: ScenarioConfig, seed: int):
     replay_changes = 0
     samples: list[tuple[NodeId, np.ndarray, bool]] = []
 
+    # events and replays due at the end of the run still apply; only the
+    # feature ticks stop there
     t = 0.0
-    while t < config.duration:
+    while True:
         while due and due[0].time <= t:
             ev = due.popleft()
             if session is not None:
@@ -589,6 +604,8 @@ def _run_cell(config: ScenarioConfig, seed: int):
             replay_due.popleft()
             if session is not None:
                 replay_changes += _replayers_fire(session, world, transport, events)
+        if t >= config.duration:
+            break
         active = sorted(session.members) if session is not None else sorted(world.ids)
         pairs = traffic_pairs(active, config.traffic)
         for src, (vec, attacked) in generate_features(
@@ -697,8 +714,7 @@ def _apply_schedule_event(ev: ScheduleEvent, session: GroupSession, world: World
     elif ev.kind == "local_rekey":
         lvl1 = list(session.tree.children.get(session.root, ()))
         if lvl1:
-            target = ev.node if ev.node in lvl1 else lvl1[0]
-            attempt("local_rekey", lambda: session.periodic_local_rekey(target))
+            attempt("local_rekey", lambda: session.periodic_local_rekey(lvl1[0]))
 
 
 def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: GroupSession,

@@ -8,11 +8,10 @@ from manetsec.crypto import (
     KeyMaterial,
     NonceSource,
     WidthMismatch,
-    hash_bytes,
-    keyed_hash,
-    verify_keyed_hash,
     xor_combine,
 )
+
+SHA256 = CipherSuite()
 
 
 def km(hexstr):
@@ -88,6 +87,14 @@ class TestAuthenticatedEncryption:
         assert suite.encrypt(key, b"same", rng) != suite.encrypt(key, b"same", rng)
 
     @pytest.mark.parametrize("cipher", ["aesgcm", "ctrhmac"])
+    def test_os_entropy_round_trip(self, cipher):
+        # the one way to draw keys and IVs from the OS instead of a seed
+        suite = CipherSuite(cipher=cipher)
+        os_rng = random.SystemRandom()
+        key = suite.new_key(os_rng)
+        assert suite.decrypt(key, suite.encrypt(key, b"payload", os_rng)) == b"payload"
+
+    @pytest.mark.parametrize("cipher", ["aesgcm", "ctrhmac"])
     def test_any_bit_flip_detected(self, cipher, rng):
         suite = CipherSuite(cipher=cipher)
         key = suite.new_key(rng)
@@ -116,41 +123,41 @@ class TestAuthenticatedEncryption:
 
 class TestHashing:
     def test_deterministic(self):
-        assert hash_bytes(b"x") == hash_bytes(b"x")
+        assert SHA256.digest(b"x") == SHA256.digest(b"x")
 
     def test_empty_defined(self):
-        assert hash_bytes(b"").hex() == (
+        assert SHA256.digest(b"").hex() == (
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
 
     def test_sha256_vector(self):
-        assert hash_bytes(b"abc").hex() == (
+        assert SHA256.digest(b"abc").hex() == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
 
     def test_hmac_rfc4231_case2(self):
         key = KeyMaterial(b"Jefe")
-        digest = keyed_hash(key, b"what do ya want for nothing?")
+        digest = SHA256.keyed_digest(key, b"what do ya want for nothing?")
         assert digest.hex() == (
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843")
 
     def test_keyed_hash_determinism_and_verify(self, rng):
         k = KeyMaterial.random(rng)
-        assert keyed_hash(k, b"data") == keyed_hash(k, b"data")
-        assert verify_keyed_hash(k, b"data", keyed_hash(k, b"data"))
+        assert SHA256.keyed_digest(k, b"data") == SHA256.keyed_digest(k, b"data")
+        assert SHA256.verify_keyed_digest(k, b"data", SHA256.keyed_digest(k, b"data"))
 
     def test_keyed_hash_distinct_keys(self, rng):
         k = KeyMaterial.random(rng)
-        base = keyed_hash(k, b"data")
+        base = SHA256.keyed_digest(k, b"data")
         for _ in range(1000):
             other = KeyMaterial.random(rng)
             if other == k:
                 continue
-            assert keyed_hash(other, b"data") != base
+            assert SHA256.keyed_digest(other, b"data") != base
 
     def test_keyed_hash_rejects_wrong_inputs(self, rng):
         k, k2 = KeyMaterial.random(rng), KeyMaterial.random(rng)
-        d = keyed_hash(k, b"data")
-        assert not verify_keyed_hash(k2, b"data", d)
-        assert not verify_keyed_hash(k, b"other", d)
+        d = SHA256.keyed_digest(k, b"data")
+        assert not SHA256.verify_keyed_digest(k2, b"data", d)
+        assert not SHA256.verify_keyed_digest(k, b"other", d)
 
 
 class TestNonces:

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 import warnings
 
@@ -420,6 +421,13 @@ class TestModelIO:
             path.write_bytes(raw[:at] + np.array([value], dtype="<f4").tobytes() + raw[at + 4:])
             with pytest.raises(esom.DatasetError, match="weights must be finite"):
                 esom.load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, 1.5])
+    def test_hill_quantile_outside_unit_interval_rejected(self, small_model, value):
+        # the last 8 bytes; SomConfig.validate holds the same (0, 1) bound
+        raw = small_model[0].to_bytes()
+        with pytest.raises(esom.DatasetError, match="hill_quantile"):
+            esom.SomModel.from_bytes(raw[:-8] + struct.pack("<d", value))
 
 
 class TestCsvIO:

@@ -29,20 +29,19 @@ def all_members(session):
 
 
 class TamperingTransport(Transport):
-    """Flips one payload bit of every message matching the predicate."""
+    """Flips the low bit of the last payload byte of every message matching
+    the predicate."""
 
     def __init__(self, predicate):
         super().__init__()
         self.predicate = predicate
         self.hits = 0
 
-    def mutate(self, raw, msg):
-        if self.predicate(msg) and msg.payload:
-            self.hits += 1
-            mutated = bytearray(raw)
-            mutated[-1] ^= 0x01
-            return bytes(mutated)
-        return raw
+    def channel(self, msg):
+        if not (self.predicate(msg) and msg.payload):
+            return msg
+        self.hits += 1
+        return dataclasses.replace(msg, payload=msg.payload[:-1] + bytes([msg.payload[-1] ^ 1]))
 
 
 class LossyTransport(Transport):
@@ -50,8 +49,8 @@ class LossyTransport(Transport):
         super().__init__()
         self.predicate = predicate
 
-    def should_drop(self, msg):
-        return self.predicate(msg)
+    def channel(self, msg):
+        return None if self.predicate(msg) else msg
 
 
 class TestKeyInitiation:
@@ -443,6 +442,22 @@ class TestTranscriptHygiene:
         assert set(vars(transport)) == {"messages", "delivered"}
         assert transport.transcript == b"".join(m.to_bytes() for m in transport.messages)
 
+    def test_channel_alters_and_loses_after_the_log(self):
+        sent = ProtocolMessage(MessageKind.AUTH_STEP1, 1, 3, (1, 3), b"as sent")
+        lost = ProtocolMessage(MessageKind.AGREE_STEP1, 2, BROADCAST, (2,), b"lost")
+        altered = dataclasses.replace(sent, payload=b"altered")
+
+        class Faulty(Transport):
+            def channel(self, msg):
+                return {sent: altered, lost: None}.get(msg, msg)
+
+        transport = Faulty()
+        assert transport.deliver(sent, {1, 2, 3}) == [(3, altered)]
+        assert transport.deliver(lost, {1, 2, 3}) == []
+        assert transport.messages == [sent, lost]
+        assert transport.delivered == {3: [altered]}
+        assert transport.transcript == sent.to_bytes() + lost.to_bytes()
+
     def test_wire_fidelity(self, fig4_session):
         fig4_session.establish()
         for msg in fig4_session.transport.messages:
@@ -524,8 +539,8 @@ class RateDropTransport(Transport):
         self.rng = random.Random(seed)
         self.rate = 0.0
 
-    def should_drop(self, msg):
-        return self.rng.random() < self.rate
+    def channel(self, msg):
+        return None if self.rng.random() < self.rate else msg
 
 
 def rollback_view(session):

@@ -277,14 +277,13 @@ class TestRoutingTable:
         pick = select_forwarding_node(glm, {2, 4}, quarantined=tables[1].quarantined)
         assert pick == 2  # node 4 has lower coverage but is quarantined
 
-    def test_lift_restores_routes(self, suite, rng):
+    def test_quarantine_cuts_routes_through_the_node(self):
         graph = make_graph([(0, 1), (1, 2)])
         t = RoutingTable(owner=0)
         t.rebuild(graph)
+        assert t.next_hop == {1: 1, 2: 1}
         t.quarantine(1, graph)
         assert t.next_hop == {}
-        t.lift(1, graph)
-        assert t.next_hop == {1: 1, 2: 1}
 
     def test_events_format(self):
         text = format_events([(1.5, "alarm", 4, None, "coverage=0.93"),

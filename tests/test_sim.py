@@ -628,6 +628,36 @@ class TestRunScenario:
         assert bursts and max(bursts) == bursts[-1]  # monotone capture, no blowup
         assert bursts[-1] <= bursts[0] + 400  # grows only with live traffic
 
+    def test_event_at_the_end_of_the_run_applies(self):
+        cfg = small_config(duration=30, schedule=(sim.ScheduleEvent(30.0, "global_rekey"),),
+                           traffic=sim.TrafficConfig(generators=6, destinations=3,
+                                                     attack_start=10, attack_end=30))
+        row = sim.run_scenario(cfg, 29).rows[0]
+        assert (row["epochs_attempted"], row["epochs_succeeded"]) == (2, 2)
+
+    def test_replay_at_the_end_of_the_run_fires(self):
+        cfg = small_config(duration=30, replayers=(5,), replay_at=(30.0,),
+                           traffic=sim.TrafficConfig(generators=6, destinations=3,
+                                                     attack_start=10, attack_end=30))
+        report = sim.run_scenario(cfg, 29)
+        assert [e[:3] for e in report.events if e[1] == "replay_burst"] == \
+            [(30.0, "replay_burst", 5)]
+        assert report.rows[0]["replay_state_changes"] == 0
+
+    def test_dropper_sweep_skips_the_other_adversaries(self, monkeypatch):
+        cfg = small_config(duration=20, eavesdroppers=(1,), replayers=(2,),
+                           dropper_counts=(2,),
+                           traffic=sim.TrafficConfig(generators=4, destinations=2,
+                                                     attack_start=5, attack_end=20),
+                           som=SomConfig(rows=6, cols=8, epochs=2))
+        worlds = []
+        init_world = sim.init_world
+        monkeypatch.setattr(sim, "init_world",
+                            lambda c, seed: worlds.append(init_world(c, seed)) or worlds[-1])
+        sim.run_scenario(cfg, 37)
+        assert {n: worlds[0].adversaries.get(n) for n in range(1, 5)} == {
+            1: sim.EAVESDROPPER, 2: sim.REPLAYER, 3: sim.DROPPER, 4: sim.DROPPER}
+
     def test_membership_events_apply(self):
         cfg = small_config(duration=40,
                            traffic=sim.TrafficConfig(generators=6, destinations=3,
@@ -849,6 +879,12 @@ class TestScenarioParser:
         ("som_epochs = 0", "epochs must be positive"),
         ("hill_quantile = 1.5", "hill_quantile"),
         ("dropper_counts = 2,-1", "dropper sweep count -1"),
+        # 20 ids less the root, the eavesdropper and the replayer leave 17
+        ("eavesdroppers = 1\nreplayers = 2\ndropper_counts = 18",
+         r"dropper sweep count 18 outside 0\.\.17"),
+        ("droppers = 3\neavesdroppers = 3", "node 3 holds more than one adversary role"),
+        ("replay_at = 5, -1", r"replay at -1\.0 outside the run"),
+        ("replay_at = 200.5", r"replay at 200\.5 outside the run"),
         ("coverage_window = 0", "coverage_window"),
     ])
     def test_out_of_range_values_are_config_errors(self, tmp_path, line, message):
