@@ -40,10 +40,9 @@ def capture_knowledge(session: GroupSession, node_id: int) -> NodeKnowledge:
                          delivered=list(session.transport.delivered.get(node_id, ())))
 
 
-# Encrypted kinds whose plaintext carries a key field: opening any other frame
+# Sealed kinds whose plaintext carries a key field: opening any other frame
 # can never add a candidate, so the oracle does not try.
-_KEY_CARRYING = frozenset(kind for kind, layout in wire.LAYOUTS.items()
-                          if "K" in layout and kind not in wire.DIGEST_KINDS)
+_KEY_CARRYING = frozenset(kind for kind in wire.SEALED_KINDS if "K" in wire.LAYOUTS[kind])
 
 
 def candidate_group_keys(suite: CipherSuite, keys: list[KeyMaterial],

@@ -299,13 +299,38 @@ class ProtocolNode:
     # -- message handling ------------------------------------------------------
 
     def step(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
+        """Handle one delivered frame; the only place a sealed frame is opened.
+
+        A sealed kind reaches its handler only as fields that authenticated
+        under the key `_receive_key` names; any other such frame is dropped.
+        """
         st = self.state
         if msg.receiver not in (st.my_id, BROADCAST) or msg.sender == st.my_id:
             return []
         handler = _HANDLERS.get(msg.kind)
         if handler is None:
             return self._drop("unexpected")
-        return handler(self, msg)
+        fields = ()
+        if msg.kind in wire.SEALED_KINDS:
+            key = self._receive_key(msg)
+            if key is None:
+                return self._drop("unexpected")
+            try:
+                fields = wire.unpack(msg.kind, self.suite.decrypt(key, msg.payload), self.key_len)
+            except (IntegrityFailure, wire.WireError):
+                return self._drop("integrity_failures")
+        return handler(self, msg, *fields)
+
+    def _receive_key(self, msg: ProtocolMessage) -> KeyMaterial | None:
+        """The key a sealed frame must open under here; None if this node holds none."""
+        st = self.state
+        if msg.kind == MessageKind.GLOBAL_REKEY:
+            return None if st.role == ROLE_CHECKER else st.session_key
+        if msg.kind == MessageKind.LOCAL_REKEY_STEP1:
+            return st.local_keys.get(msg.sender) if st.role == ROLE_ROOT else None
+        if msg.kind == MessageKind.MASTER_REKEY:
+            return None if st.pending_membership is None else st.edge_keys.get(msg.sender)
+        return st.master_key
 
     def _drop(self, counter: str) -> list[ProtocolMessage]:
         self.counters[counter] += 1
@@ -317,13 +342,6 @@ class ProtocolNode:
         pt = wire.pack(kind, self.key_len, *fields)
         return ProtocolMessage(kind, self.state.my_id, receiver, ids,
                                self.suite.encrypt(key, pt, self.rng))
-
-    def _open(self, key: KeyMaterial, msg: ProtocolMessage) -> tuple | None:
-        """Decrypt a frame body and parse it by its kind's layout; None if either fails."""
-        try:
-            return wire.unpack(msg.kind, self.suite.decrypt(key, msg.payload), self.key_len)
-        except (IntegrityFailure, wire.WireError):
-            return None
 
     def _confirm_digest(self, kind: MessageKind, node: NodeId, nonce: int,
                         key: KeyMaterial) -> bytes:
@@ -351,12 +369,9 @@ class ProtocolNode:
                                      struct.pack(">IIQQ", id_d, id_a, nonce_d, nonce_a))
 
     # step 1: descendant opened an exchange towards us (we are the ascendant)
-    def _on_step1(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
+    def _on_step1(self, msg: ProtocolMessage, id_d: NodeId, id_a: NodeId,
+                  nonce_d: int) -> list[ProtocolMessage]:
         st = self.state
-        fields = self._open(st.master_key, msg)
-        if fields is None:
-            return self._drop("integrity_failures")
-        id_d, id_a, nonce_d = fields
         if id_a != st.my_id or id_d != msg.sender or msg.ids != (id_d, id_a):
             return self._drop("unexpected")
         if not self._nonce_fresh(id_d, nonce_d):
@@ -370,12 +385,9 @@ class ProtocolNode:
 
     # step 2: our ascendant answered; prove freshness and send the fold up
     # once every awaited child has reported
-    def _on_step2(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
+    def _on_step2(self, msg: ProtocolMessage, id_a: NodeId, id_d: NodeId, echoed: int,
+                  nonce_a: int) -> list[ProtocolMessage]:
         st = self.state
-        fields = self._open(st.master_key, msg)
-        if fields is None:
-            return self._drop("integrity_failures")
-        id_a, id_d, echoed, nonce_a = fields
         if id_d != st.my_id or id_a != msg.sender or msg.sender != st.parent_id:
             return self._drop("unexpected")
         my_nonce = st.pending_nonces.get("up_echo")
@@ -414,12 +426,9 @@ class ProtocolNode:
                            st.parent_id, st.my_id, nonce_a + 1, k_up, share)]
 
     # step 3: a descendant handed up its intermediate key
-    def _on_step3(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
+    def _on_step3(self, msg: ProtocolMessage, id_a: NodeId, id_d: NodeId, echoed: int,
+                  k_up: KeyMaterial, share: KeyMaterial) -> list[ProtocolMessage]:
         st = self.state
-        fields = self._open(st.master_key, msg)
-        if fields is None:
-            return self._drop("integrity_failures")
-        id_a, id_d, echoed, k_up, share = fields
         if id_a != st.my_id or id_d != msg.sender:
             return self._drop("unexpected")
         expected = st.pending_nonces.get(f"down_echo:{id_d}")
@@ -451,12 +460,9 @@ class ProtocolNode:
         st.local_keys = {c: st.subkey ^ st.children_received[c][1] for c in st.children}
 
     # agreement step 1: root broadcast the subkey
-    def _on_agree1(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
+    def _on_agree1(self, msg: ProtocolMessage, rid: NodeId, z: KeyMaterial,
+                   nonce_root: int) -> list[ProtocolMessage]:
         st = self.state
-        fields = self._open(st.master_key, msg)
-        if fields is None:
-            return self._drop("integrity_failures")
-        rid, z, nonce_root = fields
         if rid != msg.sender or rid != st.root_id:
             return self._drop("unexpected")
         if not self._nonce_fresh(rid, nonce_root):
@@ -474,12 +480,9 @@ class ProtocolNode:
         return []
 
     # agreement step 2: checker broadcast its share; compute K and confirm
-    def _on_agree2(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
+    def _on_agree2(self, msg: ProtocolMessage, cid: NodeId, share_ch: KeyMaterial,
+                   echoed: int, nonce_ch: int) -> list[ProtocolMessage]:
         st = self.state
-        fields = self._open(st.master_key, msg)
-        if fields is None:
-            return self._drop("integrity_failures")
-        cid, share_ch, echoed, nonce_ch = fields
         if cid != msg.sender or cid != st.checker_id or st.subkey is None:
             return self._drop("unexpected")
         root_nonce = st.pending_nonces.get("agree_root")
@@ -510,39 +513,25 @@ class ProtocolNode:
         return []
 
     def _on_join_request(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
-        self.counters["join_requests"] += 1
-        return []
+        return self._drop("join_requests")
 
-    def _on_global_rekey(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
+    def _on_global_rekey(self, msg: ProtocolMessage, cid: NodeId, fresh: KeyMaterial,
+                         nonce_ch: int) -> list[ProtocolMessage]:
         st = self.state
-        if st.session_key is None or st.role == ROLE_CHECKER:
-            return self._drop("unexpected")
-        fields = self._open(st.session_key, msg)
-        if fields is None:
-            return self._drop("integrity_failures")
-        cid, fresh, nonce_ch = fields
         if cid != msg.sender or cid != st.checker_id:
             return self._drop("unexpected")
         if not self._nonce_fresh(cid, nonce_ch):
             return self._drop("nonce_mismatch")
         return self._confirm(cid, nonce_ch, st.session_key ^ fresh)
 
-    def _on_local_rekey1(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
+    def _on_local_rekey1(self, msg: ProtocolMessage, jid: NodeId, fresh: KeyMaterial,
+                         nonce_j: int) -> list[ProtocolMessage]:
         st = self.state
-        if st.role != ROLE_ROOT:
-            return self._drop("unexpected")
-        lk_old = st.local_keys.get(msg.sender)
-        if lk_old is None:
-            return self._drop("unexpected")
-        fields = self._open(lk_old, msg)
-        if fields is None:
-            return self._drop("integrity_failures")
-        jid, fresh, nonce_j = fields
         if jid != msg.sender:
             return self._drop("unexpected")
         if not self._nonce_fresh(jid, nonce_j):
             return self._drop("nonce_mismatch")
-        st.local_rekey_peer[jid] = (nonce_j, lk_old ^ fresh)
+        st.local_rekey_peer[jid] = (nonce_j, st.local_keys[jid] ^ fresh)
         return []
 
     def _on_local_rekey3(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
@@ -557,17 +546,9 @@ class ProtocolNode:
         st.local_keys[msg.sender] = lk_new
         return []
 
-    def _on_master_rekey(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
+    def _on_master_rekey(self, msg: ProtocolMessage, sid: NodeId, salt: KeyMaterial,
+                         nonce: int) -> list[ProtocolMessage]:
         st = self.state
-        if st.pending_membership is None:
-            return self._drop("unexpected")
-        ek = st.edge_keys.get(msg.sender)
-        if ek is None:
-            return self._drop("unexpected")
-        fields = self._open(ek, msg)
-        if fields is None:
-            return self._drop("integrity_failures")
-        sid, salt, nonce = fields
         if sid != msg.sender:
             return self._drop("unexpected")
         if not self._nonce_fresh(sid, nonce):
@@ -881,7 +862,7 @@ class GroupSession:
 
             self.tree = attach_member(self.tree, joiner, self.graph)
             path = set(key_path(self.tree, joiner))
-            self._run_path_refresh(fresh=path, reporters=path, family="join")
+            self._run_path_refresh(fresh=path, reporters=path)
             self.run_session_agreement()
             return self._commit()
 
@@ -943,11 +924,11 @@ class GroupSession:
                     reporters.add(n)
                 if old_parent.get(n) != self.tree.parent.get(n):
                     reporters.add(n)
-            self._run_path_refresh(fresh=det.affected, reporters=reporters, family="join")
+            self._run_path_refresh(fresh=det.affected, reporters=reporters)
             self.run_session_agreement()
             return self._commit()
 
-    def _run_path_refresh(self, fresh: set[NodeId], reporters: set[NodeId], family: str) -> None:
+    def _run_path_refresh(self, fresh: set[NodeId], reporters: set[NodeId]) -> None:
         """Refresh shares for `fresh`, re-fold every path touching `reporters`."""
         self._configure_all()
         fresh = {n for n in fresh if n in self.tree}
@@ -960,7 +941,7 @@ class GroupSession:
         msgs: list[ProtocolMessage] = []
         for n in sorted(involved, key=lambda x: -self.tree.level[x]):
             expected = {c for c in self.tree.children.get(n, ()) if c in involved}
-            msgs.extend(self.nodes[n].begin_exchange(family, expected))
+            msgs.extend(self.nodes[n].begin_exchange("join", expected))
         self._pump(msgs)
         root = self.nodes[self.root]
         missing = {c for c in root.state.children if c not in root.state.children_received}

@@ -49,10 +49,6 @@ class MessageKind(enum.IntEnum):
     MASTER_REKEY = 14
 
 
-# Kinds whose payload is a cleartext digest rather than a ciphertext.
-DIGEST_KINDS = frozenset({MessageKind.AGREE_STEP3, MessageKind.LOCAL_REKEY_STEP3})
-
-
 @dataclass(frozen=True)
 class ProtocolMessage:
     kind: MessageKind
@@ -119,6 +115,11 @@ LAYOUTS: dict[MessageKind, str] = {
     MessageKind.LOCAL_REKEY_STEP3: "IQK",   # digest input: ID_j, nonce_j+1, LK_new
     MessageKind.MASTER_REKEY: "IKQ",        # ID_parent, salt, nonce
 }
+
+# Kinds whose payload is a cleartext digest rather than a ciphertext; every
+# other kind with a layout is sealed, and a receiver opens it before use.
+DIGEST_KINDS = frozenset({MessageKind.AGREE_STEP3, MessageKind.LOCAL_REKEY_STEP3})
+SEALED_KINDS = frozenset(LAYOUTS) - DIGEST_KINDS
 
 # key width -> (struct, indices of the K fields) per kind code, None for a
 # kind without a row; indexed by code so no lookup hashes a MessageKind

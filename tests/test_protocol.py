@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import random
 import struct
 
@@ -13,13 +14,15 @@ from manetsec.protocol import (
     InitiationTimeout,
     NodeState,
     ProtocolAbort,
+    ProtocolNode,
     RekeyFailure,
     Transport,
     UnsupportedLeave,
+    _HANDLERS,
     _ids_blob,
 )
 from manetsec.keytree import TreeError, bfs_parents, key_path
-from manetsec.wire import BROADCAST, MessageKind, ProtocolMessage, pack
+from manetsec.wire import BROADCAST, LAYOUTS, SEALED_KINDS, MessageKind, ProtocolMessage, pack
 
 from conftest import make_graph, random_geometric
 
@@ -411,6 +414,58 @@ class TestRobustness:
             assert node.step(msg) == []
             assert node.state.fingerprint() == before
             assert node.counters["nonce_mismatch"] == 1
+
+    def test_join_request_counted_through_drop(self, fig4_session, monkeypatch):
+        dropped = []
+        original = ProtocolNode._drop
+
+        def spy(node, counter):
+            dropped.append(counter)
+            return original(node, counter)
+
+        monkeypatch.setattr(ProtocolNode, "_drop", spy)
+        fig4_session.establish()
+        fig4_session.member_join(19, {18})
+        assert dropped.count("join_requests") == 18
+
+    def test_handler_arity_matches_layout(self):
+        # step() passes a sealed frame's opened fields as arguments, so a
+        # layout that outgrew its handler would raise inside a node
+        for kind, handler in _HANDLERS.items():
+            params = inspect.signature(handler).parameters
+            width = len(LAYOUTS[kind]) if kind in SEALED_KINDS else 0
+            assert len(params) == 2 + width, kind.name
+
+    # sha256 over (node, kind, len(output), sorted counters, fingerprint)
+    # after every replay step below, pinned before step() became the one
+    # place a sealed frame is opened: each frame meets the same drop counter
+    REPLAY_SHA256 = "2b1246974d97e07f49b0e8bb1fc4cf0593adb6d18aac135f4ed04e7b6dd2970f"
+    REPLAY_TOTALS = {"integrity_failures": 2952, "nonce_mismatch": 86,
+                     "unexpected": 3350, "join_requests": 85}
+
+    def test_replayed_frames_pin_drop_counts(self, fig4_session):
+        s = fig4_session
+        s.establish()
+        s.member_join(19, {18})
+        s.periodic_global_rekey()
+        s.periodic_local_rekey(2)
+        s.member_leave(17)
+        frames = list(s.transport.messages)
+        assert len(frames) == 172
+        h = hashlib.sha256()
+        for msg in frames:
+            flipped = msg if not msg.payload else dataclasses.replace(
+                msg, payload=msg.payload[:-1] + bytes([msg.payload[-1] ^ 1]))
+            for nid, node in sorted(s.nodes.items()):
+                for form in (msg, flipped, dataclasses.replace(msg, receiver=nid),
+                             dataclasses.replace(flipped, receiver=nid)):
+                    out = node.step(form)
+                    h.update(repr((nid, int(form.kind), len(out), sorted(node.counters.items()),
+                                   node.state.fingerprint())).encode())
+        totals = {c: sum(node.counters[c] for node in s.nodes.values())
+                  for c in self.REPLAY_TOTALS}
+        assert totals == self.REPLAY_TOTALS
+        assert h.hexdigest() == self.REPLAY_SHA256
 
     @pytest.mark.parametrize("cipher,bits", [("aesgcm", 192), ("ctrhmac", 80)])
     def test_other_suite_configurations(self, fig4_graph, cipher, bits):

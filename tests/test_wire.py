@@ -10,6 +10,7 @@ from manetsec.wire import (
     LAYOUTS,
     MessageKind,
     ProtocolMessage,
+    SEALED_KINDS,
     WireError,
     pack,
     unpack,
@@ -169,6 +170,7 @@ class TestWireDoc:
         documented = {}
         for code, name, payload, layout in rows:
             assert (payload == "digest") == (K(code) in DIGEST_KINDS), name
+            assert (payload == "ciphertext") == (K(code) in SEALED_KINDS), name
             alias = re.match(r"as (\w+)", layout)
             if alias:
                 documented[K(code)] = documented[K[alias.group(1)]]
