@@ -106,19 +106,16 @@ def cmd_attack_suite(args) -> int:
     report = run_security_suite(seed, suite=suite, cycles=args.cycles,
                                 replay_trials=args.replay_trials,
                                 weaken_nonce_check=args.weaken_nonce_check)
-    lines = [
-        f"epochs                {report.epochs}",
-        f"transcript bytes      {report.transcript_bytes}",
-        "",
-        f"key secrecy           {'PASS' if report.verdicts()['key_secrecy'] else 'FAIL'}"
-        f"  (cleartext secret hits: {report.transcript_hits})",
-        f"replay resistance     {'PASS' if report.verdicts()['replay_resistance'] else 'FAIL'}"
-        f"  (state changes: {report.replay_failures}/{report.replay_trials})",
-        f"forward secrecy       {'PASS' if report.verdicts()['forward_secrecy'] else 'FAIL'}"
-        f"  (leaver breaks: {report.leaver_breaks}/{report.leaver_trials})",
-        f"backward secrecy      {'PASS' if report.verdicts()['backward_secrecy'] else 'FAIL'}"
-        f"  (joiner breaks: {report.joiner_breaks}/{report.joiner_trials})",
-    ]
+    detail = {
+        "key_secrecy": f"cleartext secret hits: {report.transcript_hits}",
+        "replay_resistance": f"state changes: {report.replay_failures}/{report.replay_trials}",
+        "forward_secrecy": f"leaver breaks: {report.leaver_breaks}/{report.leaver_trials}",
+        "backward_secrecy": f"joiner breaks: {report.joiner_breaks}/{report.joiner_trials}",
+    }
+    lines = [f"epochs                {report.epochs}",
+             f"transcript bytes      {report.transcript_bytes}", ""]
+    lines += [f"{goal.replace('_', ' '):22s}{'PASS' if ok else 'FAIL'}  ({detail[goal]})"
+              for goal, ok in report.verdicts().items()]
     table = "\n".join(lines) + "\n"
     print(table, end="")
     print(f"elapsed seconds       {report.elapsed:.1f}")

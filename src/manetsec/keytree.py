@@ -1,17 +1,18 @@
 """Rooted key tree layered by hop distance, plus the checker designation.
 
 The tree drives the bottom-up key initiation flow: level(n) is the BFS hop
-distance from the root over group members, a node's parent is its lowest-ID
-neighbor one level up, and the checker (a one-hop neighbor of the root) sits
-outside the tree entirely. All mutators return new trees; treat instances as
-immutable snapshots.
+distance from the root over group members, a node's parent is the neighbor
+one level up that the BFS visited first (not always the lowest-ID one), and
+the checker (a one-hop neighbor of the root) sits outside the tree entirely.
+All mutators return new trees; treat instances as immutable snapshots.
 
 Every traversal in the package follows one rule, implemented once in
 `bfs_parents`: breadth-first from a root, expanding each node's neighbors in
-ascending ID order, so the first (and kept) path to a node runs through its
-lowest-ID candidate parent. Tree layering and the response layer's first hops
-come from it. Radio routes (`sim.shortest_route`) are the same lowest-ID BFS
-paths, walked greedily over a hop-count map instead.
+ascending ID order, so the first (and kept) path to a node is its
+lexicographically least shortest path from the root. Tree layering and the
+response layer's first hops come from it. Radio routes (`sim.shortest_route`)
+are the same lowest-ID BFS paths, walked greedily over a hop-count map
+instead.
 """
 
 from __future__ import annotations
@@ -87,7 +88,11 @@ def select_checker(root: NodeId, graph: Graph, rng: random.Random,
 
 
 def build_tree(root: NodeId, members: set[NodeId], graph: Graph, checker: NodeId) -> KeyTree:
-    """BFS layering of members minus the checker, lowest-ID parent ties."""
+    """BFS layering of members minus the checker.
+
+    A node's parent is its first-visited neighbor one level up: the one that
+    ends its lexicographically least shortest path from the root.
+    """
     if checker not in members:
         raise TreeError(f"checker {checker} is not a group member")
     if root == checker:

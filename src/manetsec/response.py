@@ -1,10 +1,10 @@
 """Local and global response: authenticated map exchange, forwarder choice,
 the two-thirds alarm trigger and routing-table quarantine.
 
-Map payloads travel with keyed digests under the pairwise local keys (map
-exchange within a one-hop group) or the group key (global alarms); a digest
-that fails or a reply that never arrives drops that party's entry and logs a
-tamper event, never an exception. Alarms quarantine the flagged node in every
+Each message is digested, delivered and verified in `_send`, under the
+pairwise local keys (map exchange within a one-hop group) or the group key
+(global alarms); a digest that fails or a reply that never arrives drops that
+party's entry and logs a tamper or loss event, never an exception. Alarms quarantine the flagged node in every
 verifying receiver's routing table and reroute around it.
 """
 
@@ -148,9 +148,31 @@ def select_forwarding_node(glm: GlobalLocalMap, candidates: set[NodeId],
 # returns possibly altered (payload, digest), or None to lose the message.
 Channel = Callable[[str, NodeId, NodeId, bytes, bytes], tuple[bytes, bytes] | None]
 
+Event = tuple[float, str, NodeId, NodeId | None, str]  # time, kind, node, peer, detail
+
+# one fixed tag per step, so no message verifies as another step's
+_STEP_TAGS = {"announce": 1, "reply": 2, "summary": 3, "alarm": 4}
+
 
 def _identity_channel(step, sender, receiver, payload, digest):
     return payload, digest
+
+
+def _send(suite: CipherSuite, chan: Channel, step: str, sender: NodeId, receiver: NodeId,
+          key: KeyMaterial, payload: bytes, nonce: int) -> bool | None:
+    """Digest one response message, pass it through `chan` and verify it.
+
+    True when it verifies under `key`, False on a mismatch, None when the
+    channel loses it. The digest binds the step, sender, payload and nonce.
+    """
+    head = struct.pack(">BI", _STEP_TAGS[step], sender)
+    tail = struct.pack(">Q", nonce)
+    digest = suite.keyed_digest(key, head + payload + tail)
+    passed = chan(step, sender, receiver, payload, digest)
+    if passed is None:
+        return None
+    payload, digest = passed
+    return suite.verify_keyed_digest(key, head + payload + tail, digest)
 
 
 @dataclass
@@ -159,13 +181,14 @@ class MapExchangeResult:
     verified: set[NodeId]
     tampered: set[NodeId]
     missing: set[NodeId]
-    events: list[tuple[float, str, NodeId, NodeId | None, str]] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)
 
 
 def distribute_local_maps(suite: CipherSuite, initiator: NodeId, neighbors: set[NodeId],
                           local_keys: Mapping[NodeId, KeyMaterial],
                           maps: Mapping[NodeId, SecurityMap], nonces: NonceSource,
-                          now: float = 0.0, channel: Channel | None = None) -> MapExchangeResult:
+                          now: float = 0.0,
+                          channel: Channel = _identity_channel) -> MapExchangeResult:
     """Four-step authenticated map exchange within a one-hop group.
 
     Step 1 broadcasts the initiator's map with one keyed digest per neighbor
@@ -175,26 +198,23 @@ def distribute_local_maps(suite: CipherSuite, initiator: NodeId, neighbors: set[
     """
     if initiator not in maps:
         raise ResponseError("initiator has no security map of its own")
-    chan = channel or _identity_channel
-    events: list[tuple[float, str, NodeId, NodeId | None, str]] = []
+    events: list[Event] = []
     keyed = {j: local_keys[j] for j in neighbors if j in local_keys}
     for j in neighbors - set(keyed):
         events.append((now, "map_no_key", initiator, j, "no pairwise local key"))
 
+    def send(step: str, j: NodeId, payload: bytes, nonce: int) -> bool | None:
+        sender, receiver = (j, initiator) if step == "reply" else (initiator, j)
+        ok = _send(suite, channel, step, sender, receiver, keyed[j], payload, nonce)
+        if ok is None:
+            events.append((now, "map_lost", initiator, j, f"{step} lost"))
+        elif not ok:
+            events.append((now, "map_tamper", receiver, sender, f"{step} digest mismatch"))
+        return ok
+
     nonce1 = nonces.fresh()
     own_bytes = maps[initiator].to_bytes()
-    responsive: set[NodeId] = set()
-    for j, lk in sorted(keyed.items()):
-        digest = suite.keyed_digest(lk, _digest_input(initiator, own_bytes, nonce1))
-        passed = chan("announce", initiator, j, own_bytes, digest)
-        if passed is None:
-            events.append((now, "map_lost", initiator, j, "announce lost"))
-            continue
-        payload, dig = passed
-        if suite.verify_keyed_digest(lk, _digest_input(initiator, payload, nonce1), dig):
-            responsive.add(j)
-        else:
-            events.append((now, "map_tamper", j, initiator, "announce digest mismatch"))
+    responsive = {j for j in sorted(keyed) if send("announce", j, own_bytes, nonce1)}
 
     verified: dict[NodeId, SecurityMap] = {}
     tampered: set[NodeId] = set()
@@ -204,51 +224,34 @@ def distribute_local_maps(suite: CipherSuite, initiator: NodeId, neighbors: set[
             missing.add(j)
             events.append((now, "map_missing", initiator, j, "neighbor has no map"))
             continue
-        reply_bytes = maps[j].to_bytes()
-        digest = suite.keyed_digest(keyed[j], _digest_input(j, reply_bytes, nonce1 + 1))
-        passed = chan("reply", j, initiator, reply_bytes, digest)
-        if passed is None:
-            missing.add(j)
-            events.append((now, "map_lost", initiator, j, "reply lost"))
-            continue
-        payload, dig = passed
-        if suite.verify_keyed_digest(keyed[j], _digest_input(j, payload, nonce1 + 1), dig):
+        ok = send("reply", j, maps[j].to_bytes(), nonce1 + 1)
+        if ok:
             verified[j] = maps[j]
+        elif ok is None:
+            missing.add(j)
         else:
             tampered.add(j)
-            events.append((now, "map_tamper", initiator, j, "reply digest mismatch"))
 
     glm = compose_global_local_map(maps[initiator], verified, composed_at=now)
     glm_bytes = glm.to_bytes()
-    for j, lk in sorted(keyed.items()):
-        digest = suite.keyed_digest(lk, _digest_input(initiator, glm_bytes, nonce1))
-        passed = chan("summary", initiator, j, glm_bytes, digest)
-        if passed is None:
-            events.append((now, "map_lost", initiator, j, "summary lost"))
-            continue
-        payload, dig = passed
-        if not suite.verify_keyed_digest(lk, _digest_input(initiator, payload, nonce1), dig):
-            events.append((now, "map_tamper", j, initiator, "summary digest mismatch"))
+    for j in sorted(keyed):
+        send("summary", j, glm_bytes, nonce1)
     events.append((now, "map_composed", initiator, None,
                    f"entries={len(glm.entries)} tampered={len(tampered)} missing={len(missing)}"))
     return MapExchangeResult(glm=glm, verified=set(verified), tampered=tampered,
                              missing=missing, events=events)
 
 
-def _digest_input(node: NodeId, payload: bytes, nonce_value: int) -> bytes:
-    return struct.pack(">I", node) + payload + struct.pack(">Q", nonce_value)
-
-
 @dataclass
 class AlarmResult:
     victim: NodeId
     accepted: set[NodeId]
-    events: list[tuple[float, str, NodeId, NodeId | None, str]] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)
 
 
 def global_alarm(suite: CipherSuite, victim_map: SecurityMap, gk: KeyMaterial,
                  tables: Mapping[NodeId, RoutingTable], graph: Graph, nonces: NonceSource,
-                 now: float = 0.0, channel: Channel | None = None,
+                 now: float = 0.0, channel: Channel = _identity_channel,
                  min_window: int = DEFAULT_MIN_WINDOW) -> AlarmResult:
     """Broadcast a keyed alarm about the attacked node to transmission range.
 
@@ -259,21 +262,17 @@ def global_alarm(suite: CipherSuite, victim_map: SecurityMap, gk: KeyMaterial,
     victim = victim_map.owner
     if not check_global_trigger(victim_map, min_window=min_window):
         raise ResponseError("alarm raised without a triggering map")
-    chan = channel or _identity_channel
-    events: list[tuple[float, str, NodeId, NodeId | None, str]] = []
+    events: list[Event] = []
     nonce = nonces.fresh()
     map_bytes = victim_map.to_bytes()
-    digest = suite.keyed_digest(gk, _digest_input(victim, map_bytes, nonce))
     in_range = sorted(n for n in graph.get(victim, ()) if n in tables)
     accepted: set[NodeId] = set()
     events.append((now, "alarm", victim, None, f"coverage={victim_map.coverage:.3f}"))
     for r in in_range:
-        passed = chan("alarm", victim, r, map_bytes, digest)
-        if passed is None:
+        ok = _send(suite, channel, "alarm", victim, r, gk, map_bytes, nonce)
+        if ok is None:
             events.append((now, "alarm_lost", victim, r, "alarm lost"))
-            continue
-        payload, dig = passed
-        if suite.verify_keyed_digest(gk, _digest_input(victim, payload, nonce), dig):
+        elif ok:
             tables[r].quarantine(victim, graph)
             accepted.add(r)
             events.append((now, "quarantine", r, victim, "victim removed from routes"))

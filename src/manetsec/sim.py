@@ -16,7 +16,6 @@ out.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections import deque
@@ -27,7 +26,7 @@ import numpy as np
 
 from .crypto import CipherSuite, NonceSource
 from .keytree import Graph, NodeId, TreeError, bfs_parents
-from .protocol import GroupSession, ProtocolAbort, Transport
+from .protocol import GroupSession, ProtocolAbort, Transport, _sub_seed
 from . import adversary as adv
 from . import esom
 from . import response as resp
@@ -515,19 +514,13 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> MetricsRepo
             cell_cfg = replace(config, mobility=replace(config.mobility, pause_time=pause))
             if dcount is not None:
                 cell_cfg = replace(cell_cfg, droppers=tuple(config._dropper_pool()[:dcount]))
-            cell_seed = _cell_seed(seed, pause, dcount)
-            row, ev = _run_cell(cell_cfg, cell_seed)
+            # float() so that pause 20 and 20.0 seed the same cell
+            row, ev = _run_cell(cell_cfg, _sub_seed(seed, f"{float(pause)}/{dcount}"))
             row["pause_time"] = pause
             row["dropper_count"] = len(cell_cfg.droppers)
             rows.append(row)
             events.extend(ev)
     return MetricsReport(columns=_COLUMNS, rows=rows, events=events)
-
-
-def _cell_seed(seed: int, pause: float, dcount) -> int:
-    # float() so that pause 20 and 20.0 seed the same cell
-    tag = f"{seed}/{float(pause)}/{dcount}".encode()
-    return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
 
 
 def _member_subgraph(graph: Graph, members: set[NodeId]) -> Graph:

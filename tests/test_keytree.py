@@ -96,6 +96,15 @@ class TestBuildTree:
         t2 = build_tree(1, set(range(1, 19)), fig4_graph, checker=5)
         assert t1 == t2
 
+    def test_parent_is_first_visited_not_lowest_id(self):
+        # 5 has two upper neighbors, 3 and 4; 4 ends the lexicographically
+        # least shortest path 0-1-4-5, so BFS visits it before 3 (via 0-2-3)
+        graph = make_graph([(0, 1), (0, 2), (0, 9), (1, 4), (2, 3), (3, 5), (4, 5)])
+        tree = build_tree(0, set(graph), graph, checker=9)
+        assert tree.level[3] == tree.level[4] == 2
+        assert tree.parent[5] == 4
+        assert key_path(tree, 5) == [5, 4, 1, 0]
+
 
 class TestKeyPath:
     def test_root_path(self, fig4_graph):

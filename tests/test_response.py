@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -40,6 +41,17 @@ def fig6_setup(suite, rng):
         7: SecurityMap(7, 1, 40),
     }
     return neighbors, lks, maps
+
+
+def fig7_setup(suite, rng):
+    """Node C(3) has one-hop neighbors 1, 2, 4, 5, 6, 7, 8; D(4) is the victim."""
+    graph = make_graph([(3, 1), (3, 2), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
+                        (1, 4), (4, 5)])
+    tables = {n: RoutingTable(owner=n) for n in graph}
+    for t in tables.values():
+        t.rebuild(graph)
+    gk = suite.new_key(rng)
+    return graph, tables, gk
 
 
 class TestSecurityMap:
@@ -99,6 +111,22 @@ class TestLocalMapDistribution:
         del lks[7]
         res = distribute_local_maps(suite, 1, neighbors, lks, maps, nonces)
         assert 7 not in res.glm.entries
+
+    def test_replayed_announce_fails_as_summary(self, suite, rng, nonces):
+        # announce and summary share the key, the initiator and the nonce;
+        # only the step bound into the digest tells them apart
+        neighbors, lks, maps = fig6_setup(suite, rng)
+        announced = {}
+
+        def replay(step, sender, receiver, payload, digest):
+            if step == "announce":
+                announced[receiver] = payload, digest
+            return announced[receiver] if step == "summary" else (payload, digest)
+
+        res = distribute_local_maps(suite, 1, neighbors, lks, maps, nonces, channel=replay)
+        tampers = [e for e in res.events if e[1] == "map_tamper"]
+        assert tampers == [(0.0, "map_tamper", j, 1, "summary digest mismatch")
+                           for j in sorted(neighbors)]
 
 
 class TestComposition:
@@ -177,18 +205,8 @@ class TestGlobalTrigger:
 
 
 class TestGlobalAlarm:
-    def fig7(self, suite, rng):
-        # node C(3) has one-hop neighbors 1, 2, 4, 5, 6, 7, 8; D(4) is the victim
-        graph = make_graph([(3, 1), (3, 2), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
-                            (1, 4), (4, 5)])
-        tables = {n: RoutingTable(owner=n) for n in graph}
-        for t in tables.values():
-            t.rebuild(graph)
-        gk = suite.new_key(rng)
-        return graph, tables, gk
-
     def test_victim_removed_from_all_tables(self, suite, rng):
-        graph, tables, gk = self.fig7(suite, rng)
+        graph, tables, gk = fig7_setup(suite, rng)
         assert any(4 in t.next_hop.values() for t in tables.values())
         res = global_alarm(suite, SecurityMap(4, 28, 30), gk, tables, graph,
                            NonceSource(4, rng))
@@ -199,7 +217,7 @@ class TestGlobalAlarm:
             assert 4 in tables[r].quarantined
 
     def test_forged_alarm_ignored(self, suite, rng):
-        graph, tables, gk = self.fig7(suite, rng)
+        graph, tables, gk = fig7_setup(suite, rng)
         wrong = suite.new_key(rng)
 
         def forge(step, sender, receiver, payload, digest):
@@ -222,13 +240,13 @@ class TestGlobalAlarm:
         assert all(not t.quarantined for t in tables.values())
 
     def test_untriggering_map_rejected(self, suite, rng):
-        graph, tables, gk = self.fig7(suite, rng)
+        graph, tables, gk = fig7_setup(suite, rng)
         with pytest.raises(ResponseError):
             global_alarm(suite, SecurityMap(4, 10, 30), gk, tables, graph,
                          NonceSource(4, rng))
 
     def test_single_bit_tamper_fuzz(self, suite, rng):
-        graph, tables, gk = self.fig7(suite, rng)
+        graph, tables, gk = fig7_setup(suite, rng)
         rejected = 0
         trials = 300
         for _ in range(trials):
@@ -247,6 +265,56 @@ class TestGlobalAlarm:
             if res.accepted == set():
                 rejected += 1
         assert rejected == trials
+
+
+class TestChannelFaultPin:
+    """Every map-exchange and alarm outcome under one lost or bit-flipped message.
+
+    No digest enters the sha256, so binding the step into the digests left it
+    unchanged: it pins events, verdicts and summaries only.
+    """
+
+    PIN = "14ad0e356c9fad2fda04e265f733b0fba4425c5ec42db906af27d50cb0dd0114"
+
+    @staticmethod
+    def fault(kind, step, peer):
+        def chan(s, sender, receiver, payload, digest):
+            if s != step or peer not in (sender, receiver):
+                return payload, digest
+            if kind == "lose":
+                return None
+            if kind == "payload":
+                return payload[:-1] + bytes([payload[-1] ^ 0x01]), digest
+            return payload, bytes([digest[0] ^ 0x80]) + digest[1:]
+        return chan
+
+    def map_outcome(self, channel=lambda *msg: msg[3:], drop=None):
+        suite, rng = CipherSuite(), random.Random(7)
+        neighbors, lks, maps = fig6_setup(suite, rng)
+        if drop is not None:
+            del {"map": maps, "key": lks}[drop][7]
+        res = distribute_local_maps(suite, 1, neighbors, lks, maps,
+                                    NonceSource(1, rng), now=3.5, channel=channel)
+        return (res.events, sorted(res.verified), sorted(res.tampered),
+                sorted(res.missing), res.glm.to_bytes())
+
+    def test_outcomes_pinned(self):
+        kinds = ("lose", "payload", "digest")
+        outcomes = [self.map_outcome(channel=self.fault(kind, step, j))
+                    for step in ("announce", "reply", "summary")
+                    for j in (2, 3, 4, 7) for kind in kinds]
+        outcomes.append(self.map_outcome(drop="map"))
+        outcomes.append(self.map_outcome(drop="key"))
+        for r in (1, 3, 5):
+            for kind in kinds:
+                suite, rng = CipherSuite(), random.Random(7)
+                graph, tables, gk = fig7_setup(suite, rng)
+                res = global_alarm(suite, SecurityMap(4, 28, 30), gk, tables, graph,
+                                   NonceSource(4, rng), now=6.25,
+                                   channel=self.fault(kind, "alarm", r))
+                outcomes.append((res.events, sorted(res.accepted),
+                                 [sorted(t.quarantined) for _, t in sorted(tables.items())]))
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == self.PIN
 
 
 class TestRoutingTable:
