@@ -54,7 +54,6 @@ def candidate_group_keys(suite: CipherSuite, keys: list[KeyMaterial],
     carrier it can open. Digest payloads contribute nothing (preimage
     resistance assumed), and neither do frames without a key field.
     """
-    kb = suite.key_bits // 8
     candidates: set[bytes] = set()
     subkeys = list(keys)
     pool = list({k.data: k for k in keys}.values())  # dedup, keep order
@@ -74,7 +73,7 @@ def candidate_group_keys(suite: CipherSuite, keys: list[KeyMaterial],
         if pt is None:
             continue
         try:
-            carried = [f for f in wire.unpack(msg.kind, pt, kb) if isinstance(f, KeyMaterial)]
+            carried = [f for f in wire.unpack(msg.kind, pt) if isinstance(f, KeyMaterial)]
         except wire.WireError:
             continue
         # every carried key becomes a subkey, except the checker share
@@ -202,7 +201,7 @@ class SecuritySuiteReport:
         return all(self.verdicts().values())
 
 
-def run_security_suite(seed: int, suite: CipherSuite | None = None, cycles: int = 1000,
+def run_security_suite(seed: int, cycles: int = 1000,
                        replay_trials: int = 100, weaken_nonce_check: bool = False,
                        ) -> SecuritySuiteReport:
     """Exercise the four security goals on a churning 8-node group.
@@ -216,7 +215,7 @@ def run_security_suite(seed: int, suite: CipherSuite | None = None, cycles: int 
     import time as _time
 
     t0 = _time.monotonic()
-    suite = suite or CipherSuite()
+    suite = CipherSuite()
     rng = random.Random(seed)
     base = 8
     graph: dict[int, set[int]] = {i: set() for i in range(base)}

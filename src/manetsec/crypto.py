@@ -1,10 +1,11 @@
 """Symmetric crypto and key algebra used by every protocol module.
 
-All group keys are fixed-width bitstrings combined with XOR; encryption is
+There is one suite, AES-GCM-128 with SHA-256, and one key width, KEY_BITS.
+All group keys are KEY_BITS-bit strings combined with XOR; encryption is
 authenticated (a wrong key or a flipped bit is a detectable failure, which
-the mutual-authentication steps rely on); keyed digests are HMAC over the
-configured hash. Randomness is drawn from caller-supplied deterministic RNG
-state so whole runs replay bit-for-bit from a seed.
+the mutual-authentication steps rely on); digests are SHA-256 and keyed
+digests HMAC-SHA-256. Randomness is drawn from caller-supplied deterministic
+RNG state so whole runs replay bit-for-bit from a seed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 __all__ = [
+    "KEY_BITS",
+    "KEY_BYTES",
     "KeyMaterial",
     "NonceSource",
     "CipherSuite",
@@ -30,6 +33,10 @@ __all__ = [
 ]
 
 MAX_NONCE = 2**64 - 1
+
+# The width of every key: AES-128, and the SHA-256 derivation truncated to it.
+KEY_BITS = 128
+KEY_BYTES = KEY_BITS // 8
 
 # Opaque byte blobs; kept as plain bytes on purpose.
 Ciphertext = bytes
@@ -78,19 +85,12 @@ class KeyMaterial:
         return self.data.hex()
 
     @classmethod
-    def zero(cls, width_bits: int = 128) -> "KeyMaterial":
-        _check_width(width_bits)
-        return cls(bytes(width_bits // 8))
+    def zero(cls) -> "KeyMaterial":
+        return cls(bytes(KEY_BYTES))
 
     @classmethod
-    def random(cls, rng: random.Random, width_bits: int = 128) -> "KeyMaterial":
-        _check_width(width_bits)
-        return cls(rng.getrandbits(width_bits).to_bytes(width_bits // 8, "big"))
-
-
-def _check_width(width_bits: int) -> None:
-    if width_bits <= 0 or width_bits % 8 != 0:
-        raise ValueError(f"key width must be a positive multiple of 8 bits, got {width_bits}")
+    def random(cls, rng: random.Random) -> "KeyMaterial":
+        return cls(rng.getrandbits(KEY_BITS).to_bytes(KEY_BYTES, "big"))
 
 
 def xor_combine(parts: list[KeyMaterial]) -> KeyMaterial:
@@ -128,60 +128,31 @@ class NonceSource:
 
 
 class CipherSuite:
-    """Scenario-wide choice of cipher, hash and key width.
+    """The one suite: AES-GCM under KEY_BITS-bit keys, with a 12-byte IV
+    prepended to each ciphertext, and SHA-256 for digests, keyed digests
+    (HMAC) and key derivation."""
 
-    cipher:
-      "aesgcm"  - AES-GCM (key width 128/192/256); 12-byte IV prepended.
-      "ctrhmac" - hash-counter stream cipher with encrypt-then-HMAC tag;
-                  works at any byte-aligned key width (stdlib only).
-    """
-
-    CIPHERS = ("aesgcm", "ctrhmac")
-    _GCM_IV = 12
+    _IV = 12
     _TAG = 16
-
-    def __init__(self, cipher: str = "aesgcm", hash_name: str = "sha256", key_bits: int = 128):
-        if cipher not in self.CIPHERS:
-            raise ValueError(f"unknown cipher {cipher!r}, expected one of {self.CIPHERS}")
-        try:
-            hashlib.new(hash_name, b"")
-        except ValueError as e:
-            raise ValueError(f"unknown hash {hash_name!r}") from e
-        _check_width(key_bits)
-        if cipher == "aesgcm" and key_bits not in (128, 192, 256):
-            raise ValueError("aesgcm requires a 128/192/256-bit key width")
-        self.cipher = cipher
-        self.hash_name = hash_name
-        self.key_bits = key_bits
-
-    def __repr__(self):
-        return f"CipherSuite({self.cipher}, {self.hash_name}, {self.key_bits})"
 
     # -- key material ------------------------------------------------------
 
     def new_key(self, rng: random.Random) -> KeyMaterial:
-        return KeyMaterial.random(rng, self.key_bits)
+        return KeyMaterial.random(rng)
 
     def zero_key(self) -> KeyMaterial:
-        return KeyMaterial.zero(self.key_bits)
+        return KeyMaterial.zero()
 
     def derive_key(self, *parts: bytes) -> KeyMaterial:
-        """Hash-and-truncate derivation of suite-width key material."""
-        buf = b""
-        for p in parts:
-            buf += struct.pack(">I", len(p)) + p
-        out = b""
-        counter = 0
-        while len(out) < self.key_bits // 8:
-            out += hashlib.new(self.hash_name, struct.pack(">I", counter) + buf).digest()
-            counter += 1
-        return KeyMaterial(out[: self.key_bits // 8])
+        """SHA-256 over a zero block counter and the length-prefixed parts,
+        truncated to KEY_BYTES; one block covers a key, so the counter is
+        always 0, but it is part of every derived key's input."""
+        buf = b"".join(struct.pack(">I", len(p)) + p for p in parts)
+        return KeyMaterial(hashlib.sha256(bytes(4) + buf).digest()[:KEY_BYTES])
 
     def _check_key(self, key: KeyMaterial) -> None:
-        if key.width_bits != self.key_bits:
-            raise WidthMismatch(
-                f"suite expects {self.key_bits}-bit keys, got {key.width_bits}-bit"
-            )
+        if len(key.data) != KEY_BYTES:
+            raise WidthMismatch(f"suite expects {KEY_BITS}-bit keys, got {key.width_bits}-bit")
 
     # -- authenticated encryption -----------------------------------------
 
@@ -192,65 +163,28 @@ class CipherSuite:
         draws the IV from the OS.
         """
         self._check_key(key)
-        n = self._GCM_IV if self.cipher == "aesgcm" else 16
-        iv = rng.getrandbits(n * 8).to_bytes(n, "big")
-        if self.cipher == "aesgcm":
-            return iv + AESGCM(key.data).encrypt(iv, plaintext, None)
-        return self._ctrhmac_encrypt(key, iv, plaintext)
+        iv = rng.getrandbits(self._IV * 8).to_bytes(self._IV, "big")
+        return iv + AESGCM(key.data).encrypt(iv, plaintext, None)
 
     def decrypt(self, key: KeyMaterial, ct: Ciphertext) -> bytes:
         """Inverse of encrypt; raises IntegrityFailure on wrong key or tamper."""
         self._check_key(key)
-        if self.cipher == "aesgcm":
-            if len(ct) < self._GCM_IV + self._TAG:
-                raise IntegrityFailure("ciphertext too short")
-            try:
-                return AESGCM(key.data).decrypt(ct[: self._GCM_IV], ct[self._GCM_IV :], None)
-            except InvalidTag as e:
-                raise IntegrityFailure("authentication tag mismatch") from e
-        return self._ctrhmac_decrypt(key, ct)
-
-    # -- ctrhmac construction ----------------------------------------------
-    # Encrypt-then-MAC with subkeys split off the suite key by hashing; the
-    # keystream is hash(enc_key, iv, block counter).
-
-    def _subkeys(self, key: KeyMaterial) -> tuple[bytes, bytes]:
-        return (hashlib.new(self.hash_name, b"enc" + key.data).digest(),
-                hashlib.new(self.hash_name, b"mac" + key.data).digest())
-
-    def _keystream(self, enc_key: bytes, iv: bytes, n: int) -> bytes:
-        out = b""
-        block = 0
-        while len(out) < n:
-            out += hashlib.new(self.hash_name, enc_key + iv + struct.pack(">Q", block)).digest()
-            block += 1
-        return out[:n]
-
-    def _ctrhmac_encrypt(self, key: KeyMaterial, iv: bytes, plaintext: bytes) -> Ciphertext:
-        enc_key, mac_key = self._subkeys(key)
-        body = bytes(a ^ b for a, b in zip(plaintext, self._keystream(enc_key, iv, len(plaintext))))
-        tag = _hmac.new(mac_key, iv + body, self.hash_name).digest()[: self._TAG]
-        return iv + body + tag
-
-    def _ctrhmac_decrypt(self, key: KeyMaterial, ct: Ciphertext) -> bytes:
-        if len(ct) < 16 + self._TAG:
+        if len(ct) < self._IV + self._TAG:
             raise IntegrityFailure("ciphertext too short")
-        enc_key, mac_key = self._subkeys(key)
-        iv, body, tag = ct[:16], ct[16 : -self._TAG], ct[-self._TAG :]
-        want = _hmac.new(mac_key, iv + body, self.hash_name).digest()[: self._TAG]
-        if not _hmac.compare_digest(want, tag):
-            raise IntegrityFailure("authentication tag mismatch")
-        return bytes(a ^ b for a, b in zip(body, self._keystream(enc_key, iv, len(body))))
+        try:
+            return AESGCM(key.data).decrypt(ct[: self._IV], ct[self._IV :], None)
+        except InvalidTag as e:
+            raise IntegrityFailure("authentication tag mismatch") from e
 
     # -- digests -------------------------------------------------------------
 
     def digest(self, data: bytes) -> Digest:
-        """Deterministic one-way hash of `data` under the suite's hash."""
-        return hashlib.new(self.hash_name, data).digest()
+        """Deterministic one-way hash of `data` (SHA-256)."""
+        return hashlib.sha256(data).digest()
 
     def keyed_digest(self, key: KeyMaterial, data: bytes) -> Digest:
-        """HMAC over `data`; forgery without the key is infeasible."""
-        return _hmac.new(key.data, data, self.hash_name).digest()
+        """HMAC-SHA-256 over `data`; forgery without the key is infeasible."""
+        return _hmac.digest(key.data, data, "sha256")
 
     def verify_keyed_digest(self, key: KeyMaterial, data: bytes, digest: Digest) -> bool:
         return _hmac.compare_digest(self.keyed_digest(key, data), digest)

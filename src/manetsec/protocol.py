@@ -181,7 +181,6 @@ class ProtocolNode:
     def __init__(self, node_id: NodeId, suite: CipherSuite, master_key: KeyMaterial,
                  rng: random.Random, unsafe_skip_nonce_checks: bool = False):
         self.suite = suite
-        self.key_len = suite.key_bits // 8  # byte width of a key field on the wire
         self.rng = rng
         self.state = NodeState(my_id=node_id, master_key=master_key)
         self.nonces = NonceSource(node_id, rng)
@@ -316,7 +315,7 @@ class ProtocolNode:
             if key is None:
                 return self._drop("unexpected")
             try:
-                fields = wire.unpack(msg.kind, self.suite.decrypt(key, msg.payload), self.key_len)
+                fields = wire.unpack(msg.kind, self.suite.decrypt(key, msg.payload))
             except (IntegrityFailure, wire.WireError):
                 return self._drop("integrity_failures")
         return handler(self, msg, *fields)
@@ -339,14 +338,14 @@ class ProtocolNode:
     def _seal(self, kind: MessageKind, receiver: NodeId, ids: tuple[NodeId, ...],
               key: KeyMaterial, *fields) -> ProtocolMessage:
         """Pack `fields` in the layout of `kind` and encrypt them under `key`."""
-        pt = wire.pack(kind, self.key_len, *fields)
+        pt = wire.pack(kind, *fields)
         return ProtocolMessage(kind, self.state.my_id, receiver, ids,
                                self.suite.encrypt(key, pt, self.rng))
 
     def _confirm_digest(self, kind: MessageKind, node: NodeId, nonce: int,
                         key: KeyMaterial) -> bytes:
         """Digest proving `key` to the holder of `nonce`: hashes node, nonce+1, key."""
-        return self.suite.digest(wire.pack(kind, self.key_len, node, nonce + 1, key))
+        return self.suite.digest(wire.pack(kind, node, nonce + 1, key))
 
     def _nonce_fresh(self, peer: NodeId, value: int) -> bool:
         """Record-and-check replay defense for peer-issued nonces.

@@ -88,9 +88,6 @@ class ScenarioConfig:
     range_m: float = 250.0
     duration: float = 200.0
     root: NodeId = 0
-    key_bits: int = 128
-    cipher: str = "aesgcm"
-    hash_name: str = "sha256"
     mobility: MobilityConfig = field(default_factory=MobilityConfig)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     droppers: tuple[NodeId, ...] = ()
@@ -114,7 +111,6 @@ class ScenarioConfig:
         self.mobility.validate()
         self.traffic.validate(self.duration)
         try:
-            CipherSuite(self.cipher, self.hash_name, self.key_bits)
             self.som.validate()
         except ValueError as e:
             raise ScenarioError(str(e)) from None
@@ -529,7 +525,7 @@ def _member_subgraph(graph: Graph, members: set[NodeId]) -> Graph:
 
 def _run_cell(config: ScenarioConfig, seed: int):
     world = init_world(config, seed)
-    suite = CipherSuite(config.cipher, config.hash_name, config.key_bits)
+    suite = CipherSuite()
     feat_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFEA7]))
     events: list[tuple[float, str, object, object, str]] = []
     row: dict = {c: None for c in _COLUMNS}
@@ -830,8 +826,7 @@ _KEYS = {
     "area_width": (None, "area_width", _finite), "area_height": (None, "area_height", _finite),
     "range": (None, "range_m", _finite),
     "duration": (None, "duration", _finite), "root": (None, "root", int),
-    "key_bits": (None, "key_bits", int), "cipher": (None, "cipher", str),
-    "hash": (None, "hash_name", str), "seed": (None, "seed", int),
+    "seed": (None, "seed", int),
     "coverage_window": (None, "coverage_window", int),
     "pause_times": (None, "pause_times", _List(_finite)),
     "replay_at": (None, "replay_at", _List(_finite)),

@@ -20,7 +20,7 @@ import enum
 import struct
 from dataclasses import dataclass
 
-from .crypto import KeyMaterial
+from .crypto import KEY_BYTES, KeyMaterial
 
 BROADCAST = 0xFFFFFFFF
 _HDR = struct.Struct(">BIIB")
@@ -98,7 +98,7 @@ def concat_frames(frames: list[ProtocolMessage]) -> bytes:
 
 # What each kind carries inside its ciphertext or, for the DIGEST_KINDS, what
 # its digest is computed over: I is a 4-byte id, Q an 8-byte nonce or nonce
-# echo, K a key field of the scenario key width. JOIN_REQUEST has no row.
+# echo, K a KEY_BYTES-byte key field. JOIN_REQUEST has no row.
 
 LAYOUTS: dict[MessageKind, str] = {
     MessageKind.AUTH_STEP1: "IIQ",          # ID_d, ID_a, nonce_d
@@ -121,37 +121,35 @@ LAYOUTS: dict[MessageKind, str] = {
 DIGEST_KINDS = frozenset({MessageKind.AGREE_STEP3, MessageKind.LOCAL_REKEY_STEP3})
 SEALED_KINDS = frozenset(LAYOUTS) - DIGEST_KINDS
 
-# key width -> (struct, indices of the K fields) per kind code, None for a
-# kind without a row; indexed by code so no lookup hashes a MessageKind
-_COMPILED: dict[int, list[tuple[struct.Struct, tuple[int, ...]] | None]] = {}
+# (struct, indices of the K fields) per kind code, None for a kind without a
+# row; indexed by code so no lookup hashes a MessageKind
+_COMPILED: list[tuple[struct.Struct, tuple[int, ...]] | None] = [None] * (max(MessageKind) + 1)
+for _kind, _layout in LAYOUTS.items():
+    _COMPILED[_kind] = (struct.Struct(">" + _layout.replace("K", f"{KEY_BYTES}s")),
+                        tuple(i for i, c in enumerate(_layout) if c == "K"))
 
 
-def _compiled(kind: MessageKind, key_bytes: int) -> tuple[struct.Struct, tuple[int, ...]]:
-    table = _COMPILED.get(key_bytes)
-    if table is None:
-        table = _COMPILED[key_bytes] = [None] * (max(MessageKind) + 1)
-        for k, layout in LAYOUTS.items():
-            keys = tuple(i for i, c in enumerate(layout) if c == "K")
-            table[k] = (struct.Struct(">" + layout.replace("K", f"{key_bytes}s")), keys)
-    if table[kind] is None:
+def _compiled(kind: MessageKind) -> tuple[struct.Struct, tuple[int, ...]]:
+    entry = _COMPILED[kind]
+    if entry is None:
         raise WireError(f"{MessageKind(kind).name} carries no plaintext")
-    return table[kind]
+    return entry
 
 
-def pack(kind: MessageKind, key_bytes: int, *fields) -> bytes:
+def pack(kind: MessageKind, *fields) -> bytes:
     """The plaintext of `kind`: ids and nonces as ints, keys as KeyMaterial."""
-    layout, key_fields = _compiled(kind, key_bytes)
+    layout, key_fields = _compiled(kind)
     fields = list(fields)
     for i in key_fields:
         fields[i] = fields[i].data
-        if len(fields[i]) != key_bytes:
-            raise WireError(f"{len(fields[i])}-byte key field in a {key_bytes}-byte layout")
+        if len(fields[i]) != KEY_BYTES:
+            raise WireError(f"{len(fields[i])}-byte key field, want {KEY_BYTES}")
     return layout.pack(*fields)
 
 
-def unpack(kind: MessageKind, plaintext: bytes, key_bytes: int) -> tuple:
+def unpack(kind: MessageKind, plaintext: bytes) -> tuple:
     """Inverse of pack; raises WireError unless the length fits the layout exactly."""
-    layout, key_fields = _compiled(kind, key_bytes)
+    layout, key_fields = _compiled(kind)
     if len(plaintext) != layout.size:
         raise WireError(f"{len(plaintext)}-byte {MessageKind(kind).name} plaintext, "
                         f"want {layout.size}")

@@ -120,13 +120,12 @@ def test_c04_periodic_rekey_algebra():
         s = fig4_session(seed=11)
         s.establish()
         suite = s.suite
-        kb = suite.key_bits // 8
         for _ in range(100):
             gk_old = s.keys.gk
             keys = s.periodic_global_rekey()
             msg = next(m for m in reversed(s.transport.messages)
                        if m.kind == wire.MessageKind.GLOBAL_REKEY)
-            _, fresh, _ = wire.unpack(msg.kind, suite.decrypt(gk_old, msg.payload), kb)
+            _, fresh, _ = wire.unpack(msg.kind, suite.decrypt(gk_old, msg.payload))
             assert (keys.gk ^ gk_old).data == fresh.data
         rng = random.Random(5)
         for _ in range(100):
@@ -135,7 +134,7 @@ def test_c04_periodic_rekey_algebra():
             lk_new = s.periodic_local_rekey(j)
             msg = next(m for m in reversed(s.transport.messages)
                        if m.kind == wire.MessageKind.LOCAL_REKEY_STEP1)
-            _, fresh, _ = wire.unpack(msg.kind, suite.decrypt(lk_old, msg.payload), kb)
+            _, fresh, _ = wire.unpack(msg.kind, suite.decrypt(lk_old, msg.payload))
             assert (lk_new ^ lk_old).data == fresh.data
             assert s.nodes[j].state.local_keys[j].data == lk_new.data
 

@@ -803,26 +803,6 @@ class TestScenarioParser:
         with pytest.raises(sim.ScenarioError):
             sim.parse_scenario(path)
 
-    def test_bad_cipher_is_config_error(self, tmp_path):
-        path = tmp_path / "s.cfg"
-        path.write_text("node_count = 8\ncipher = rot13\nseed = 1\n")
-        with pytest.raises(sim.ScenarioError, match="rot13"):
-            sim.parse_scenario(path)
-
-    def test_bad_key_width_for_aesgcm(self, tmp_path):
-        path = tmp_path / "s.cfg"
-        path.write_text("node_count = 8\nkey_bits = 80\nseed = 1\n")
-        with pytest.raises(sim.ScenarioError, match="128/192/256"):
-            sim.parse_scenario(path)
-
-    def test_ctrhmac_cipher_runs(self, tmp_path):
-        cfg = small_config(duration=20,
-                           traffic=sim.TrafficConfig(generators=4, destinations=2,
-                                                     attack_start=5, attack_end=20),
-                           cipher="ctrhmac", key_bits=80)
-        report = sim.run_scenario(cfg, 23)
-        assert report.rows[0]["epochs_succeeded"] >= 1
-
     def test_repeated_list_key_appends(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text("droppers = 1\nseed = 2\ndroppers = 4, 3\n")
@@ -843,9 +823,13 @@ class TestScenarioParser:
 
     def test_first_bad_line_wins(self, tmp_path):
         path = tmp_path / "s.cfg"
-        path.write_text("bogus = 1\nnode_count = ten\n")
-        with pytest.raises(sim.ScenarioError, match=r"s\.cfg:1: unknown key 'bogus'"):
-            sim.parse_scenario(path)
+        # the suite keys of older scenario files are unknown keys too
+        for line in ("bogus = 1", "cipher = aesgcm", "hash = sha256", "key_bits = 128"):
+            key = line.split(" = ")[0]
+            path.write_text(f"{line}\nnode_count = ten\n")
+            with pytest.raises(sim.ScenarioError) as err:
+                sim.parse_scenario(path)
+            assert str(err.value) == f"{path}:1: unknown key '{key}'"
 
     @pytest.mark.parametrize("node", [-1, 2**32 - 1, 2**32])
     @pytest.mark.parametrize("key", ["join_at", "leave_at"])
@@ -903,9 +887,6 @@ area_height = 700
 range = 200
 duration = 120
 root = 2
-key_bits = 96
-cipher = ctrhmac
-hash = sha512
 seed = 9
 speed_min = 1
 speed_max = 5
@@ -948,7 +929,7 @@ class TestScenarioKeys:
         cfg = sim.parse_scenario(path)
         expected = sim.ScenarioConfig(
             node_count=30, area_width=900.0, area_height=700.0, range_m=200.0,
-            duration=120.0, root=2, key_bits=96, cipher="ctrhmac", hash_name="sha512",
+            duration=120.0, root=2,
             mobility=sim.MobilityConfig(speed_min=1.0, speed_max=5.0, pause_time=15.0),
             traffic=sim.TrafficConfig(generators=12, destinations=6, mean_payload=256.0,
                                       attack_start=40.0, attack_end=100.0,
@@ -975,4 +956,4 @@ class TestScenarioKeys:
             if row.startswith("| `"):
                 names.update(re.findall(r"`(\w+)`", row.split("|")[1]))
         assert names == set(sim._KEYS)
-        assert len(names) == 35
+        assert len(names) == 32

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from manetsec.crypto import KeyMaterial
+from manetsec.crypto import KEY_BYTES, KeyMaterial
 from manetsec.wire import (
     BROADCAST,
     DIGEST_KINDS,
@@ -15,8 +15,6 @@ from manetsec.wire import (
     pack,
     unpack,
 )
-
-KB = 16  # 128-bit scenario width
 
 
 class TestFrameConformance:
@@ -71,85 +69,85 @@ K = MessageKind
 
 class TestPayloadLayouts:
     def test_auth_step1_hex(self):
-        pt = pack(K.AUTH_STEP1, KB, 9, 2, 0x0102030405060708)
+        pt = pack(K.AUTH_STEP1, 9, 2, 0x0102030405060708)
         assert pt.hex() == "00000009000000020102030405060708"
-        assert unpack(K.AUTH_STEP1, pt, KB) == (9, 2, 0x0102030405060708)
+        assert unpack(K.AUTH_STEP1, pt) == (9, 2, 0x0102030405060708)
 
     def test_auth_step2(self):
-        pt = pack(K.AUTH_STEP2, KB, 2, 9, 0x11, 0x22)
-        assert unpack(K.AUTH_STEP2, pt, KB) == (2, 9, 0x11, 0x22)
+        pt = pack(K.AUTH_STEP2, 2, 9, 0x11, 0x22)
+        assert unpack(K.AUTH_STEP2, pt) == (2, 9, 0x11, 0x22)
 
     def test_auth_step3_carries_fold_and_share(self, rng):
         k, s = KeyMaterial.random(rng), KeyMaterial.random(rng)
-        pt = pack(K.AUTH_STEP3, KB, 2, 9, 0x33, k, s)
-        assert unpack(K.AUTH_STEP3, pt, KB) == (2, 9, 0x33, k, s)
+        pt = pack(K.AUTH_STEP3, 2, 9, 0x33, k, s)
+        assert unpack(K.AUTH_STEP3, pt) == (2, 9, 0x33, k, s)
 
     def test_agree_step1_hex(self):
         z = KeyMaterial(bytes.fromhex("00112233445566778899aabbccddeeff"))
-        pt = pack(K.AGREE_STEP1, KB, 1, z, 0x1122334455667788)
+        pt = pack(K.AGREE_STEP1, 1, z, 0x1122334455667788)
         assert pt.hex() == ("00000001"
                             "00112233445566778899aabbccddeeff"
                             "1122334455667788")
-        assert unpack(K.AGREE_STEP1, pt, KB) == (1, z, 0x1122334455667788)
+        assert unpack(K.AGREE_STEP1, pt) == (1, z, 0x1122334455667788)
 
     def test_agree_step2(self, rng):
         s = KeyMaterial.random(rng)
-        pt = pack(K.AGREE_STEP2, KB, 5, s, 7, 8)
-        assert unpack(K.AGREE_STEP2, pt, KB) == (5, s, 7, 8)
+        pt = pack(K.AGREE_STEP2, 5, s, 7, 8)
+        assert unpack(K.AGREE_STEP2, pt) == (5, s, 7, 8)
 
     def test_rekey_layout(self, rng):
         s = KeyMaterial.random(rng)
         for kind in (K.GLOBAL_REKEY, K.LOCAL_REKEY_STEP1, K.MASTER_REKEY):
-            pt = pack(kind, KB, 3, s, 44)
-            assert pt == pack(K.AGREE_STEP1, KB, 3, s, 44)
-            assert unpack(kind, pt, KB) == (3, s, 44)
+            pt = pack(kind, 3, s, 44)
+            assert pt == pack(K.AGREE_STEP1, 3, s, 44)
+            assert unpack(kind, pt) == (3, s, 44)
 
     def test_confirm_digest_input_layout(self):
         k = KeyMaterial(bytes(range(16)))
         for kind in DIGEST_KINDS:
-            blob = pack(kind, KB, 5, 0x99, k)
+            blob = pack(kind, 5, 0x99, k)
             assert blob == bytes.fromhex("00000005") + (0x99).to_bytes(8, "big") + k.data
 
     def test_wrong_width_unpacks_fail(self, rng):
-        pt = pack(K.AGREE_STEP1, KB, 1, KeyMaterial.random(rng, 128), 1)
         with pytest.raises(WireError):
-            unpack(K.AGREE_STEP1, pt, 32)
+            pack(K.AGREE_STEP1, 1, KeyMaterial(bytes(24)), 1)
+        pt = pack(K.AGREE_STEP1, 1, KeyMaterial.random(rng), 1)
+        with pytest.raises(WireError):
+            unpack(K.AGREE_STEP1, pt[:4] + bytes(8) + pt[4:])  # a 24-byte key field
 
     def test_join_request_has_no_layout(self):
         assert K.JOIN_REQUEST not in LAYOUTS and len(LAYOUTS) == 13
         with pytest.raises(WireError):
-            unpack(K.JOIN_REQUEST, b"", KB)
+            unpack(K.JOIN_REQUEST, b"")
 
 
-def _sample_fields(layout, width, rng):
-    return tuple(KeyMaterial.random(rng, 8 * width) if c == "K"
+def _sample_fields(layout, rng):
+    return tuple(KeyMaterial.random(rng) if c == "K"
                  else rng.getrandbits(32 if c == "I" else 64) for c in layout)
 
 
 class TestLayoutTable:
-    @pytest.mark.parametrize("width", [10, 16, 24, 32])
     @pytest.mark.parametrize("kind", sorted(LAYOUTS), ids=lambda k: k.name)
-    def test_round_trip_every_kind(self, rng, kind, width):
+    def test_round_trip_every_kind(self, rng, kind):
         layout = LAYOUTS[kind]
-        fields = _sample_fields(layout, width, rng)
-        pt = pack(kind, width, *fields)
-        sizes = {"I": 4, "Q": 8, "K": width}
+        fields = _sample_fields(layout, rng)
+        pt = pack(kind, *fields)
+        sizes = {"I": 4, "Q": 8, "K": KEY_BYTES}
         assert len(pt) == sum(sizes[c] for c in layout)
-        assert unpack(kind, pt, width) == fields
+        assert unpack(kind, pt) == fields
         for bad in (pt[:-1], pt + b"\x00"):
             with pytest.raises(WireError):
-                unpack(kind, bad, width)
+                unpack(kind, bad)
 
-    @pytest.mark.parametrize("width", [10, 16, 24, 32])
     @pytest.mark.parametrize("kind", sorted(k for k, v in LAYOUTS.items() if "K" in v),
                              ids=lambda k: k.name)
-    def test_key_field_off_by_one_refused(self, rng, kind, width):
-        fields = list(_sample_fields(LAYOUTS[kind], width, rng))
+    def test_key_field_off_by_one_refused(self, rng, kind):
+        fields = list(_sample_fields(LAYOUTS[kind], rng))
         at = LAYOUTS[kind].index("K")
-        for off in (-1, 1):
-            fields[at] = KeyMaterial(bytes(width + off))
+        for width in (KEY_BYTES - 1, KEY_BYTES + 1, 10, 24, 32):
+            fields[at] = KeyMaterial(bytes(width))
             with pytest.raises(WireError):
-                pack(kind, width, *fields)
+                pack(kind, *fields)
 
 
 class TestWireDoc:
