@@ -5,6 +5,7 @@ import pytest
 
 from manetsec.crypto import (
     KEY_BITS,
+    KEY_BYTES,
     CipherSuite,
     IntegrityFailure,
     KeyMaterial,
@@ -18,6 +19,61 @@ SHA256 = CipherSuite()
 
 def km(hexstr):
     return KeyMaterial(bytes.fromhex(hexstr))
+
+
+class FixedBits:
+    """Stands in for the RNG that draws an IV: always returns `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def getrandbits(self, _bits):
+        return self.value
+
+
+# AES-128 test cases 1-3 of the GCM specification (McGrew and Viega):
+# key, IV, plaintext, ciphertext followed by the 16-byte tag, all in hex.
+GCM_VECTORS = [
+    ("00" * 16, "00" * 12, "", "58e2fccefa7e3061367f1d57a4e7455a"),
+    ("00" * 16, "00" * 12, "00" * 16,
+     "0388dace60b6a392f328c2b971b2fe78" "ab6e47d42cec13bdf53a67b21257bddf"),
+    ("feffe9928665731c6d6a8f9467308308", "cafebabefacedbaddecaf888",
+     "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+     "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+     "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+     "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
+     "4d5c2af327cd64a62cf35abd2ba6fab4"),
+]
+
+# RFC 4231 HMAC-SHA-256 test cases 1, 3, 4, 6 and 7 (case 2 has its own test;
+# case 5 checks a truncated tag, which the suite never emits).
+HMAC_VECTORS = {
+    "case1": (b"\x0b" * 20, b"Hi There",
+              "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    "case3": (b"\xaa" * 20, b"\xdd" * 50,
+              "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+    "case4": (bytes(range(1, 26)), b"\xcd" * 50,
+              "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+    "case6": (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First",
+              "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+    "case7": (b"\xaa" * 131,
+              b"This is a test using a larger than block-size key and a larger than "
+              b"block-size data. The key needs to be hashed before being used by the "
+              b"HMAC algorithm.",
+              "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+}
+
+# derive_key inputs with the bytes they gave before derive_key became one
+# SHA-256 call: an edge key, a master key, no parts, and one empty part.
+DERIVE_VECTORS = {
+    "edge": ((b"edge", bytes(range(16)), struct.pack(">IIQQ", 3, 7, 11, 13)),
+             "ea1787174684cd141996fc900c09db8f"),
+    "master": ((b"master", bytes(16), struct.pack(">Q", 5), struct.pack(">III", 0, 1, 2),
+                b"\xff" * 16),
+               "d55fcbb6116fab66f4cb14789a7829b0"),
+    "no_parts": ((), "df3f619804a92fdb4057192dc43dd748"),
+    "empty_part": ((b"",), "af5570f5a1810b7af78caf4bc70a660f"),
+}
 
 
 class TestXorCombine:
@@ -112,6 +168,19 @@ class TestAuthenticatedEncryption:
         assert out2[:16].hex() == "0388dace60b6a392f328c2b971b2fe78"
         assert out2[16:].hex() == "ab6e47d42cec13bdf53a67b21257bddf"
 
+    @pytest.mark.parametrize("key,iv,plaintext,ct_tag", GCM_VECTORS, ids=["tc1", "tc2", "tc3"])
+    def test_suite_decrypts_reference_vectors(self, key, iv, plaintext, ct_tag):
+        # the suite's one ciphertext format is IV(12) || AES-GCM ciphertext+tag
+        suite = CipherSuite()
+        blob = bytes.fromhex(iv + ct_tag)
+        assert suite.decrypt(km(key), blob) == bytes.fromhex(plaintext)
+
+    @pytest.mark.parametrize("key,iv,plaintext,ct_tag", GCM_VECTORS, ids=["tc1", "tc2", "tc3"])
+    def test_suite_encrypt_prepends_the_iv(self, key, iv, plaintext, ct_tag):
+        suite = CipherSuite()
+        blob = suite.encrypt(km(key), bytes.fromhex(plaintext), FixedBits(int(iv, 16)))
+        assert blob.hex() == iv + ct_tag
+
     def test_truncated_ciphertext(self, rng):
         suite = CipherSuite()
         with pytest.raises(IntegrityFailure):
@@ -135,6 +204,13 @@ class TestHashing:
         digest = SHA256.keyed_digest(key, b"what do ya want for nothing?")
         assert digest.hex() == (
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843")
+
+    @pytest.mark.parametrize("case", sorted(HMAC_VECTORS))
+    def test_hmac_rfc4231(self, case):
+        key, data, want = HMAC_VECTORS[case]
+        digest = SHA256.keyed_digest(KeyMaterial(key), data)
+        assert digest.hex() == want
+        assert SHA256.verify_keyed_digest(KeyMaterial(key), data, bytes.fromhex(want))
 
     def test_keyed_hash_determinism_and_verify(self, rng):
         k = KeyMaterial.random(rng)
@@ -175,12 +251,14 @@ class TestNonces:
 
 
 class TestSuiteConfig:
-    def test_width_enforced_on_use(self, rng):
+    # 24 and 32 bytes are AES-192/256 keys, which AES-GCM itself would take
+    @pytest.mark.parametrize("width", [8, KEY_BYTES - 1, KEY_BYTES + 1, 24, 32])
+    def test_width_enforced_on_use(self, rng, width):
         suite = CipherSuite()
         with pytest.raises(WidthMismatch):
-            suite.encrypt(KeyMaterial(bytes(8)), b"x", rng)
+            suite.encrypt(KeyMaterial(bytes(width)), b"x", rng)
         with pytest.raises(WidthMismatch):
-            suite.decrypt(KeyMaterial(bytes(8)), bytes(40))
+            suite.decrypt(KeyMaterial(bytes(width)), bytes(40))
 
     def test_derive_key_width_and_determinism(self):
         suite = CipherSuite()
@@ -189,12 +267,8 @@ class TestSuiteConfig:
         assert k1 == suite.derive_key(b"a", b"b")
         assert k1 != suite.derive_key(b"ab", b"")  # length framing matters
 
-    def test_derive_key_known_answers(self):
-        # pinned bytes for an edge-key and a master-key derivation input;
+    @pytest.mark.parametrize("case", sorted(DERIVE_VECTORS))
+    def test_derive_key_known_answers(self, case):
         # every master, edge and local key in a run goes through derive_key
-        suite = CipherSuite()
-        edge = suite.derive_key(b"edge", bytes(range(16)), struct.pack(">IIQQ", 3, 7, 11, 13))
-        assert edge.hex() == "ea1787174684cd141996fc900c09db8f"
-        master = suite.derive_key(b"master", bytes(16), struct.pack(">Q", 5),
-                                  struct.pack(">III", 0, 1, 2), b"\xff" * 16)
-        assert master.hex() == "d55fcbb6116fab66f4cb14789a7829b0"
+        parts, want = DERIVE_VECTORS[case]
+        assert CipherSuite().derive_key(*parts).hex() == want

@@ -121,16 +121,24 @@ class TestPayloadLayouts:
             unpack(K.JOIN_REQUEST, b"")
 
 
-def _sample_fields(layout, rng):
+# Field values for each layout letter: fresh random ones, or the bounds of
+# each field (all-zero, or every bit set).
+def _sample_fields(layout, rng, values="random"):
+    if values == "zero":
+        return tuple(KeyMaterial.zero() if c == "K" else 0 for c in layout)
+    if values == "max":
+        return tuple(KeyMaterial(b"\xff" * KEY_BYTES) if c == "K"
+                     else 2 ** (32 if c == "I" else 64) - 1 for c in layout)
     return tuple(KeyMaterial.random(rng) if c == "K"
                  else rng.getrandbits(32 if c == "I" else 64) for c in layout)
 
 
 class TestLayoutTable:
+    @pytest.mark.parametrize("values", ["random", "zero", "max"])
     @pytest.mark.parametrize("kind", sorted(LAYOUTS), ids=lambda k: k.name)
-    def test_round_trip_every_kind(self, rng, kind):
+    def test_round_trip_every_kind(self, rng, kind, values):
         layout = LAYOUTS[kind]
-        fields = _sample_fields(layout, rng)
+        fields = _sample_fields(layout, rng, values)
         pt = pack(kind, *fields)
         sizes = {"I": 4, "Q": 8, "K": KEY_BYTES}
         assert len(pt) == sum(sizes[c] for c in layout)
@@ -139,15 +147,15 @@ class TestLayoutTable:
             with pytest.raises(WireError):
                 unpack(kind, bad)
 
+    @pytest.mark.parametrize("width", [KEY_BYTES - 1, KEY_BYTES + 1, 10, 24, 32])
     @pytest.mark.parametrize("kind", sorted(k for k, v in LAYOUTS.items() if "K" in v),
                              ids=lambda k: k.name)
-    def test_key_field_off_by_one_refused(self, rng, kind):
+    def test_key_field_off_by_one_refused(self, rng, kind, width):
         fields = list(_sample_fields(LAYOUTS[kind], rng))
         at = LAYOUTS[kind].index("K")
-        for width in (KEY_BYTES - 1, KEY_BYTES + 1, 10, 24, 32):
-            fields[at] = KeyMaterial(bytes(width))
-            with pytest.raises(WireError):
-                pack(kind, *fields)
+        fields[at] = KeyMaterial(bytes(width))
+        with pytest.raises(WireError):
+            pack(kind, *fields)
 
 
 class TestWireDoc:
