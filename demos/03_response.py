@@ -8,7 +8,7 @@ group-keyed alarm and everyone in range quarantines it.
 
 import random
 
-from manetsec.crypto import CipherSuite, NonceSource
+from manetsec.crypto import CipherSuite, KeyMaterial, NonceSource
 from manetsec.response import (
     RoutingTable,
     SecurityMap,
@@ -24,7 +24,7 @@ rng = random.Random(1)
 
 # node 1's one-hop group: 2, 3, 4, 7 with pairwise local keys
 neighbors = {2, 3, 4, 7}
-local_keys = {j: suite.new_key(rng) for j in neighbors}
+local_keys = {j: KeyMaterial.random(rng) for j in neighbors}
 maps = {
     1: SecurityMap(1, 2, 40, model_bytes=b"map-of-1"),
     2: SecurityMap(2, 0, 40, model_bytes=b"map-of-2"),
@@ -65,7 +65,7 @@ for t in tables.values():
     t.rebuild(graph)
 print("next hops before:", {n: t.next_hop for n, t in tables.items()})
 
-gk = suite.new_key(rng)
+gk = KeyMaterial.random(rng)
 alarm = global_alarm(suite, victim_map, gk, tables, graph, NonceSource(4, rng),
                      now=13.0)
 print(f"alarm accepted by {sorted(alarm.accepted)}")

@@ -3,9 +3,9 @@
 The oracles are deliberately strong best-effort attackers. A departed or
 joining member keeps every key it legitimately held, tries the public
 master-key chain formula, decrypts whatever any of its keys open in the
-transcript slice it is entitled to, and combines recovered subkeys and
-checker shares into group-key candidates. The security goals hold exactly
-when those candidate sets miss the real keys.
+transcript slice it is entitled to, and tries every key it held or
+recovered, and the XOR of every pair of them, as a group key. The security
+goals hold exactly when those candidate sets miss the real keys.
 
 Visibility model (documented in SECURITY.md): a member sees messages
 delivered to it plus broadcasts; after leaving it keeps hearing broadcast
@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .crypto import CipherSuite, IntegrityFailure, KeyMaterial
+from .crypto import KEY_BYTES, CipherSuite, IntegrityFailure, KeyMaterial
 from .protocol import GroupSession, derive_master_key
 from .wire import BROADCAST, MessageKind, ProtocolMessage
 from . import wire
@@ -29,14 +29,12 @@ class NodeKnowledge:
     """Everything one party holds at capture time."""
 
     keys: list[KeyMaterial] = field(default_factory=list)   # decryption-capable
-    secrets: set[bytes] = field(default_factory=set)         # raw key values
     delivered: list[ProtocolMessage] = field(default_factory=list)
 
 
 def capture_knowledge(session: GroupSession, node_id: int) -> NodeKnowledge:
     """Snapshot a member's key state and its delivered-message log."""
-    keys = session.nodes[node_id].state.key_material()
-    return NodeKnowledge(keys=keys, secrets={k.data for k in keys},
+    return NodeKnowledge(keys=session.nodes[node_id].state.key_material(),
                          delivered=list(session.transport.delivered.get(node_id, ())))
 
 
@@ -49,67 +47,55 @@ def candidate_group_keys(suite: CipherSuite, keys: list[KeyMaterial],
                          messages: list[ProtocolMessage]) -> set[bytes]:
     """All group keys derivable from `keys` plus the given transcript slice.
 
-    Decrypts every key-carrying ciphertext under every key, pairs recovered
-    subkeys with recovered checker shares, and follows XOR ratchets whose
-    carrier it can open. Digest payloads contribute nothing (preimage
-    resistance assumed), and neither do frames without a key field.
+    One rule for every kind: each key field of a key-carrying frame that one
+    of `keys` opens joins the recovered set, which starts with `keys`, and
+    the candidates are the recovered keys plus the XOR of every pair. Since
+    the opening key is in the set, this covers z, z xor S_ch and every XOR
+    ratchet (new = carrier xor fresh), in whatever order the frames come.
+    Digest payloads contribute nothing (preimage resistance assumed), and
+    neither do frames without a key field.
     """
-    candidates: set[bytes] = set()
-    subkeys = list(keys)
     pool = list({k.data: k for k in keys}.values())  # dedup, keep order
+    recovered = {k.data for k in pool}
 
-    def try_open(payload: bytes):
+    def try_open(payload: bytes) -> bytes | None:
         for key in pool:
             try:
-                return key, suite.decrypt(key, payload)
+                return suite.decrypt(key, payload)
             except IntegrityFailure:
                 continue
-        return None, None
+        return None
 
     for msg in messages:
         if msg.kind not in _KEY_CARRYING:
             continue
-        key, pt = try_open(msg.payload)
+        pt = try_open(msg.payload)
         if pt is None:
             continue
         try:
-            carried = [f for f in wire.unpack(msg.kind, pt) if isinstance(f, KeyMaterial)]
+            fields = wire.unpack(msg.kind, pt)
         except wire.WireError:
             continue
-        # every carried key becomes a subkey, except the checker share
-        # (AGREE_STEP2), which is only paired with the subkeys
-        if msg.kind == MessageKind.AGREE_STEP2:
-            candidates.update((z ^ carried[0]).data for z in subkeys)
-            continue
-        if msg.kind == MessageKind.AGREE_STEP1:
-            candidates.add(carried[0].data)  # z
-        elif msg.kind in (MessageKind.GLOBAL_REKEY, MessageKind.LOCAL_REKEY_STEP1,
-                          MessageKind.MASTER_REKEY):
-            # the carrier key itself ratchets: new = old xor fresh
-            candidates.add((key ^ carried[0]).data)
-        subkeys.extend(carried)
-    # opportunistic pairwise XOR of everything recovered, the strongest
-    # algebra available to a passive holder of partial material
-    recovered = list({k.data: k for k in subkeys}.values())
-    for i, a in enumerate(recovered):
-        candidates.add(a.data)
-        candidates.update((a ^ b).data for b in recovered[i + 1:])
+        recovered.update(f.data for f in fields if isinstance(f, KeyMaterial))
+    # pairwise XOR of everything recovered, the strongest algebra available
+    # to a passive holder of partial material
+    ints = [int.from_bytes(k, "big") for k in recovered]
+    candidates = set(recovered)
+    for i, a in enumerate(ints):
+        candidates.update((a ^ b).to_bytes(KEY_BYTES, "big") for b in ints[i + 1:])
     return candidates
-
-
-def leaver_master_chain_guesses(suite: CipherSuite, know: NodeKnowledge,
-                                epoch_after: int, roster_after: list[int]) -> list[KeyMaterial]:
-    """The attack the leave design must defeat: replay the public hash-chain
-    master-key update with every key the leaver holds."""
-    return [derive_master_key(suite, k, epoch_after, roster_after) for k in know.keys]
 
 
 def forward_secrecy_candidates(suite: CipherSuite, know: NodeKnowledge,
                                post_broadcasts: list[ProtocolMessage],
                                epoch_after: int, roster_after: list[int]) -> set[bytes]:
-    """Group keys a leaver can reach from its history plus later broadcasts."""
-    keys = list(know.keys)
-    keys.extend(leaver_master_chain_guesses(suite, know, epoch_after, roster_after))
+    """Group keys a leaver can reach from its history plus later broadcasts.
+
+    Its keys include the attack the leave design must defeat: the public
+    hash-chain master-key update replayed with every key the leaver holds.
+    """
+    keys = know.keys + [derive_master_key(suite, k, epoch_after, roster_after)
+                        for k in know.keys]
     return candidate_group_keys(suite, keys, know.delivered + post_broadcasts)
 
 
@@ -248,7 +234,7 @@ def run_security_suite(seed: int, cycles: int = 1000,
         cands = forward_secrecy_candidates(suite, know, post, session.epoch,
                                            sorted(session.members))
         report.leaver_trials += 1
-        if keys_after.gk.data in cands or keys_after.gk.data in know.secrets:
+        if keys_after.gk.data in cands:
             report.leaver_breaks += 1
 
         pre = last_broadcasts(session.transport.messages, 30)
@@ -263,7 +249,7 @@ def run_security_suite(seed: int, cycles: int = 1000,
         know_j = capture_knowledge(session, joiner)
         cands_j = backward_secrecy_candidates(suite, know_j, pre)
         report.joiner_trials += 1
-        if any(g in cands_j or g in know_j.secrets for g in historical_gks[:-1]):
+        if any(g in cands_j for g in historical_gks[:-1]):
             report.joiner_breaks += 1
 
     transcript = session.transport.transcript

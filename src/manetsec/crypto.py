@@ -135,13 +135,7 @@ class CipherSuite:
     _IV = 12
     _TAG = 16
 
-    # -- key material ------------------------------------------------------
-
-    def new_key(self, rng: random.Random) -> KeyMaterial:
-        return KeyMaterial.random(rng)
-
-    def zero_key(self) -> KeyMaterial:
-        return KeyMaterial.zero()
+    # -- key derivation ----------------------------------------------------
 
     def derive_key(self, *parts: bytes) -> KeyMaterial:
         """SHA-256 over a zero block counter and the length-prefixed parts,

@@ -313,8 +313,6 @@ class EvalReport:
     detection_rate: float | None
     false_alarm_rate: float | None
     unclassified_fraction: float
-    n_attack: int = 0
-    n_normal: int = 0
 
 
 def evaluate(verdicts: list[str], truth: list[str], unclassified: str = "exclude") -> EvalReport:
@@ -341,8 +339,7 @@ def evaluate(verdicts: list[str], truth: list[str], unclassified: str = "exclude
     det = (sum(v == VERDICT_ATTACK for v in attacks) / len(attacks)) if attacks else None
     fa = (sum(v == VERDICT_ATTACK for v in normals) / len(normals)) if normals else None
     return EvalReport(detection_rate=det, false_alarm_rate=fa,
-                      unclassified_fraction=(n_uncls / n_total) if n_total else 0.0,
-                      n_attack=len(attacks), n_normal=len(normals))
+                      unclassified_fraction=(n_uncls / n_total) if n_total else 0.0)
 
 
 # ---------------------------------------------------------------------------

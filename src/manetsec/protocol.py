@@ -208,7 +208,7 @@ class ProtocolNode:
             st.local_keys.pop(st.my_id, None)
 
     def refresh_share(self) -> None:
-        self.state.share = self.suite.new_key(self.rng)
+        self.state.share = KeyMaterial.random(self.rng)
 
     def rotate_master_join(self, epoch_new: int, ids: list[NodeId]) -> None:
         self.state.master_key = derive_master_key(self.suite, self.state.master_key, epoch_new, ids)
@@ -245,7 +245,7 @@ class ProtocolNode:
     def begin_global_rekey(self) -> list[ProtocolMessage]:
         st = self.state
         assert st.role == ROLE_CHECKER and st.session_key is not None
-        fresh = self.suite.new_key(self.rng)
+        fresh = KeyMaterial.random(self.rng)
         st.rekey_tentative = st.session_key ^ fresh
         nonce = self._await_confirmations(st.rekey_tentative)
         return [self._seal(MessageKind.GLOBAL_REKEY, BROADCAST, (st.my_id,), st.session_key,
@@ -264,7 +264,7 @@ class ProtocolNode:
         st = self.state
         lk_old = st.local_keys.get(st.my_id)
         assert lk_old is not None, "no local key established with the root"
-        fresh = self.suite.new_key(self.rng)
+        fresh = KeyMaterial.random(self.rng)
         nonce = self.nonces.fresh()
         lk_new = lk_old ^ fresh
         st.local_rekey_peer[st.root_id] = (nonce, lk_new)
@@ -406,12 +406,12 @@ class ProtocolNode:
             return []
         if st.role == ROLE_CHECKER:
             # the checker's exchange only authenticates and keys the root edge
-            k_up = share = self.suite.zero_key()
+            k_up = share = KeyMaterial.zero()
         else:
             # children outside this round fold in from cache; a hole can only
             # occur on edge-keying pre-passes whose values the next round
             # overwrites anyway, so it folds as zero instead of crashing
-            zero = self.suite.zero_key()
+            zero = KeyMaterial.zero()
             parts = [st.share] + [st.children_received.get(c, (zero, zero))[0]
                                   for c in st.children]
             k_up = xor_combine(parts)
@@ -680,7 +680,7 @@ class GroupSession:
         members = set(members)
         self.transport = transport if transport is not None else Transport()
         self.rng = random.Random(_sub_seed(seed, "session"))
-        master_key = suite.new_key(self.rng)
+        master_key = KeyMaterial.random(self.rng)
         if checker is None:
             checker = select_checker(root, self.graph, self.rng, members)
         self.tree = build_tree(root, members, self.graph, checker)
@@ -903,7 +903,7 @@ class GroupSession:
                     raise InitiationTimeout({child})
 
             # fresh entropy rides the edge keys so the leaver cannot follow the chain
-            salt = self.suite.new_key(self.rng)
+            salt = KeyMaterial.random(self.rng)
             for nid, node in self.nodes.items():
                 if nid != self.root:
                     node.arm_leave_rekey(epoch_new, ids)

@@ -738,8 +738,6 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
     out["false_alarm_rate"] = report.false_alarm_rate
     out["unclassified_fraction"] = report.unclassified_fraction
 
-    alarms = 0
-    tampers = 0
     if session is not None and session.keys is not None:
         # per-node coverage over the last classified samples feeds the response path
         per_node: dict[NodeId, list[str]] = {}
@@ -770,7 +768,6 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
             res = resp.distribute_local_maps(suite, root, set(lks), lks,
                                              maps, nonces, now=world.time,
                                              channel=radio)
-            tampers += len(res.tampered)
             events.extend(res.events)
         # an alarm's receivers rebuild their routes as they quarantine
         tables = {n: resp.RoutingTable(owner=n) for n in session.members}
@@ -780,11 +777,12 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
                 res = resp.global_alarm(suite, smap, session.keys.gk, tables, graph,
                                         nonces, now=world.time,
                                         min_window=config.coverage_window)
-                alarms += 1
                 events.extend(res.events)
-    # each alarm quarantines its own map's owner, one alarm per owner
-    out["alarms"] = out["quarantined_nodes"] = alarms
-    out["tamper_events"] = tampers
+    # the response columns count the cell's own response events
+    kinds = [e[1] for e in events]
+    out["alarms"] = kinds.count("alarm")
+    out["quarantined_nodes"] = len({e[3] for e in events if e[1] == "quarantine"})
+    out["tamper_events"] = kinds.count("map_tamper") + kinds.count("alarm_tamper")
     return out
 
 

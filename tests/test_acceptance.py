@@ -163,7 +163,7 @@ def test_c06_global_trigger_and_quarantine():
         for t in tables.values():
             t.rebuild(graph)
         assert any(4 in t.next_hop.values() for t in tables.values())
-        gk = suite.new_key(rng)
+        gk = KeyMaterial.random(rng)
         res = global_alarm(suite, SecurityMap(4, 28, 30), gk, tables, graph,
                            NonceSource(4, rng))
         assert res.accepted == set(graph[4])
@@ -177,7 +177,7 @@ def test_c07_map_integrity_fuzz():
     with criterion(7, "single-bit map or alarm tamper always rejected"):
         suite = CipherSuite()
         rng = random.Random(13)
-        lk = {2: suite.new_key(rng)}
+        lk = {2: KeyMaterial.random(rng)}
         maps = {1: SecurityMap(1, 2, 40, model_bytes=b"m1" * 40),
                 2: SecurityMap(2, 30, 40, model_bytes=b"m2" * 40)}
         for trial in range(500):
@@ -194,7 +194,7 @@ def test_c07_map_integrity_fuzz():
             assert 2 not in res.glm.entries and 2 in res.tampered, trial
 
         graph = make_graph([(4, 1), (4, 2), (4, 3)])
-        gk = suite.new_key(rng)
+        gk = KeyMaterial.random(rng)
         for trial in range(500):
             def flip_alarm(step, sender, receiver, payload, digest):
                 blob = bytearray(payload + digest)

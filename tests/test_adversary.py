@@ -72,9 +72,34 @@ class TestOracleMachinery:
         assert cands == {k.data for k in keys} | pairs
 
 
-def reference_candidate_group_keys(suite, keys, messages):
-    """The oracle before it skipped frames without a key field: it tries to
-    open every non-digest frame under every key."""
+def every_frame_candidate_group_keys(suite, keys, messages):
+    """The one rule without the skip of frames that carry no key field: it
+    tries to open every non-digest frame under every key."""
+    pool = list({k.data: k for k in keys}.values())
+    recovered = [k.data for k in pool]
+    for msg in messages:
+        if msg.kind in wire.DIGEST_KINDS or msg.kind not in wire.LAYOUTS:
+            continue
+        for key in pool:
+            try:
+                pt = suite.decrypt(key, msg.payload)
+            except IntegrityFailure:
+                continue
+            try:
+                recovered += [f.data for f in wire.unpack(msg.kind, pt)
+                              if isinstance(f, KeyMaterial)]
+            except wire.WireError:
+                pass
+            break
+    return set(recovered) | {bytes(x ^ y for x, y in zip(a, b))
+                             for a, b in itertools.combinations(recovered, 2) if a != b}
+
+
+def per_kind_candidate_group_keys(suite, keys, messages):
+    """The oracle before its one rule: z joins the candidates, a checker
+    share pairs only with keys recovered from frames before it, a ratchet
+    adds carrier xor fresh, and every other carried key joins the pairwise
+    XOR. It tries to open every non-digest frame."""
     candidates = set()
     subkeys = list(keys)
     pool = list({k.data: k for k in keys}.values())
@@ -123,40 +148,102 @@ def opens(suite, keys, msg):
     return False
 
 
+def churn_captures(s):
+    """Three leave/join cycles on `s`: each party's knowledge, its transcript
+    slice and, for a leaver, the (epoch, roster) after; plus the root's keys
+    before every epoch, which open every frame."""
+    rng = random.Random(3)
+    captures, stolen = [], []
+    for joiner in range(100, 103):
+        victim = rng.choice(sorted(s.members - {s.root}))
+        former = set(s.graph[victim])
+        know = capture_knowledge(s, victim)
+        stolen.extend(capture_knowledge(s, s.root).keys)
+        mark = len(s.transport.messages)
+        s.member_leave(victim)
+        captures.append((know, broadcasts_since(s.transport.messages, mark),
+                         (s.epoch, sorted(s.members))))
+        pre = last_broadcasts(s.transport.messages, 30)
+        stolen.extend(capture_knowledge(s, s.root).keys)
+        s.member_join(joiner, {e for e in former if e in s.members})
+        captures.append((capture_knowledge(s, joiner), pre, None))
+    return captures, stolen
+
+
+def oracle_outputs(suite, captures):
+    return [forward_secrecy_candidates(suite, know, frames, *after) if after
+            else backward_secrecy_candidates(suite, know, frames)
+            for know, frames, after in captures]
+
+
 class TestOracleEquivalence:
     def test_keyless_frames_never_add_a_candidate(self, churn_session, suite, monkeypatch):
         s = churn_session
-        rng = random.Random(3)
-        captures = []  # (knowledge, transcript slice, (epoch, roster) after a leave)
-        stolen = []    # the root's keys before every epoch: they open every frame
-        for joiner in range(100, 103):
-            victim = rng.choice(sorted(s.members - {s.root}))
-            former = set(s.graph[victim])
-            know = capture_knowledge(s, victim)
-            stolen.extend(capture_knowledge(s, s.root).keys)
-            mark = len(s.transport.messages)
-            s.member_leave(victim)
-            captures.append((know, broadcasts_since(s.transport.messages, mark),
-                             (s.epoch, sorted(s.members))))
-            pre = last_broadcasts(s.transport.messages, 30)
-            stolen.extend(capture_knowledge(s, s.root).keys)
-            s.member_join(joiner, {e for e in former if e in s.members})
-            captures.append((capture_knowledge(s, joiner), pre, None))
-
-        def oracle_outputs():
-            return [forward_secrecy_candidates(suite, know, frames, *after) if after
-                    else backward_secrecy_candidates(suite, know, frames)
-                    for know, frames, after in captures]
-
-        current = oracle_outputs()
-        monkeypatch.setattr(adversary, "candidate_group_keys", reference_candidate_group_keys)
-        assert oracle_outputs() == current and all(current)
+        captures, stolen = churn_captures(s)
+        current = oracle_outputs(suite, captures)
+        monkeypatch.setattr(adversary, "candidate_group_keys", every_frame_candidate_group_keys)
+        assert oracle_outputs(suite, captures) == current and all(current)
         # the stolen keys open keyless frames, so the skip is exercised
         frames = s.transport.messages
         assert any(opens(suite, stolen, m) for m in frames
                    if "K" not in wire.LAYOUTS.get(m.kind, "K"))
         assert candidate_group_keys(suite, stolen, frames) == \
-            reference_candidate_group_keys(suite, stolen, frames)
+            every_frame_candidate_group_keys(suite, stolen, frames)
+
+    def test_one_rule_finds_all_the_per_kind_rules_found(self, churn_session, suite,
+                                                          monkeypatch):
+        s = churn_session
+        captures, stolen = churn_captures(s)
+        current = oracle_outputs(suite, captures)
+        monkeypatch.setattr(adversary, "candidate_group_keys", per_kind_candidate_group_keys)
+        assert all(new >= old for new, old in zip(current, oracle_outputs(suite, captures)))
+        frames = s.transport.messages
+        new = candidate_group_keys(suite, stolen, frames)
+        old = per_kind_candidate_group_keys(suite, stolen, frames)
+        # the root's keys open every checker share, so the rule widens here
+        assert new > old
+
+    def test_suite_calls_match_the_per_kind_rules(self, monkeypatch):
+        # on the security suite both oracles give the same sets, so widening
+        # what the attacker is credited with shows up here as a failure
+        pairs = []
+        one_rule = adversary.candidate_group_keys
+
+        def both(suite, keys, messages):
+            new = one_rule(suite, keys, messages)
+            pairs.append((new, per_kind_candidate_group_keys(suite, keys, messages)))
+            return new
+
+        monkeypatch.setattr(adversary, "candidate_group_keys", both)
+        report = run_security_suite(77, cycles=20, replay_trials=10)
+        assert report.all_passed()
+        assert len(pairs) == 40
+        assert all(new == old for new, old in pairs)
+
+
+class TestFrameOrder:
+    def seal(self, suite, key, kind, *fields):
+        payload = suite.encrypt(key, wire.pack(kind, *fields), random.Random(len(fields)))
+        return wire.ProtocolMessage(kind, fields[0], wire.BROADCAST, (fields[0],), payload)
+
+    def test_checker_share_before_its_z(self, churn_session, suite):
+        # GK = z xor S_ch is found whichever of the two frames comes first
+        s = churn_session
+        agree = {m.kind: m for m in s.transport.messages
+                 if m.kind in (MessageKind.AGREE_STEP1, MessageKind.AGREE_STEP2)}
+        frames = [agree[MessageKind.AGREE_STEP2], agree[MessageKind.AGREE_STEP1]]
+        assert s.keys.gk.data in candidate_group_keys(suite, [s.master_key], frames)
+        assert s.keys.gk.data in candidate_group_keys(suite, [s.master_key], frames[::-1])
+
+    def test_two_checker_shares_pair(self, suite):
+        rng = random.Random(17)
+        master, z, share_a, share_b = (KeyMaterial.random(rng) for _ in range(4))
+        frames = [self.seal(suite, master, MessageKind.AGREE_STEP2, 2, share_a, 5, 6),
+                  self.seal(suite, master, MessageKind.AGREE_STEP1, 1, z, 4),
+                  self.seal(suite, master, MessageKind.AGREE_STEP2, 2, share_b, 7, 8)]
+        cands = candidate_group_keys(suite, [master], frames)
+        for want in (z ^ share_a, z ^ share_b, share_a ^ share_b, share_a, master ^ z):
+            assert want.data in cands
 
 
 class TestSuiteOracleInputs:
@@ -212,8 +299,9 @@ class TestForwardSecrecy:
             post = broadcasts_since(churn_session.transport.messages, mark)
             cands = forward_secrecy_candidates(suite, know, post, churn_session.epoch,
                                                sorted(churn_session.members))
+            # every held key is itself a candidate
+            assert {k.data for k in know.keys} <= cands
             assert keys.gk.data not in cands
-            assert keys.gk.data not in know.secrets
 
     def test_departed_checker_excluded(self, churn_session, suite):
         victim = churn_session.checker
@@ -235,9 +323,9 @@ class TestBackwardSecrecy:
         churn_session.member_join(99, {0, 2})
         know = capture_knowledge(churn_session, 99)
         cands = backward_secrecy_candidates(suite, know, pre)
+        assert {k.data for k in know.keys} <= cands
         for gk in old:
             assert gk not in cands
-            assert gk not in know.secrets
 
 
 class TestReplayHarness:

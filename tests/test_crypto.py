@@ -124,33 +124,33 @@ class TestXorCombine:
 class TestAuthenticatedEncryption:
     def test_round_trip(self, rng):
         suite = CipherSuite()
-        key = suite.new_key(rng)
+        key = KeyMaterial.random(rng)
         for size in (0, 1, 13, 250, 4000):
             msg = rng.getrandbits(size * 8).to_bytes(size, "big") if size else b""
             assert suite.decrypt(key, suite.encrypt(key, msg, rng)) == msg
 
     def test_wrong_key_rejected(self, rng):
         suite = CipherSuite()
-        k1, k2 = suite.new_key(rng), suite.new_key(rng)
+        k1, k2 = KeyMaterial.random(rng), KeyMaterial.random(rng)
         ct = suite.encrypt(k1, b"payload", rng)
         with pytest.raises(IntegrityFailure):
             suite.decrypt(k2, ct)
 
     def test_randomized_ciphertexts(self, rng):
         suite = CipherSuite()
-        key = suite.new_key(rng)
+        key = KeyMaterial.random(rng)
         assert suite.encrypt(key, b"same", rng) != suite.encrypt(key, b"same", rng)
 
     def test_os_entropy_round_trip(self):
         # the one way to draw keys and IVs from the OS instead of a seed
         suite = CipherSuite()
         os_rng = random.SystemRandom()
-        key = suite.new_key(os_rng)
+        key = KeyMaterial.random(os_rng)
         assert suite.decrypt(key, suite.encrypt(key, b"payload", os_rng)) == b"payload"
 
     def test_any_bit_flip_detected(self, rng):
         suite = CipherSuite()
-        key = suite.new_key(rng)
+        key = KeyMaterial.random(rng)
         ct = suite.encrypt(key, b"short protected message", rng)
         for _ in range(300):
             pos = rng.randrange(len(ct) * 8)
@@ -184,7 +184,7 @@ class TestAuthenticatedEncryption:
     def test_truncated_ciphertext(self, rng):
         suite = CipherSuite()
         with pytest.raises(IntegrityFailure):
-            suite.decrypt(suite.new_key(rng), b"tiny")
+            suite.decrypt(KeyMaterial.random(rng), b"tiny")
 
 
 class TestHashing:

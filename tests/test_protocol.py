@@ -58,7 +58,7 @@ class LossyTransport(Transport):
 
 class TestKeyInitiation:
     def test_zero_shares_fold_to_zero(self, fig4_session, suite):
-        zero = suite.zero_key()
+        zero = KeyMaterial.zero()
         shares = {m: zero for m in range(1, 19) if m != 5}
         z, lks = fig4_session.run_key_initiation(shares)
         assert z == zero
@@ -94,7 +94,7 @@ class TestKeyInitiation:
 
 class TestSessionAgreement:
     def test_zero_z_gives_checker_share(self, fig4_session, suite):
-        zero = suite.zero_key()
+        zero = KeyMaterial.zero()
         fig4_session.run_key_initiation({m: zero for m in range(1, 19) if m != 5})
         gk = fig4_session.run_session_agreement()
         assert gk == fig4_session.nodes[5].state.share
@@ -404,7 +404,7 @@ class TestRobustness:
             2: ProtocolMessage(MessageKind.AUTH_STEP1, 6, 2, (6, 2), suite.encrypt(
                 s.master_key, pack(MessageKind.AUTH_STEP1, 6, 2, MAX_NONCE), rng)),
             5: ProtocolMessage(MessageKind.AGREE_STEP1, 1, BROADCAST, (1,), suite.encrypt(
-                s.master_key, pack(MessageKind.AGREE_STEP1, 1, suite.zero_key(), MAX_NONCE),
+                s.master_key, pack(MessageKind.AGREE_STEP1, 1, KeyMaterial.zero(), MAX_NONCE),
                 rng)),
         }
         for receiver, msg in frames.items():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from manetsec.crypto import CipherSuite, NonceSource
+from manetsec.crypto import CipherSuite, KeyMaterial, NonceSource
 from manetsec.response import (
     AlarmResult,
     GlobalLocalMap,
@@ -32,7 +32,7 @@ def nonces(rng):
 def fig6_setup(suite, rng):
     """Node 1 with one-hop neighbors 2, 3, 4, 7 (the B/C/D/G of the figure)."""
     neighbors = {2, 3, 4, 7}
-    lks = {j: suite.new_key(rng) for j in neighbors}
+    lks = {j: KeyMaterial.random(rng) for j in neighbors}
     maps = {
         1: SecurityMap(1, 2, 40),
         2: SecurityMap(2, 0, 40),
@@ -50,7 +50,7 @@ def fig7_setup(suite, rng):
     tables = {n: RoutingTable(owner=n) for n in graph}
     for t in tables.values():
         t.rebuild(graph)
-    gk = suite.new_key(rng)
+    gk = KeyMaterial.random(rng)
     return graph, tables, gk
 
 
@@ -218,7 +218,7 @@ class TestGlobalAlarm:
 
     def test_forged_alarm_ignored(self, suite, rng):
         graph, tables, gk = fig7_setup(suite, rng)
-        wrong = suite.new_key(rng)
+        wrong = KeyMaterial.random(rng)
 
         def forge(step, sender, receiver, payload, digest):
             return payload, suite.keyed_digest(wrong, payload)
@@ -234,7 +234,7 @@ class TestGlobalAlarm:
         tables = {n: RoutingTable(owner=n) for n in (1, 2)}
         for t in tables.values():
             t.rebuild(graph)
-        res = global_alarm(suite, SecurityMap(9, 28, 30), suite.new_key(rng),
+        res = global_alarm(suite, SecurityMap(9, 28, 30), KeyMaterial.random(rng),
                            tables, graph, NonceSource(9, rng))
         assert res.accepted == set()
         assert all(not t.quarantined for t in tables.values())
@@ -336,7 +336,7 @@ class TestRoutingTable:
         tables = {n: RoutingTable(owner=n) for n in (1, 2)}
         for t in tables.values():
             t.rebuild(graph)
-        gk = suite.new_key(rng)
+        gk = KeyMaterial.random(rng)
         global_alarm(suite, SecurityMap(4, 28, 30), gk, tables, graph,
                      NonceSource(4, rng))
         glm = compose_global_local_map(SecurityMap(1, 0, 40),

@@ -590,6 +590,30 @@ class TestRunScenario:
         assert row["epochs_aborted"] == 0
         assert row["epochs_succeeded"] == row["epochs_attempted"]
 
+    def test_an_announce_mismatch_is_a_tamper_event(self, monkeypatch):
+        # the radio only loses messages, so one announce digest is flipped in
+        # transit; it counts as a tamper just as a reply mismatch would
+        cfg = small_config(duration=40, som=SomConfig(rows=6, cols=8, epochs=2),
+                           traffic=sim.TrafficConfig(generators=15, destinations=4,
+                                                     attack_start=20, attack_end=40))
+        exchange = sim.resp.distribute_local_maps
+        flipped = []
+
+        def flip_first_announce(*args, channel, **kw):
+            def chan(step, sender, receiver, payload, digest):
+                passed = channel(step, sender, receiver, payload, digest)
+                if passed is None or step != "announce" or flipped:
+                    return passed
+                flipped.append(receiver)
+                return payload, bytes([digest[0] ^ 1]) + digest[1:]
+            return exchange(*args, channel=chan, **kw)
+
+        monkeypatch.setattr(sim.resp, "distribute_local_maps", flip_first_announce)
+        report = sim.run_scenario(cfg, 2)
+        tampers = [e for e in report.events if e[1] == "map_tamper"]
+        assert tampers == [(40.0, "map_tamper", flipped[0], 0, "announce digest mismatch")]
+        assert report.rows[0]["tamper_events"] == 1
+
     def test_paper_scale_detection_end_to_end(self):
         # routes crossing droppers at a 4-sigma effect size keep the
         # downstream detector at or above 95% detection
@@ -699,6 +723,9 @@ class TestRunScenario:
                             lambda t, graph: calls.append(t.owner) or rebuild(t, graph))
         report = sim.run_scenario(cfg)
         assert calls == [e[2] for e in report.events if e[1] == "quarantine"]
+        # the response columns count the same events
+        assert sum(r["alarms"] for r in report.rows) == \
+            sum(e[1] == "alarm" for e in report.events)
 
     def test_int_and_float_pause_seed_the_same_cell(self):
         # a pause built in code (20) and one parsed from a file (20.0) are the
