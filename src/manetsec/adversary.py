@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .crypto import KEY_BYTES, CipherSuite, IntegrityFailure, KeyMaterial
-from .protocol import GroupSession, derive_master_key
+from .protocol import GroupSession, derive_master_key, membership
 from .wire import BROADCAST, MessageKind, ProtocolMessage
 from . import wire
 
@@ -94,8 +94,8 @@ def forward_secrecy_candidates(suite: CipherSuite, know: NodeKnowledge,
     Its keys include the attack the leave design must defeat: the public
     hash-chain master-key update replayed with every key the leaver holds.
     """
-    keys = know.keys + [derive_master_key(suite, k, epoch_after, roster_after)
-                        for k in know.keys]
+    roster = membership(epoch_after, roster_after)
+    keys = know.keys + [derive_master_key(suite, k, roster) for k in know.keys]
     return candidate_group_keys(suite, keys, know.delivered + post_broadcasts)
 
 

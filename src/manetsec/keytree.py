@@ -74,14 +74,13 @@ class DetachResult:
     tree: KeyTree
     affected: set[NodeId]   # ancestors + surviving children of the leaver (or new checker)
     dropped: set[NodeId]    # members left without any path to the root (reported, out of group)
+    graph: Graph            # the input graph without the leaver
 
 
 def select_checker(root: NodeId, graph: Graph, rng: random.Random,
-                   members: set[NodeId] | None = None) -> NodeId:
-    """Pick a uniformly random one-hop neighbor of the root as checker."""
-    candidates = sorted(graph.get(root, set()) - {root})
-    if members is not None:
-        candidates = [c for c in candidates if c in members]
+                   members: set[NodeId]) -> NodeId:
+    """Pick a uniformly random one-hop neighbor of the root among `members` as checker."""
+    candidates = [c for c in sorted(graph.get(root, set()) - {root}) if c in members]
     if not candidates:
         raise IsolatedRoot(f"root {root} has no eligible one-hop neighbor")
     return candidates[rng.randrange(len(candidates))]
@@ -205,7 +204,7 @@ def detach_member(tree: KeyTree, leaver: NodeId, graph: Graph,
         new_tree = build_tree(tree.root, remaining - dropped, reduced, checker)
 
     affected = set(ancestors) | {c for c in former_children if c in new_tree}
-    return DetachResult(tree=new_tree, affected=affected, dropped=dropped)
+    return DetachResult(tree=new_tree, affected=affected, dropped=dropped, graph=reduced)
 
 
 def dump_tree(tree: KeyTree) -> str:

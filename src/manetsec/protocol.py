@@ -24,7 +24,7 @@ import hmac
 import random
 import struct
 from collections import deque
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -120,7 +120,7 @@ class NodeState:
     exchange_family: str = "auth"
     parent_channel_ready: bool = False
     pending_children: set[NodeId] = field(default_factory=set)
-    pending_membership: tuple[int, tuple[NodeId, ...]] | None = None
+    pending_membership: tuple[bytes, bytes] | None = None  # membership() of a leave
     expected_confirm: bytes | None = None
     confirmations: set[NodeId] = field(default_factory=set)
     confirm_failures: set[NodeId] = field(default_factory=set)
@@ -176,7 +176,12 @@ def _canonical(value):
 
 
 class ProtocolNode:
-    """Single-owner actor wrapping a NodeState; step() is the only mutator."""
+    """Single-owner actor wrapping a NodeState.
+
+    Frames change the state only through step(). The session also sets the
+    values it computes once per epoch for every member: the master key on a
+    join and the roster on a leave.
+    """
 
     def __init__(self, node_id: NodeId, suite: CipherSuite, master_key: KeyMaterial,
                  rng: random.Random, unsafe_skip_nonce_checks: bool = False):
@@ -209,12 +214,6 @@ class ProtocolNode:
 
     def refresh_share(self) -> None:
         self.state.share = KeyMaterial.random(self.rng)
-
-    def rotate_master_join(self, epoch_new: int, ids: list[NodeId]) -> None:
-        self.state.master_key = derive_master_key(self.suite, self.state.master_key, epoch_new, ids)
-
-    def arm_leave_rekey(self, epoch_new: int, ids: list[NodeId]) -> None:
-        self.state.pending_membership = (epoch_new, tuple(ids))
 
     def begin_exchange(self, family: str, expected_children: set[NodeId]) -> list[ProtocolMessage]:
         """Start this node's part of a (re)initiation: wait for the given
@@ -277,14 +276,13 @@ class ProtocolNode:
         st.local_keys[st.my_id] = lk_new
         return [msg1, msg3]
 
-    def begin_master_rekey(self, salt: KeyMaterial, epoch_new: int,
-                           ids: list[NodeId], extra_receivers=()) -> list[ProtocolMessage]:
-        """Root only: rotate with fresh entropy and pass it down the tree."""
+    def begin_master_rekey(self, salt: KeyMaterial,
+                           roster: tuple[bytes, bytes]) -> list[ProtocolMessage]:
+        """Root only: rotate with fresh entropy and pass it to its children and the checker."""
         st = self.state
         assert st.role == ROLE_ROOT
-        st.master_key = derive_master_key(self.suite, st.master_key, epoch_new, ids, salt.data)
-        st.pending_membership = None
-        return self._forward_master_rekey(salt, list(st.children) + list(extra_receivers))
+        st.master_key = derive_master_key(self.suite, st.master_key, roster, salt.data)
+        return self._forward_master_rekey(salt, [*st.children, st.checker_id])
 
     def join_request(self) -> list[ProtocolMessage]:
         return [ProtocolMessage(MessageKind.JOIN_REQUEST, self.state.my_id, BROADCAST,
@@ -552,8 +550,8 @@ class ProtocolNode:
             return self._drop("unexpected")
         if not self._nonce_fresh(sid, nonce):
             return self._drop("nonce_mismatch")
-        epoch_new, ids = st.pending_membership
-        st.master_key = derive_master_key(self.suite, st.master_key, epoch_new, ids, salt.data)
+        st.master_key = derive_master_key(self.suite, st.master_key, st.pending_membership,
+                                          salt.data)
         st.pending_membership = None
         return self._forward_master_rekey(salt, st.children)
 
@@ -588,19 +586,22 @@ _HANDLERS = {
 }
 
 
-def _ids_blob(ids: Sequence[NodeId]) -> bytes:
-    return struct.pack(f">{len(ids)}I", *sorted(ids))
+def membership(epoch: int, ids: Iterable[NodeId]) -> tuple[bytes, bytes]:
+    """The roster a master-key roll binds: the epoch and the sorted member ids,
+    packed once per epoch and shared by every derivation in it."""
+    ids = sorted(ids)
+    return struct.pack(">Q", epoch), struct.pack(f">{len(ids)}I", *ids)
 
 
-def derive_master_key(suite: CipherSuite, old: KeyMaterial, epoch: int,
-                      ids: Sequence[NodeId], salt: bytes = b"") -> KeyMaterial:
-    """Hash-chain master key update over the membership roster.
+def derive_master_key(suite: CipherSuite, old: KeyMaterial, roster: tuple[bytes, bytes],
+                      salt: bytes = b"") -> KeyMaterial:
+    """Hash-chain master key update over a `membership()` roster.
 
     Joins use the deterministic chain (the joiner is provisioned out of band);
     leaves must pass fresh root entropy as salt, carried to the remaining
     members over per-edge keys the departed member never saw.
     """
-    return suite.derive_key(b"master", old.data, struct.pack(">Q", epoch), _ids_blob(ids), salt)
+    return suite.derive_key(b"master", old.data, *roster, salt)
 
 
 class Transport:
@@ -845,19 +846,17 @@ class GroupSession:
                     graph[joiner].add(e)
                     graph[e] = graph[e] | {joiner}
             self.graph = graph
-            epoch_new = self.epoch + 1
 
-            joiner_node = self._new_node(joiner, self.master_key)  # placeholder master
+            # accept-all policy: the master chain rolls forward once for the
+            # whole group (every member holds the root's key at each commit),
+            # and the joiner is provisioned with the new key out of band
+            roster = membership(self.epoch + 1, [*self.nodes, joiner])
+            master = derive_master_key(self.suite, self.master_key, roster)
+            for node in self.nodes.values():
+                node.state.master_key = master
+            joiner_node = self._new_node(joiner, master)
             self.nodes = {**self.nodes, joiner: joiner_node}
-            ids = sorted(self.nodes)
             self._pump(joiner_node.join_request())
-
-            # accept-all policy: everyone rolls the master chain forward, the
-            # joiner is provisioned with the new key out of band
-            for nid, node in self.nodes.items():
-                if nid != joiner:
-                    node.rotate_master_join(epoch_new, ids)
-            joiner_node.state.master_key = self.master_key
 
             self.tree = attach_member(self.tree, joiner, self.graph)
             path = set(key_path(self.tree, joiner))
@@ -874,21 +873,16 @@ class GroupSession:
             raise UnsupportedLeave("the protocol initiator cannot leave")
         self._require_established()
         with self._epoch():
-            old_children = {n: tuple(c) for n, c in self.tree.children.items()}
-            old_parent = dict(self.tree.parent)
-            graph2 = {n: set(nbs) - {leaver} for n, nbs in self.graph.items() if n != leaver}
+            old = self.tree
             # a leaving checker hands over to another one-hop neighbor of the root
-            new_checker = (select_checker(self.root, graph2, self.rng, self.members - {leaver})
+            new_checker = (select_checker(self.root, self.graph, self.rng, self.members - {leaver})
                            if leaver == self.checker else None)
-            det = detach_member(self.tree, leaver, graph2, checker=new_checker)
+            det = detach_member(old, leaver, self.graph, checker=new_checker)
             if new_checker is not None:
                 self.nodes[new_checker].state.share = None
-            self.tree = det.tree
-            self.graph = graph2
+            self.tree, self.graph = det.tree, det.graph
             gone = det.dropped | {leaver}
             self.nodes = {n: node for n, node in self.nodes.items() if n not in gone}
-            ids = sorted(self.nodes)
-            epoch_new = self.epoch + 1
             self._configure_all()
 
             # key any tree edge that appeared in the re-layering
@@ -904,12 +898,11 @@ class GroupSession:
 
             # fresh entropy rides the edge keys so the leaver cannot follow the chain
             salt = KeyMaterial.random(self.rng)
+            roster = membership(self.epoch + 1, self.nodes)
             for nid, node in self.nodes.items():
                 if nid != self.root:
-                    node.arm_leave_rekey(epoch_new, ids)
-            root = self.nodes[self.root]
-            self._pump(root.begin_master_rekey(salt, epoch_new, ids,
-                                               extra_receivers=(self.checker,)))
+                    node.state.pending_membership = roster
+            self._pump(self.nodes[self.root].begin_master_rekey(salt, roster))
             stale = [nid for nid, node in self.nodes.items()
                      if node.state.pending_membership is not None]
             if stale:
@@ -919,9 +912,8 @@ class GroupSession:
             # leaver saw re-reports its fold; only the affected draw new shares
             reporters = set(det.affected)
             for n in self.tree.members():
-                if old_children.get(n, ()) != tuple(self.tree.children.get(n, ())):
-                    reporters.add(n)
-                if old_parent.get(n) != self.tree.parent.get(n):
+                if old.children.get(n) != self.tree.children[n] or \
+                        old.parent.get(n) != self.tree.parent.get(n):
                     reporters.add(n)
             self._run_path_refresh(fresh=det.affected, reporters=reporters)
             self.run_session_agreement()

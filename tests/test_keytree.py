@@ -24,16 +24,17 @@ from conftest import FIG4_EDGES, bfs_levels, make_graph, random_geometric
 class TestSelectChecker:
     def test_single_neighbor_forced(self, rng):
         graph = make_graph([(0, 9)])
-        assert select_checker(0, graph, rng) == 9
+        assert select_checker(0, graph, rng, members=set(graph)) == 9
 
     def test_fig4_checker_is_root_neighbor(self, fig4_graph):
         for seed in range(20):
-            ch = select_checker(1, fig4_graph, random.Random(seed))
+            ch = select_checker(1, fig4_graph, random.Random(seed), members=set(fig4_graph))
             assert ch in fig4_graph[1]
 
     def test_isolated_root(self, rng):
+        graph = {0: set()}
         with pytest.raises(IsolatedRoot):
-            select_checker(0, {0: set()}, rng)
+            select_checker(0, graph, rng, members=set(graph))
 
     def test_uniformity_chi_square(self):
         # 10^4 draws over 4 neighbors; each count within 3 sigma of 2500
@@ -41,7 +42,7 @@ class TestSelectChecker:
         rng = random.Random(99)
         counts = {1: 0, 2: 0, 3: 0, 4: 0}
         for _ in range(10_000):
-            counts[select_checker(0, graph, rng)] += 1
+            counts[select_checker(0, graph, rng, members=set(graph))] += 1
         sigma = math.sqrt(10_000 * 0.25 * 0.75)
         for c in counts.values():
             assert abs(c - 2500) <= 3 * sigma

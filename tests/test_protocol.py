@@ -19,9 +19,10 @@ from manetsec.protocol import (
     Transport,
     UnsupportedLeave,
     _HANDLERS,
-    _ids_blob,
+    derive_master_key,
+    membership,
 )
-from manetsec.keytree import TreeError, bfs_parents, key_path
+from manetsec.keytree import TreeError, bfs_parents, dump_tree, key_path
 from manetsec.wire import BROADCAST, LAYOUTS, SEALED_KINDS, MessageKind, ProtocolMessage, pack
 
 from conftest import make_graph, random_geometric
@@ -515,7 +516,8 @@ def full_state():
         children_received={7: (k[8], k[9])}, pending_nonces={"up_echo": 11},
         seen_nonces={1: {5, 9}}, parent_id=1, children=(7,), root_id=1,
         checker_id=2, exchange_active=True, exchange_family="join",
-        parent_channel_ready=True, pending_children={7}, pending_membership=(5, (1, 3, 7)),
+        parent_channel_ready=True, pending_children={7},
+        pending_membership=membership(5, (1, 3, 7)),
         expected_confirm=b"digest", confirmations={1}, confirm_failures={7},
         rekey_tentative=k[10], local_rekey_peer={1: (12, k[5])})
 
@@ -585,6 +587,11 @@ class RateDropTransport(Transport):
         return None if self.rng.random() < self.rate else msg
 
 
+def tree_dump(tree):
+    """dump_tree plus every child list: the whole tree, by value."""
+    return dump_tree(tree) + "".join(f"{n}:{tree.children[n]}\n" for n in sorted(tree.children))
+
+
 def rollback_view(session):
     """Per-node fingerprint without the anti-replay memory, and that memory."""
     return ({n: dataclasses.replace(node.state, seen_nonces={}).fingerprint()
@@ -637,6 +644,7 @@ class TestRollback:
         for kind, pick in [("establish", 0)] + ops:
             nodes_before, members_before = set(s.nodes), set(s.members)
             views_before = (s.tree, s.keys, s.checker, s.epoch, s.master_key)
+            tree_before = tree_dump(s.tree)
             graph_before = {v: set(nbs) for v, nbs in s.graph.items()}
             prints_before, seen_before = rollback_view(s)
             logged = {t: len(log) for t, log in transport.delivered.items()}
@@ -664,6 +672,9 @@ class TestRollback:
                 assert set(s.nodes) == nodes_before
                 assert s.members == members_before
                 assert (s.tree, s.keys, s.checker, s.epoch, s.master_key) == views_before
+                # the tree is kept by reference, so only a dump shows an
+                # in-place change to it
+                assert tree_dump(s.tree) == tree_before
                 assert s.graph == graph_before
                 prints_after, seen_after = rollback_view(s)
                 assert prints_after == prints_before
@@ -684,6 +695,8 @@ class TestRollback:
             assert s.epoch == views_before[3] + 1 == s.keys.epoch
             gk = s.gk_oracle()
             assert all(node.state.session_key == gk for node in s.nodes.values())
+            # a join rolls the master key once for all, which relies on this
+            assert all(node.state.master_key == s.master_key for node in s.nodes.values())
 
 
 class TestByteIdentity:
@@ -705,8 +718,58 @@ class TestByteIdentity:
         assert [gk.data.hex() for gk in gks] == self.GKS
         assert hashlib.sha256(s.transport.transcript).hexdigest() == self.TRANSCRIPT_SHA256
 
-    def test_ids_blob_matches_per_id_packing(self, rng):
-        rosters = [[], [0], [2**32 - 1, 0, 7]]
-        rosters += [rng.sample(range(10_000), rng.randrange(1, 300)) for _ in range(20)]
-        for ids in rosters:
-            assert _ids_blob(ids) == b"".join(struct.pack(">I", i) for i in sorted(ids))
+
+class TestMasterKeyRoll:
+    # derive_master_key(suite, bytes(range(16)), membership(7, [9, 2**32 - 1, 3]), salt)
+    # unsalted and with salt b"\xa5" * 16, and for epoch 0 with an empty roster
+    PINNED = {(7, b""): "4b5b82545cc1eff4ae93e974a567296e",
+              (7, b"\xa5" * 16): "ccf05205828e2db82e4888e905c3ee84",
+              (0, b""): "0a4025aa0a013779b8f1f3fca7814203"}
+
+    @staticmethod
+    def reference(old, epoch, ids, salt):
+        """SHA-256 over a zero counter and the length-prefixed parts, by hand."""
+        roster = b"".join(struct.pack(">I", i) for i in sorted(ids))
+        parts = [b"master", old, struct.pack(">Q", epoch), roster, salt]
+        block = bytes(4) + b"".join(struct.pack(">I", len(p)) + p for p in parts)
+        return hashlib.sha256(block).digest()[:16]
+
+    def test_known_answers(self, suite):
+        old = KeyMaterial(bytes(range(16)))
+        cases = {0: [], 7: [9, 2**32 - 1, 3], 2**64 - 1: [1000, 5, 4, 1]}
+        for epoch, ids in cases.items():
+            roster = membership(epoch, ids)
+            assert roster == (struct.pack(">Q", epoch),
+                              b"".join(struct.pack(">I", i) for i in sorted(ids)))
+            assert membership(epoch, dict.fromkeys(reversed(ids))) == roster
+            for salt in (b"", b"\xa5" * 16):
+                key = derive_master_key(suite, old, roster, salt)
+                assert key.data == self.reference(old.data, epoch, ids, salt)
+                if (epoch, salt) in self.PINNED:
+                    assert key.data.hex() == self.PINNED[epoch, salt]
+
+    def test_one_roll_per_join_and_one_per_holder_on_leave(self, suite, monkeypatch):
+        n = 40
+        graph = make_graph([(i, (i + step) % n) for i in range(n) for step in (1, 7)])
+        s = GroupSession(graph, 0, set(range(n)), suite, seed=5)
+        s.establish()
+        derive = CipherSuite.derive_key
+        calls = []
+
+        def spy(self, *parts):
+            if parts[0] == b"master":
+                calls.append(parts)
+            return derive(self, *parts)
+
+        monkeypatch.setattr(CipherSuite, "derive_key", spy)
+
+        def rolls(op, *args):
+            calls.clear()
+            op(*args)
+            # every derivation in the epoch reads the one packed roster
+            assert len({(id(c[2]), id(c[3])) for c in calls}) == 1
+            return len(calls)
+
+        assert rolls(s.member_join, n, {3, 9}) == 1
+        assert rolls(s.member_leave, 17) == len(s.nodes)
+        assert rolls(s.member_leave, s.checker) == len(s.nodes)
