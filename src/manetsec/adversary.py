@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .crypto import KEY_BYTES, CipherSuite, IntegrityFailure, KeyMaterial
+from .crypto import KEY_BYTES, CipherSuite, KeyMaterial
 from .protocol import GroupSession, derive_master_key, membership
 from .wire import BROADCAST, MessageKind, ProtocolMessage
 from . import wire
@@ -53,19 +53,12 @@ def candidate_group_keys(suite: CipherSuite, keys: list[KeyMaterial],
     the opening key is in the set, this covers z, z xor S_ch and every XOR
     ratchet (new = carrier xor fresh), in whatever order the frames come.
     Digest payloads contribute nothing (preimage resistance assumed), and
-    neither do frames without a key field.
+    neither do frames without a key field. Each held key's AEAD is set up
+    once per call, so a trial open is one AES-GCM call.
     """
     pool = list({k.data: k for k in keys}.values())  # dedup, keep order
     recovered = {k.data for k in pool}
-
-    def try_open(payload: bytes) -> bytes | None:
-        for key in pool:
-            try:
-                return suite.decrypt(key, payload)
-            except IntegrityFailure:
-                continue
-        return None
-
+    try_open = suite.opener(pool)  # first key in pool order that opens, or None
     for msg in messages:
         if msg.kind not in _KEY_CARRYING:
             continue

@@ -10,10 +10,12 @@ RNG state so whole runs replay bit-for-bit from a seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 import random
 import struct
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
@@ -37,6 +39,10 @@ MAX_NONCE = 2**64 - 1
 # The width of every key: AES-128, and the SHA-256 derivation truncated to it.
 KEY_BITS = 128
 KEY_BYTES = KEY_BITS // 8
+
+# A sealed frame is IV || AES-GCM ciphertext || tag.
+_IV = 12
+_TAG = 16
 
 # Opaque byte blobs; kept as plain bytes on purpose.
 Ciphertext = bytes
@@ -127,13 +133,31 @@ class NonceSource:
                 return v
 
 
+def _aead(key: KeyMaterial) -> AESGCM:
+    """The AES-GCM object for `key`, once its width is checked."""
+    if len(key.data) != KEY_BYTES:
+        raise WidthMismatch(f"suite expects {KEY_BITS}-bit keys, got {key.width_bits}-bit")
+    return AESGCM(key.data)
+
+
+def _open_first(aeads: Iterable[AESGCM], ct: Ciphertext) -> bytes | None:
+    """The plaintext of `ct` under the first of `aeads` that authenticates
+    it, or None when none does or `ct` is too short to hold an IV and tag."""
+    if len(ct) < _IV + _TAG:
+        return None
+    iv, body = ct[:_IV], ct[_IV:]
+    for aead in aeads:
+        try:
+            return aead.decrypt(iv, body, None)
+        except InvalidTag:
+            continue
+    return None
+
+
 class CipherSuite:
     """The one suite: AES-GCM under KEY_BITS-bit keys, with a 12-byte IV
     prepended to each ciphertext, and SHA-256 for digests, keyed digests
     (HMAC) and key derivation."""
-
-    _IV = 12
-    _TAG = 16
 
     # -- key derivation ----------------------------------------------------
 
@@ -144,10 +168,6 @@ class CipherSuite:
         buf = b"".join(struct.pack(">I", len(p)) + p for p in parts)
         return KeyMaterial(hashlib.sha256(bytes(4) + buf).digest()[:KEY_BYTES])
 
-    def _check_key(self, key: KeyMaterial) -> None:
-        if len(key.data) != KEY_BYTES:
-            raise WidthMismatch(f"suite expects {KEY_BITS}-bit keys, got {key.width_bits}-bit")
-
     # -- authenticated encryption -----------------------------------------
 
     def encrypt(self, key: KeyMaterial, plaintext: bytes, rng: random.Random) -> Ciphertext:
@@ -156,19 +176,27 @@ class CipherSuite:
         A seeded `rng` keeps whole runs reproducible; `random.SystemRandom()`
         draws the IV from the OS.
         """
-        self._check_key(key)
-        iv = rng.getrandbits(self._IV * 8).to_bytes(self._IV, "big")
-        return iv + AESGCM(key.data).encrypt(iv, plaintext, None)
+        aead = _aead(key)
+        iv = rng.getrandbits(_IV * 8).to_bytes(_IV, "big")
+        return iv + aead.encrypt(iv, plaintext, None)
 
     def decrypt(self, key: KeyMaterial, ct: Ciphertext) -> bytes:
         """Inverse of encrypt; raises IntegrityFailure on wrong key or tamper."""
-        self._check_key(key)
-        if len(ct) < self._IV + self._TAG:
-            raise IntegrityFailure("ciphertext too short")
-        try:
-            return AESGCM(key.data).decrypt(ct[: self._IV], ct[self._IV :], None)
-        except InvalidTag as e:
-            raise IntegrityFailure("authentication tag mismatch") from e
+        pt = _open_first((_aead(key),), ct)
+        if pt is None:
+            raise IntegrityFailure("wrong key, tampered or truncated ciphertext")
+        return pt
+
+    def opener(self, keys: Iterable[KeyMaterial]) -> Callable[[Ciphertext], bytes | None]:
+        """Trial decryption under a fixed key list, for an attacker that
+        tries every key it holds on every frame.
+
+        Every key's width is checked and its AEAD built here, once. The
+        returned function gives the plaintext under the first key, in the
+        given order, that opens a frame, or None when none does; a wrong key
+        costs one failed AES-GCM call and no IntegrityFailure.
+        """
+        return functools.partial(_open_first, [_aead(key) for key in keys])
 
     # -- digests -------------------------------------------------------------
 

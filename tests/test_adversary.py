@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from manetsec import adversary, sim, wire
+from manetsec import adversary, crypto, sim, wire
 from manetsec.adversary import (
     backward_secrecy_candidates,
     broadcasts_since,
@@ -176,6 +176,31 @@ def oracle_outputs(suite, captures):
             for know, frames, after in captures]
 
 
+class TestOpenerSetup:
+    def test_one_aead_per_distinct_pool_key(self, churn_session, suite, monkeypatch):
+        # a trial open must not build its AEAD: the count stays at one per
+        # distinct held key however many frames are opened
+        built, real = [], crypto.AESGCM
+
+        def counting_aesgcm(key):  # the Rust AESGCM type cannot be subclassed
+            built.append(key)
+            return real(key)
+
+        s = churn_session
+        _, stolen = churn_captures(s)
+        frames = s.transport.messages
+        distinct = {k.data for k in stolen}
+        monkeypatch.setattr(crypto, "AESGCM", counting_aesgcm)
+        candidate_group_keys(suite, stolen, frames)
+        assert sorted(built) == sorted(distinct)
+        # the call tried every key on dozens of key-carrying frames and
+        # opened many of them
+        carrying = [m for m in frames if m.kind in adversary._KEY_CARRYING]
+        monkeypatch.undo()
+        assert len(carrying) > 40
+        assert sum(opens(suite, stolen, m) for m in carrying) > 10
+
+
 class TestOracleEquivalence:
     def test_keyless_frames_never_add_a_candidate(self, churn_session, suite, monkeypatch):
         s = churn_session
@@ -274,6 +299,31 @@ class TestSuiteOracleInputs:
         report = run_security_suite(77, cycles=20, replay_trials=10)
         assert report.all_passed()
         assert h.hexdigest() == self.ORACLE_INPUTS_SHA256
+
+    # sha256 over every candidate set the suite's oracle calls return, each
+    # sorted and length-prefixed, in call order. Computed before trial opens
+    # moved from CipherSuite.decrypt to CipherSuite.opener, so it pins that
+    # the faster oracle credits the attacker with exactly the same keys.
+    ORACLE_OUTPUTS_SHA256 = "a3e15c896b829a8a7e276a0f43580101e2aa4b0959cb283fe531df096e9b59ad"
+
+    def test_oracle_outputs_are_pinned(self, monkeypatch):
+        h = hashlib.sha256()
+        sizes = []
+        oracle = adversary.candidate_group_keys
+
+        def logged(suite, keys, messages):
+            cands = oracle(suite, keys, messages)
+            h.update(len(cands).to_bytes(4, "big"))
+            for key in sorted(cands):
+                h.update(key)
+            sizes.append(len(cands))
+            return cands
+
+        monkeypatch.setattr(adversary, "candidate_group_keys", logged)
+        report = run_security_suite(77, cycles=20, replay_trials=10)
+        assert report.all_passed()
+        assert len(sizes) == 40 and sum(sizes) == 4428
+        assert h.hexdigest() == self.ORACLE_OUTPUTS_SHA256
 
     def test_broadcast_slices_match_a_filtered_log(self, churn_session):
         churn_session.member_join(50, {0})

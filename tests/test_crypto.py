@@ -2,6 +2,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from manetsec.crypto import (
     KEY_BITS,
@@ -187,6 +188,51 @@ class TestAuthenticatedEncryption:
             suite.decrypt(KeyMaterial.random(rng), b"tiny")
 
 
+def first_decrypt(suite, keys, ct):
+    """The reference for an opener: try `decrypt` under each key in turn."""
+    for key in keys:
+        try:
+            return suite.decrypt(key, ct)
+        except IntegrityFailure:
+            continue
+    return None
+
+
+KEY_LISTS = st.lists(st.binary(min_size=KEY_BYTES, max_size=KEY_BYTES).map(KeyMaterial),
+                     max_size=6)
+
+
+class TestOpener:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(keys=KEY_LISTS, sealer=st.integers(-1, 6), plaintext=st.binary(max_size=80),
+           iv_seed=st.integers(0, 2**32 - 1))
+    def test_equals_a_first_success_decrypt_loop(self, keys, sealer, plaintext, iv_seed):
+        # sealed under one of the keys, or (sealer out of range) under none
+        rng = random.Random(iv_seed)
+        key = keys[sealer] if 0 <= sealer < len(keys) else KeyMaterial.random(rng)
+        ct = SHA256.encrypt(key, plaintext, rng)
+        want = first_decrypt(SHA256, keys, ct)
+        assert SHA256.opener(keys)(ct) == want
+        assert want == (plaintext if key in keys else None)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(keys=KEY_LISTS.filter(bool), pick=st.integers(0, 5), plaintext=st.binary(max_size=80),
+           bit=st.integers(0, 2**20), cut=st.integers(0, 27))
+    def test_flipped_or_truncated_frame_gives_none(self, keys, pick, plaintext, bit, cut):
+        ct = SHA256.encrypt(keys[pick % len(keys)], plaintext, random.Random(bit))
+        open_frame = SHA256.opener(keys)
+        assert open_frame(ct) == plaintext
+        flipped = bytearray(ct)
+        flipped[bit // 8 % len(ct)] ^= 1 << (bit % 8)
+        assert open_frame(bytes(flipped)) is None
+        assert open_frame(ct[:cut]) is None
+
+    def test_empty_key_list_opens_nothing(self, rng):
+        ct = SHA256.encrypt(KeyMaterial.random(rng), b"payload", rng)
+        assert SHA256.opener([])(ct) is None
+        assert SHA256.opener(iter(()))(ct) is None
+
+
 class TestHashing:
     def test_deterministic(self):
         assert SHA256.digest(b"x") == SHA256.digest(b"x")
@@ -259,6 +305,12 @@ class TestSuiteConfig:
             suite.encrypt(KeyMaterial(bytes(width)), b"x", rng)
         with pytest.raises(WidthMismatch):
             suite.decrypt(KeyMaterial(bytes(width)), bytes(40))
+        # an opener refuses it when built, wherever it sits among good keys:
+        # never skipped as one more key that opens nothing
+        good = [KeyMaterial.random(rng), KeyMaterial.random(rng)]
+        for at in range(3):
+            with pytest.raises(WidthMismatch):
+                suite.opener(good[:at] + [KeyMaterial(bytes(width))] + good[at:])
 
     def test_derive_key_width_and_determinism(self):
         suite = CipherSuite()
