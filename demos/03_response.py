@@ -44,7 +44,7 @@ def adversary(step, sender, receiver, payload, digest):
 
 print("== local map distribution (node 4's reply is tampered in flight) ==")
 res = distribute_local_maps(suite, 1, neighbors, local_keys, maps,
-                            NonceSource(1, rng), now=12.0, channel=adversary)
+                            NonceSource(rng), now=12.0, channel=adversary)
 for nid in sorted(res.glm.entries):
     cov, verdict = res.glm.entries[nid]
     print(f"  node {nid}: coverage {cov:.2f} -> {verdict}")
@@ -66,7 +66,7 @@ for t in tables.values():
 print("next hops before:", {n: t.next_hop for n, t in tables.items()})
 
 gk = KeyMaterial.random(rng)
-alarm = global_alarm(suite, victim_map, gk, tables, graph, NonceSource(4, rng),
+alarm = global_alarm(suite, victim_map, gk, tables, graph, NonceSource(rng),
                      now=13.0)
 print(f"alarm accepted by {sorted(alarm.accepted)}")
 print("next hops after: ", {n: t.next_hop for n, t in tables.items()})

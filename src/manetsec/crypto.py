@@ -30,7 +30,6 @@ __all__ = [
     "CryptoError",
     "IntegrityFailure",
     "WidthMismatch",
-    "NonceExhausted",
     "xor_combine",
 ]
 
@@ -59,10 +58,6 @@ class IntegrityFailure(CryptoError):
 
 class WidthMismatch(CryptoError):
     """Key material of differing widths was mixed in one operation."""
-
-
-class NonceExhausted(CryptoError):
-    """An issuer ran out of nonce space."""
 
 
 @dataclass(frozen=True)
@@ -116,14 +111,11 @@ def xor_combine(parts: list[KeyMaterial]) -> KeyMaterial:
 class NonceSource:
     """Per-node nonce generator with a used-value set (replay bookkeeping)."""
 
-    issuer: int
     rng: random.Random
     used: set[int] = field(default_factory=set)
 
     def fresh(self) -> int:
-        """Draw a 64-bit nonce this issuer never issued before and record it in `used`."""
-        if len(self.used) >= MAX_NONCE:
-            raise NonceExhausted(f"issuer {self.issuer} exhausted the nonce space")
+        """Draw a 64-bit nonce this source never issued before and record it in `used`."""
         while True:
             v = self.rng.getrandbits(64)
             if v == MAX_NONCE:

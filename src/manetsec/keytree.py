@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 NodeId = int
@@ -52,11 +53,32 @@ class Disconnected(TreeError):
 
 @dataclass(frozen=True)
 class KeyTree:
+    """A key tree is its parent map; `level` and `children` are derived.
+
+    Invariant: in `parent`'s insertion order every parent precedes its
+    children. `bfs_parents` lists nodes in visit order and `attach_member`
+    appends the joiner, so both constructors meet it.
+    """
+
     root: NodeId
     parent: dict[NodeId, NodeId]            # absent for root
-    children: dict[NodeId, list[NodeId]]    # ordered by ascending id
-    level: dict[NodeId, int]
     checker: NodeId
+
+    @cached_property
+    def level(self) -> dict[NodeId, int]:
+        """Hop distance from the root of every tree node, in one pass."""
+        level = {self.root: 0}
+        for node, up in self.parent.items():
+            level[node] = level[up] + 1
+        return level
+
+    @cached_property
+    def children(self) -> dict[NodeId, list[NodeId]]:
+        """Every tree node -> its children in ascending id order."""
+        children: dict[NodeId, list[NodeId]] = {n: [] for n in self.level}
+        for node in sorted(self.parent):
+            children[self.parent[node]].append(node)
+        return children
 
     @property
     def height(self) -> int:
@@ -105,16 +127,7 @@ def build_tree(root: NodeId, members: set[NodeId], graph: Graph, checker: NodeId
     if missing:
         raise Unreachable(missing)
     del parent[root]
-    level: dict[NodeId, int] = {root: 0}
-    children: dict[NodeId, list[NodeId]] = {root: []}
-    # visit order puts every parent before its children, and a parent's
-    # children were all entered from its one sorted expansion: ascending ids
-    for node, up in parent.items():
-        level[node] = level[up] + 1
-        children[node] = []
-        children[up].append(node)
-    return KeyTree(root=root, parent=parent, children=children,
-                   level=level, checker=checker)
+    return KeyTree(root=root, parent=parent, checker=checker)
 
 
 def bfs_parents(graph: Graph, root: NodeId,
@@ -159,16 +172,7 @@ def attach_member(tree: KeyTree, new_node: NodeId, graph: Graph) -> KeyTree:
         raise Disconnected(f"joiner {new_node} has no neighbor inside the tree")
     best_level = min(tree.level[nb] for nb in in_tree)
     parent = min(nb for nb in in_tree if tree.level[nb] == best_level)
-
-    level = dict(tree.level)
-    parents = dict(tree.parent)
-    children = {k: list(v) for k, v in tree.children.items()}
-    level[new_node] = best_level + 1
-    parents[new_node] = parent
-    children[new_node] = []
-    children[parent] = sorted(children[parent] + [new_node])
-    return KeyTree(root=tree.root, parent=parents, children=children, level=level,
-                   checker=tree.checker)
+    return KeyTree(tree.root, {**tree.parent, new_node: parent}, tree.checker)
 
 
 def detach_member(tree: KeyTree, leaver: NodeId, graph: Graph,

@@ -188,7 +188,7 @@ class ProtocolNode:
         self.suite = suite
         self.rng = rng
         self.state = NodeState(my_id=node_id, master_key=master_key)
-        self.nonces = NonceSource(node_id, rng)
+        self.nonces = NonceSource(rng)
         self.counters: dict[str, int] = {
             "integrity_failures": 0, "nonce_mismatch": 0, "unexpected": 0, "join_requests": 0,
         }
@@ -655,7 +655,10 @@ class GroupSession:
     """Drives the node state machines through whole protocol epochs.
 
     Owns the tree, the connectivity graph snapshot, one ProtocolNode per group
-    member (checker included) and a Transport. Each public operation either
+    member (checker included) and a Transport. No graph is changed in place
+    (`member_join` and `detach_member` build new dicts and sets), so `graph`
+    may be shared, as a radio cell shares the world's, non-members included:
+    every keytree rule reads members only. Each public operation either
     commits a new epoch (returning SessionKeys) or raises a ProtocolAbort
     after rolling back to the pre-epoch checkpoint. All five epoch methods
     run their body inside `_epoch()`, the one place a rollback happens.

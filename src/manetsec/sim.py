@@ -116,14 +116,7 @@ class ScenarioConfig:
             raise ScenarioError(str(e)) from None
         if self.coverage_window < 1:
             raise ScenarioError("coverage_window must be at least 1")
-        role: dict[NodeId, str] = {}
-        for kind, group in ((DROPPER, self.droppers), (EAVESDROPPER, self.eavesdroppers),
-                            (REPLAYER, self.replayers)):
-            for n in group:
-                if not 0 <= n < self.node_count:
-                    raise ScenarioError(f"adversary id {n} outside the initial roster")
-                if role.setdefault(n, kind) != kind:
-                    raise ScenarioError(f"node {n} holds more than one adversary role")
+        self.adversary_roles()
         for ev in self.schedule:
             if not 0 <= ev.time <= self.duration:
                 raise ScenarioError(f"schedule event at {ev.time} outside the run")
@@ -132,10 +125,24 @@ class ScenarioConfig:
         for t in self.replay_at:
             if not 0 <= t <= self.duration:
                 raise ScenarioError(f"replay at {t} outside the run")
+        if any(p < 0 for p in self.pause_times):
+            raise ScenarioError(f"sweep pause time {min(self.pause_times)} must be non-negative")
         most = min(self.node_count - 2, len(self._dropper_pool()))
         for c in self.dropper_counts:
             if not 0 <= c <= most:
                 raise ScenarioError(f"dropper sweep count {c} outside 0..{most}")
+
+    def adversary_roles(self) -> dict[NodeId, str]:
+        """Adversary id -> kind: droppers, eavesdroppers, replayers, the order replayers fire in."""
+        role: dict[NodeId, str] = {}
+        for kind, group in ((DROPPER, self.droppers), (EAVESDROPPER, self.eavesdroppers),
+                            (REPLAYER, self.replayers)):
+            for n in group:
+                if not 0 <= n < self.node_count:
+                    raise ScenarioError(f"adversary id {n} outside the initial roster")
+                if role.setdefault(n, kind) != kind:
+                    raise ScenarioError(f"node {n} holds more than one adversary role")
+        return role
 
     def _dropper_pool(self) -> list[NodeId]:
         """The ids a dropper sweep draws from, lowest first: neither the root
@@ -219,7 +226,7 @@ def init_world(config: ScenarioConfig, seed: int) -> World:
         rng.uniform(0.0, config.area_width, size=n),
         rng.uniform(0.0, config.area_height, size=n),
     ])
-    world = World(
+    return World(
         ids=list(range(n)),
         positions=pos,
         waypoints=pos.copy(),
@@ -229,14 +236,8 @@ def init_world(config: ScenarioConfig, seed: int) -> World:
         range_m=config.range_m,
         mobility=config.mobility,
         rng=rng,
+        adversaries=config.adversary_roles(),
     )
-    for d in config.droppers:
-        world.adversaries[d] = DROPPER
-    for e in config.eavesdroppers:
-        world.adversaries[e] = EAVESDROPPER
-    for r in config.replayers:
-        world.adversaries[r] = REPLAYER
-    return world
 
 
 def mobility_step(world: World, dt: float) -> World:
@@ -519,10 +520,6 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> MetricsRepo
     return MetricsReport(columns=_COLUMNS, rows=rows, events=events)
 
 
-def _member_subgraph(graph: Graph, members: set[NodeId]) -> Graph:
-    return {n: (graph.get(n, set()) & members) for n in members}
-
-
 def _run_cell(config: ScenarioConfig, seed: int):
     world = init_world(config, seed)
     suite = CipherSuite()
@@ -544,8 +541,8 @@ def _run_cell(config: ScenarioConfig, seed: int):
         checker, stranded = _least_partitioning_checker(config.root, graph, members)
         unreachable |= stranded
         members -= stranded
-        session = GroupSession(_member_subgraph(graph, members), config.root, members,
-                               suite, seed, transport=transport, checker=checker)
+        session = GroupSession(graph, config.root, members, suite, seed,
+                               transport=transport, checker=checker)
     else:
         members = set()
         events.append((0.0, "epoch_abort", "establish", None,
@@ -684,9 +681,8 @@ def _apply_schedule_event(ev: ScheduleEvent, session: GroupSession, world: World
             base = world.positions[world.index(anchor)]
             offset = world.rng.uniform(-world.range_m / 4, world.range_m / 4, size=2)
             world.add_node(nid, np.clip(base + offset, (0, 0), world.area))
-        g = world.graph()
-        edges = g.get(nid, set()) & session.members
-        session.graph = _member_subgraph(g, session.members | {nid})
+        session.graph = world.graph()
+        edges = session.graph.get(nid, set()) & session.members
         if attempt("join", lambda: session.member_join(nid, edges)):
             events.append((world.time, "join", nid, None, f"edges={sorted(edges)}"))
     elif ev.kind == "leave":
@@ -694,7 +690,7 @@ def _apply_schedule_event(ev: ScheduleEvent, session: GroupSession, world: World
         if nid is None or nid not in session.members or nid == session.root:
             events.append((world.time, "epoch_abort", "leave", nid, "bad leave target"))
             return
-        session.graph = _member_subgraph(world.graph(), session.members)
+        session.graph = world.graph()
         if attempt("leave", lambda: session.member_leave(nid)):
             world.remove_node(nid)
             events.append((world.time, "leave", nid, None, "member departed"))
@@ -756,7 +752,8 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
 
         # authenticated map exchange on the root's one-hop group; pairs that
         # drifted out of radio reach lose their messages
-        graph = _member_subgraph(world.graph(), session.members)
+        members, world_graph = session.members, world.graph()
+        graph = {n: world_graph.get(n, set()) & members for n in members}
         lks = session.keys.local_keys
         root = session.root
 
@@ -764,7 +761,7 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
             return (payload, digest) if receiver in graph[sender] else None
 
         if root in maps and lks:
-            nonces = NonceSource(root, random.Random(seed ^ 0xA1A))
+            nonces = NonceSource(random.Random(seed ^ 0xA1A))
             res = resp.distribute_local_maps(suite, root, set(lks), lks,
                                              maps, nonces, now=world.time,
                                              channel=radio)
@@ -773,7 +770,7 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
         tables = {n: resp.RoutingTable(owner=n) for n in session.members}
         for nid, smap in sorted(maps.items()):
             if resp.check_global_trigger(smap, min_window=config.coverage_window):
-                nonces = NonceSource(nid, random.Random(seed ^ nid))
+                nonces = NonceSource(random.Random(seed ^ nid))
                 res = resp.global_alarm(suite, smap, session.keys.gk, tables, graph,
                                         nonces, now=world.time,
                                         min_window=config.coverage_window)

@@ -165,7 +165,7 @@ def test_c06_global_trigger_and_quarantine():
         assert any(4 in t.next_hop.values() for t in tables.values())
         gk = KeyMaterial.random(rng)
         res = global_alarm(suite, SecurityMap(4, 28, 30), gk, tables, graph,
-                           NonceSource(4, rng))
+                           NonceSource(rng))
         assert res.accepted == set(graph[4])
         for n, table in tables.items():
             if n in res.accepted:
@@ -190,7 +190,7 @@ def test_c07_map_integrity_fuzz():
                 return bytes(blob[: len(payload)]), bytes(blob[len(payload):])
 
             res = distribute_local_maps(suite, 1, {2}, lk, maps,
-                                        NonceSource(1, rng), channel=flip_reply)
+                                        NonceSource(rng), channel=flip_reply)
             assert 2 not in res.glm.entries and 2 in res.tampered, trial
 
         graph = make_graph([(4, 1), (4, 2), (4, 3)])
@@ -204,7 +204,7 @@ def test_c07_map_integrity_fuzz():
 
             tables = {n: RoutingTable(owner=n) for n in (1, 2, 3)}
             res = global_alarm(suite, SecurityMap(4, 28, 30, model_bytes=b"x" * 64),
-                               gk, tables, graph, NonceSource(4, rng),
+                               gk, tables, graph, NonceSource(rng),
                                channel=flip_alarm)
             assert res.accepted == set(), trial
             assert all(not t.quarantined for t in tables.values())

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import manetsec
 from manetsec import cli, esom
 from manetsec.cli import main
 
@@ -323,3 +328,30 @@ class TestDetectorPipeline:
         assert main(["classify", "--model", str(model), "--data", str(data),
                      "--out", str(tmp_path / "v.csv")]) == 1
         assert capsys.readouterr().err == f"error: {model}: model file truncated\n"
+
+
+class TestModuleEntryPoint:
+    """`python -m manetsec` reaches `cli.main` and exits with its status."""
+
+    REPO = Path(__file__).resolve().parent.parent
+
+    def run(self, *args):
+        src = str(Path(manetsec.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "manetsec", *args], cwd=self.REPO,
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=300)
+
+    def test_help(self):
+        assert self.run("--help").returncode == 0
+
+    def test_input_error_exits_one(self, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        done = self.run("evaluate", "--verdicts", missing, "--truth", missing)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:")
+
+    def test_attack_suite(self):
+        done = self.run("attack-suite", "--config", "demos/scenario_basic.cfg",
+                        "--cycles", "2", "--replay-trials", "2")
+        assert done.returncode == 0, done.stderr

@@ -281,16 +281,16 @@ class TestHashing:
 
 class TestNonces:
     def test_consecutive_distinct(self, rng):
-        src = NonceSource(1, rng)
+        src = NonceSource(rng)
         assert src.fresh() != src.fresh()
 
     def test_seeded_reproducibility(self):
-        a = NonceSource(1, random.Random(5))
-        b = NonceSource(1, random.Random(5))
+        a = NonceSource(random.Random(5))
+        b = NonceSource(random.Random(5))
         assert [a.fresh() for _ in range(20)] == [b.fresh() for _ in range(20)]
 
     def test_no_duplicates_in_bulk(self, rng):
-        src = NonceSource(3, rng)
+        src = NonceSource(rng)
         values = [src.fresh() for _ in range(100_000)]
         assert len(set(values)) == len(values)
         assert src.used == set(values)

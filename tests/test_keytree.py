@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from manetsec.keytree import (
     Disconnected,
@@ -245,3 +246,85 @@ class TestDump:
         # sorted by (level, id)
         keys = [tuple(map(int, l.split(",")[:2])) for l in lines[1:]]
         assert keys == sorted(keys)
+
+
+def built_layers(tree):
+    """build_tree's former level/children loop, over `parent` in visit order."""
+    level = {tree.root: 0}
+    children = {tree.root: []}
+    for node, up in tree.parent.items():
+        level[node] = level[up] + 1
+        children[node] = []
+        children[up].append(node)
+    return level, children
+
+
+def attached_layers(layers, joiner, parent):
+    """attach_member's former patch of copied level and children maps."""
+    level = dict(layers[0])
+    children = {k: list(v) for k, v in layers[1].items()}
+    level[joiner] = level[parent] + 1
+    children[joiner] = []
+    children[parent] = sorted(children[parent] + [joiner])
+    return level, children
+
+
+class TestDerivedLayers:
+    """`level` and `children` are derived from `parent`; under join/leave
+    churn they agree with the parent map and with the loops that once
+    stored them."""
+
+    def check(self, tree, layers):
+        order = {n: i for i, n in enumerate(tree.parent)}
+        for child, up in tree.parent.items():
+            assert up == tree.root or order[up] < order[child]
+        for n in tree.members():
+            assert tree.children[n] == sorted(c for c, p in tree.parent.items() if p == n)
+            assert tree.level[n] == len(key_path(tree, n)) - 1
+        assert (tree.level, tree.children) == layers
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 25),
+           ops=st.lists(st.tuples(st.sampled_from(["join", "leave"]), st.integers(0, 2**16)),
+                        min_size=1, max_size=20))
+    def test_join_leave_churn(self, seed, n, ops):
+        rng = random.Random(seed)
+        graph = random_geometric(n, 0.4, rng)
+        members = set(bfs_levels(0, set(graph), graph))
+        try:
+            checker = select_checker(0, graph, rng, members)
+            tree = build_tree(0, members, graph, checker)
+        except TreeError:
+            return  # isolated root, or a checker that cuts part of the group off
+        layers = built_layers(tree)
+        self.check(tree, layers)
+        next_id = n
+        for kind, pick in ops:
+            group = sorted(tree.members() | {tree.checker})
+            if kind == "join":
+                anchors = {group[(pick + 5 * k) % len(group)] for k in range(1 + pick % 3)}
+                graph = {v: set(nbs) for v, nbs in graph.items()}
+                graph[next_id] = set(anchors)
+                for a in anchors:
+                    graph[a].add(next_id)
+                try:
+                    tree = attach_member(tree, next_id, graph)
+                except Disconnected:
+                    continue  # its only anchor was the checker
+                layers = attached_layers(layers, next_id, tree.parent[next_id])
+                next_id += 1
+            else:
+                candidates = [v for v in group if v != tree.root]
+                if len(candidates) < 2:
+                    continue
+                leaver = candidates[pick % len(candidates)]
+                try:
+                    new_checker = (select_checker(0, graph, rng, set(group) - {leaver})
+                                   if leaver == tree.checker else None)
+                    res = detach_member(tree, leaver, graph, checker=new_checker)
+                except TreeError:
+                    continue  # no replacement checker next to the root
+                tree, graph = res.tree, res.graph
+                layers = built_layers(tree)
+            self.check(tree, layers)

@@ -26,7 +26,7 @@ from conftest import make_graph
 
 @pytest.fixture
 def nonces(rng):
-    return NonceSource(1, rng)
+    return NonceSource(rng)
 
 
 def fig6_setup(suite, rng):
@@ -209,7 +209,7 @@ class TestGlobalAlarm:
         graph, tables, gk = fig7_setup(suite, rng)
         assert any(4 in t.next_hop.values() for t in tables.values())
         res = global_alarm(suite, SecurityMap(4, 28, 30), gk, tables, graph,
-                           NonceSource(4, rng))
+                           NonceSource(rng))
         assert res.accepted == {1, 3, 5}
         for r in res.accepted:
             assert 4 not in tables[r].next_hop
@@ -224,7 +224,7 @@ class TestGlobalAlarm:
             return payload, suite.keyed_digest(wrong, payload)
 
         res = global_alarm(suite, SecurityMap(4, 28, 30), gk, tables, graph,
-                           NonceSource(4, rng), channel=forge)
+                           NonceSource(rng), channel=forge)
         assert res.accepted == set()
         assert all(not t.quarantined for t in tables.values())
 
@@ -235,7 +235,7 @@ class TestGlobalAlarm:
         for t in tables.values():
             t.rebuild(graph)
         res = global_alarm(suite, SecurityMap(9, 28, 30), KeyMaterial.random(rng),
-                           tables, graph, NonceSource(9, rng))
+                           tables, graph, NonceSource(rng))
         assert res.accepted == set()
         assert all(not t.quarantined for t in tables.values())
 
@@ -243,7 +243,7 @@ class TestGlobalAlarm:
         graph, tables, gk = fig7_setup(suite, rng)
         with pytest.raises(ResponseError):
             global_alarm(suite, SecurityMap(4, 10, 30), gk, tables, graph,
-                         NonceSource(4, rng))
+                         NonceSource(rng))
 
     def test_single_bit_tamper_fuzz(self, suite, rng):
         graph, tables, gk = fig7_setup(suite, rng)
@@ -261,7 +261,7 @@ class TestGlobalAlarm:
 
             fresh_tables = {n: RoutingTable(owner=n) for n in graph}
             res = global_alarm(suite, SecurityMap(4, 28, 30), gk, fresh_tables,
-                               graph, NonceSource(4, rng), channel=tamper)
+                               graph, NonceSource(rng), channel=tamper)
             if res.accepted == set():
                 rejected += 1
         assert rejected == trials
@@ -294,7 +294,7 @@ class TestChannelFaultPin:
         if drop is not None:
             del {"map": maps, "key": lks}[drop][7]
         res = distribute_local_maps(suite, 1, neighbors, lks, maps,
-                                    NonceSource(1, rng), now=3.5, channel=channel)
+                                    NonceSource(rng), now=3.5, channel=channel)
         return (res.events, sorted(res.verified), sorted(res.tampered),
                 sorted(res.missing), res.glm.to_bytes())
 
@@ -310,7 +310,7 @@ class TestChannelFaultPin:
                 suite, rng = CipherSuite(), random.Random(7)
                 graph, tables, gk = fig7_setup(suite, rng)
                 res = global_alarm(suite, SecurityMap(4, 28, 30), gk, tables, graph,
-                                   NonceSource(4, rng), now=6.25,
+                                   NonceSource(rng), now=6.25,
                                    channel=self.fault(kind, "alarm", r))
                 outcomes.append((res.events, sorted(res.accepted),
                                  [sorted(t.quarantined) for _, t in sorted(tables.items())]))
@@ -338,7 +338,7 @@ class TestRoutingTable:
             t.rebuild(graph)
         gk = KeyMaterial.random(rng)
         global_alarm(suite, SecurityMap(4, 28, 30), gk, tables, graph,
-                     NonceSource(4, rng))
+                     NonceSource(rng))
         glm = compose_global_local_map(SecurityMap(1, 0, 40),
                                        {2: SecurityMap(2, 3, 40),
                                         4: SecurityMap(4, 0, 40)})
