@@ -99,7 +99,7 @@ class NodeState:
 
     my_id: NodeId
     master_key: KeyMaterial
-    role: str = ROLE_MEMBER
+    tree: KeyTree        # the group's, by reference: role, parent and children read it
     share: KeyMaterial | None = None            # S_i (S_Ch for the checker)
     intermediate: KeyMaterial | None = None     # K_i' last sent up
     subkey: KeyMaterial | None = None           # z
@@ -110,11 +110,6 @@ class NodeState:
     children_received: dict[NodeId, tuple[KeyMaterial, KeyMaterial]] = field(default_factory=dict)
     pending_nonces: dict[str, int] = field(default_factory=dict)
     seen_nonces: dict[NodeId, set[int]] = field(default_factory=dict)
-    # tree context, maintained by the orchestrator
-    parent_id: NodeId | None = None
-    children: tuple[NodeId, ...] = ()
-    root_id: NodeId = 0
-    checker_id: NodeId | None = None
     # per-epoch exchange bookkeeping
     exchange_active: bool = False
     exchange_family: str = "auth"
@@ -127,6 +122,21 @@ class NodeState:
     rekey_tentative: KeyMaterial | None = None
     local_rekey_peer: dict[NodeId, tuple[int, KeyMaterial]] = field(default_factory=dict)
 
+    @property
+    def role(self) -> str:
+        if self.my_id == self.tree.checker:
+            return ROLE_CHECKER
+        return ROLE_ROOT if self.my_id == self.tree.root else ROLE_MEMBER
+
+    @property
+    def parent_id(self) -> NodeId | None:
+        tree = self.tree
+        return tree.root if self.my_id == tree.checker else tree.parent.get(self.my_id)
+
+    @property
+    def children(self) -> list[NodeId]:
+        return self.tree.children.get(self.my_id, [])
+
     def fingerprint(self) -> str:
         """Stable digest of every declared field, for equality assertions."""
         return hashlib.sha256(
@@ -137,7 +147,8 @@ class NodeState:
 
         Every dict and set field is copied one level deep: their values are
         frozen KeyMaterials, tuples and ints. `seen_nonces` is shared on
-        purpose, so nonces burned during an aborted epoch stay burned.
+        purpose, so nonces burned during an aborted epoch stay burned, and
+        `tree` is kept by reference, since a KeyTree is frozen.
         """
         snap = copy.copy(self)
         for name in _COPIED:
@@ -162,10 +173,12 @@ _COPIED = tuple(f.name for f in dataclasses.fields(NodeState)
 
 
 def _canonical(value):
-    """Order-free form of a state value: a key becomes its bytes, a dict its
-    sorted items and a set its sorted values."""
+    """Order-free form of a state value: a key becomes its bytes, a dict (or a
+    tree's parent map) its sorted items and a set its sorted values."""
     if isinstance(value, KeyMaterial):
         return value.data
+    if isinstance(value, KeyTree):
+        return value.root, sorted(value.parent.items()), value.checker
     if isinstance(value, dict):
         return sorted((k, _canonical(v)) for k, v in value.items())
     if isinstance(value, set):
@@ -180,14 +193,14 @@ class ProtocolNode:
 
     Frames change the state only through step(). The session also sets the
     values it computes once per epoch for every member: the master key on a
-    join and the roster on a leave.
+    join, the roster on a leave and, through configure(), the tree after both.
     """
 
     def __init__(self, node_id: NodeId, suite: CipherSuite, master_key: KeyMaterial,
-                 rng: random.Random, unsafe_skip_nonce_checks: bool = False):
+                 tree: KeyTree, rng: random.Random, unsafe_skip_nonce_checks: bool = False):
         self.suite = suite
         self.rng = rng
-        self.state = NodeState(my_id=node_id, master_key=master_key)
+        self.state = NodeState(my_id=node_id, master_key=master_key, tree=tree)
         self.nonces = NonceSource(rng)
         self.counters: dict[str, int] = {
             "integrity_failures": 0, "nonce_mismatch": 0, "unexpected": 0, "join_requests": 0,
@@ -197,19 +210,15 @@ class ProtocolNode:
 
     # -- orchestrator-facing helpers ----------------------------------------
 
-    def configure(self, parent: NodeId | None, children, root_id: NodeId,
-                  checker_id: NodeId, role: str) -> None:
+    def configure(self, tree: KeyTree) -> None:
         st = self.state
-        st.parent_id = parent
-        st.children = tuple(sorted(children))
-        st.root_id = root_id
-        st.checker_id = checker_id
-        st.role = role
+        st.tree = tree
         # drop caches for nodes that are no longer children
-        st.children_received = {c: v for c, v in st.children_received.items() if c in st.children}
+        children = st.children
+        st.children_received = {c: v for c, v in st.children_received.items() if c in children}
         # a member re-layered away from level 1 (or drafted as checker)
         # loses its pairwise local key
-        if parent != root_id or role == ROLE_CHECKER:
+        if st.parent_id != tree.root or st.role == ROLE_CHECKER:
             st.local_keys.pop(st.my_id, None)
 
     def refresh_share(self) -> None:
@@ -266,11 +275,11 @@ class ProtocolNode:
         fresh = KeyMaterial.random(self.rng)
         nonce = self.nonces.fresh()
         lk_new = lk_old ^ fresh
-        st.local_rekey_peer[st.root_id] = (nonce, lk_new)
-        msg1 = self._seal(MessageKind.LOCAL_REKEY_STEP1, st.root_id, (st.my_id,), lk_old,
+        st.local_rekey_peer[st.tree.root] = (nonce, lk_new)
+        msg1 = self._seal(MessageKind.LOCAL_REKEY_STEP1, st.tree.root, (st.my_id,), lk_old,
                           st.my_id, fresh, nonce)
         digest = self._confirm_digest(MessageKind.LOCAL_REKEY_STEP3, st.my_id, nonce, lk_new)
-        msg3 = ProtocolMessage(MessageKind.LOCAL_REKEY_STEP3, st.my_id, st.root_id,
+        msg3 = ProtocolMessage(MessageKind.LOCAL_REKEY_STEP3, st.my_id, st.tree.root,
                                (st.my_id,), digest)
         # the member commits its side now; the root confirms or the epoch aborts
         st.local_keys[st.my_id] = lk_new
@@ -282,7 +291,7 @@ class ProtocolNode:
         st = self.state
         assert st.role == ROLE_ROOT
         st.master_key = derive_master_key(self.suite, st.master_key, roster, salt.data)
-        return self._forward_master_rekey(salt, [*st.children, st.checker_id])
+        return self._forward_master_rekey(salt, [*st.children, st.tree.checker])
 
     def join_request(self) -> list[ProtocolMessage]:
         return [ProtocolMessage(MessageKind.JOIN_REQUEST, self.state.my_id, BROADCAST,
@@ -434,7 +443,7 @@ class ProtocolNode:
         nonce_d = st.pending_nonces.pop(f"down_seen:{id_d}")
         del st.pending_nonces[f"down_echo:{id_d}"]
         st.edge_keys[id_d] = self._edge_key(id_d, st.my_id, nonce_d, expected)
-        if id_d == st.checker_id:
+        if id_d == st.tree.checker:
             return []  # root<->checker exchange carries no key contribution
         if id_d not in st.children:
             return self._drop("unexpected")
@@ -460,27 +469,27 @@ class ProtocolNode:
     def _on_agree1(self, msg: ProtocolMessage, rid: NodeId, z: KeyMaterial,
                    nonce_root: int) -> list[ProtocolMessage]:
         st = self.state
-        if rid != msg.sender or rid != st.root_id:
+        if rid != msg.sender or rid != st.tree.root:
             return self._drop("unexpected")
         if not self._nonce_fresh(rid, nonce_root):
             return self._drop("nonce_mismatch")
         st.subkey = z
         st.pending_nonces["agree_root"] = nonce_root
-        if st.parent_id == st.root_id and st.role == ROLE_MEMBER and st.share is not None:
-            st.local_keys[st.my_id] = z ^ st.share
         if st.role == ROLE_CHECKER:
             self.refresh_share()
             st.session_key = z ^ st.share
             nonce_ch = self._await_confirmations(st.session_key)
             return [self._seal(MessageKind.AGREE_STEP2, BROADCAST, (st.my_id,), st.master_key,
                                st.my_id, st.share, nonce_root + 1, nonce_ch)]
+        if st.parent_id == st.tree.root and st.share is not None:
+            st.local_keys[st.my_id] = z ^ st.share
         return []
 
     # agreement step 2: checker broadcast its share; compute K and confirm
     def _on_agree2(self, msg: ProtocolMessage, cid: NodeId, share_ch: KeyMaterial,
                    echoed: int, nonce_ch: int) -> list[ProtocolMessage]:
         st = self.state
-        if cid != msg.sender or cid != st.checker_id or st.subkey is None:
+        if cid != msg.sender or cid != st.tree.checker or st.subkey is None:
             return self._drop("unexpected")
         root_nonce = st.pending_nonces.get("agree_root")
         if root_nonce is None or echoed != root_nonce + 1:
@@ -515,7 +524,7 @@ class ProtocolNode:
     def _on_global_rekey(self, msg: ProtocolMessage, cid: NodeId, fresh: KeyMaterial,
                          nonce_ch: int) -> list[ProtocolMessage]:
         st = self.state
-        if cid != msg.sender or cid != st.checker_id:
+        if cid != msg.sender or cid != st.tree.checker:
             return self._drop("unexpected")
         if not self._nonce_fresh(cid, nonce_ch):
             return self._drop("nonce_mismatch")
@@ -679,7 +688,7 @@ class GroupSession:
                  unsafe_skip_nonce_checks: bool = False):
         self.suite = suite
         self.seed = seed
-        self.graph = {n: set(nbs) for n, nbs in graph.items()}
+        self.graph = graph
         self.root = root
         members = set(members)
         self.transport = transport if transport is not None else Transport()
@@ -690,7 +699,6 @@ class GroupSession:
         self.tree = build_tree(root, members, self.graph, checker)
         self.unsafe_skip_nonce_checks = unsafe_skip_nonce_checks
         self.nodes = {m: self._new_node(m, master_key) for m in sorted(members)}
-        self._configure_all()
         self.keys: SessionKeys | None = None
 
     # -- views of the stored state ---------------------------------------------
@@ -715,17 +723,12 @@ class GroupSession:
 
     def _new_node(self, node_id: NodeId, master: KeyMaterial) -> ProtocolNode:
         rng = random.Random(_sub_seed(self.seed, f"node:{node_id}"))
-        return ProtocolNode(node_id, self.suite, master, rng,
+        return ProtocolNode(node_id, self.suite, master, self.tree, rng,
                             unsafe_skip_nonce_checks=self.unsafe_skip_nonce_checks)
 
     def _configure_all(self) -> None:
-        for nid, node in self.nodes.items():
-            if nid == self.checker:
-                node.configure(self.root, (), self.root, self.checker, ROLE_CHECKER)
-            else:
-                role = ROLE_ROOT if nid == self.root else ROLE_MEMBER
-                node.configure(self.tree.parent.get(nid), self.tree.children.get(nid, ()),
-                               self.root, self.checker, role)
+        for node in self.nodes.values():
+            node.configure(self.tree)
 
     def _pump(self, initial: list[ProtocolMessage]) -> None:
         queue = deque(initial)
@@ -785,19 +788,11 @@ class GroupSession:
 
     # -- protocol phases -------------------------------------------------------
 
-    def run_key_initiation(self, shares: dict[NodeId, KeyMaterial] | None = None,
-                           ) -> tuple[KeyMaterial, dict[NodeId, KeyMaterial]]:
-        """Bottom-up auth on every tree edge; the root folds z and local keys.
-
-        Member shares are drawn fresh unless an explicit share map is given
-        (tests inject known values through it).
-        """
+    def run_key_initiation(self) -> tuple[KeyMaterial, dict[NodeId, KeyMaterial]]:
+        """Bottom-up auth on every tree edge with fresh member shares; the root folds z."""
         for m in sorted(self.nodes):
             if m != self.checker:
-                if shares is not None:
-                    self.nodes[m].state.share = shares[m]
-                else:
-                    self.nodes[m].refresh_share()
+                self.nodes[m].refresh_share()
         msgs: list[ProtocolMessage] = []
         for m in sorted(self.nodes):
             msgs.extend(self.nodes[m].begin_exchange("auth", set(self.tree.children.get(m, ()))))
@@ -862,6 +857,7 @@ class GroupSession:
             self._pump(joiner_node.join_request())
 
             self.tree = attach_member(self.tree, joiner, self.graph)
+            self._configure_all()
             path = set(key_path(self.tree, joiner))
             self._run_path_refresh(fresh=path, reporters=path)
             self.run_session_agreement()
@@ -888,8 +884,9 @@ class GroupSession:
             self.nodes = {n: node for n, node in self.nodes.items() if n not in gone}
             self._configure_all()
 
-            # key any tree edge that appeared in the re-layering
-            fresh_edges = [(c, p) for c, p in self.tree.parent.items()
+            # key every new link to a parent, the checker's to the root included
+            links = [*self.tree.parent.items(), (self.checker, self.root)]
+            fresh_edges = [(c, p) for c, p in links
                            if self.nodes[c].state.edge_keys.get(p) is None]
             msgs = []
             for child, parent in fresh_edges:
@@ -924,7 +921,6 @@ class GroupSession:
 
     def _run_path_refresh(self, fresh: set[NodeId], reporters: set[NodeId]) -> None:
         """Refresh shares for `fresh`, re-fold every path touching `reporters`."""
-        self._configure_all()
         fresh = {n for n in fresh if n in self.tree}
         reporters = {n for n in reporters if n in self.tree} | fresh
         involved: set[NodeId] = set()

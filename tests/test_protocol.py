@@ -22,7 +22,7 @@ from manetsec.protocol import (
     derive_master_key,
     membership,
 )
-from manetsec.keytree import TreeError, bfs_parents, dump_tree, key_path
+from manetsec.keytree import KeyTree, TreeError, bfs_parents, dump_tree, key_path
 from manetsec.wire import BROADCAST, LAYOUTS, SEALED_KINDS, MessageKind, ProtocolMessage, pack
 
 from conftest import make_graph, random_geometric
@@ -57,11 +57,17 @@ class LossyTransport(Transport):
         return None if self.predicate(msg) else msg
 
 
+def zero_shares(monkeypatch):
+    """Every share drawn from now on is the zero key."""
+    monkeypatch.setattr(ProtocolNode, "refresh_share",
+                        lambda node: setattr(node.state, "share", KeyMaterial.zero()))
+
+
 class TestKeyInitiation:
-    def test_zero_shares_fold_to_zero(self, fig4_session, suite):
+    def test_zero_shares_fold_to_zero(self, fig4_session, monkeypatch):
         zero = KeyMaterial.zero()
-        shares = {m: zero for m in range(1, 19) if m != 5}
-        z, lks = fig4_session.run_key_initiation(shares)
+        zero_shares(monkeypatch)
+        z, lks = fig4_session.run_key_initiation()
         assert z == zero
         assert set(lks) == {2, 3, 4}
         assert all(v == zero for v in lks.values())
@@ -79,9 +85,10 @@ class TestKeyInitiation:
         s15 = fig4_session.nodes[15].state.share
         assert st10.intermediate == xor_combine([st10.share, s14, s15])
 
-    def test_z_matches_xor_oracle(self, fig4_session, rng):
-        shares = {m: KeyMaterial.random(rng) for m in range(1, 19) if m != 5}
-        z, _ = fig4_session.run_key_initiation(shares)
+    def test_z_matches_xor_oracle(self, fig4_session):
+        z, _ = fig4_session.run_key_initiation()
+        shares = fig4_session.share_ledger()
+        assert set(shares) == set(range(1, 19)) - {5}  # the checker draws at agreement
         assert z == xor_combine(list(shares.values()))
 
     def test_timeout_on_lost_step3(self, fig4_graph, suite):
@@ -94,10 +101,12 @@ class TestKeyInitiation:
 
 
 class TestSessionAgreement:
-    def test_zero_z_gives_checker_share(self, fig4_session, suite):
-        zero = KeyMaterial.zero()
-        fig4_session.run_key_initiation({m: zero for m in range(1, 19) if m != 5})
+    def test_zero_z_gives_checker_share(self, fig4_session, monkeypatch):
+        with monkeypatch.context() as patch:
+            zero_shares(patch)
+            assert fig4_session.run_key_initiation()[0] == KeyMaterial.zero()
         gk = fig4_session.run_session_agreement()
+        assert gk != KeyMaterial.zero()
         assert gk == fig4_session.nodes[5].state.share
 
     def test_gk_is_xor_of_all_shares(self, fig4_session):
@@ -438,8 +447,10 @@ class TestRobustness:
 
     # sha256 over (node, kind, len(output), sorted counters, fingerprint)
     # after every replay step below, pinned before step() became the one
-    # place a sealed frame is opened: each frame meets the same drop counter
-    REPLAY_SHA256 = "2b1246974d97e07f49b0e8bb1fc4cf0593adb6d18aac135f4ed04e7b6dd2970f"
+    # place a sealed frame is opened: each frame meets the same drop counter.
+    # Re-pinned when NodeState's five place fields became its `tree`; the
+    # states hashed in the old field layout still give 2b1246974d97...
+    REPLAY_SHA256 = "620b3c7af55db875afbc8528f56f466887b2447a3333e49c3fc14b2446d90168"
     REPLAY_TOTALS = {"integrity_failures": 2952, "nonce_mismatch": 86,
                      "unexpected": 3350, "join_requests": 85}
 
@@ -511,11 +522,11 @@ def full_state():
     """A NodeState with every field set and every container non-empty."""
     k = [KeyMaterial(bytes([i]) * 16) for i in range(1, 12)]
     return NodeState(
-        my_id=3, master_key=k[0], role="member", share=k[1], intermediate=k[2],
-        subkey=k[3], session_key=k[4], local_keys={3: k[5]}, edge_keys={1: k[6], 7: k[7]},
-        children_received={7: (k[8], k[9])}, pending_nonces={"up_echo": 11},
-        seen_nonces={1: {5, 9}}, parent_id=1, children=(7,), root_id=1,
-        checker_id=2, exchange_active=True, exchange_family="join",
+        my_id=3, master_key=k[0], tree=KeyTree(1, {3: 1, 7: 3, 8: 1}, 2), share=k[1],
+        intermediate=k[2], subkey=k[3], session_key=k[4], local_keys={3: k[5]},
+        edge_keys={1: k[6], 7: k[7]}, children_received={7: (k[8], k[9])},
+        pending_nonces={"up_echo": 11}, seen_nonces={1: {5, 9}},
+        exchange_active=True, exchange_family="join",
         parent_channel_ready=True, pending_children={7},
         pending_membership=membership(5, (1, 3, 7)),
         expected_confirm=b"digest", confirmations={1}, confirm_failures={7},
@@ -526,6 +537,9 @@ def altered(value):
     """A different value of the same shape; containers change one entry."""
     if isinstance(value, KeyMaterial):
         return value ^ KeyMaterial(b"\x80" * len(value.data))
+    if isinstance(value, KeyTree):  # one more leaf below the root
+        return KeyTree(value.root, {**value.parent, max(value.level) + 1: value.root},
+                       value.checker)
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -556,9 +570,12 @@ class TestNodeStateDeclaration:
 
     def test_fingerprint_ignores_container_order(self):
         st = dataclasses.replace(full_state(), confirmations={8, 16})
+        tree = st.tree
         shuffled = dataclasses.replace(
-            st, edge_keys=dict(reversed(st.edge_keys.items())), confirmations={16, 8})
+            st, edge_keys=dict(reversed(st.edge_keys.items())), confirmations={16, 8},
+            tree=KeyTree(tree.root, {8: 1, 3: 1, 7: 3}, tree.checker))
         assert list(shuffled.confirmations) != list(st.confirmations)
+        assert list(shuffled.tree.parent) != list(tree.parent)
         assert shuffled.fingerprint() == st.fingerprint()
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(NodeState)
@@ -592,6 +609,59 @@ def tree_dump(tree):
     return dump_tree(tree) + "".join(f"{n}:{tree.children[n]}\n" for n in sorted(tree.children))
 
 
+def configured_place(tree, nid):
+    """(role, parent, children) as the session once wrote them into each node
+    after every join and leave: the reference the derived place must match."""
+    if nid == tree.checker:
+        return "checker", tree.root, ()
+    role = "root" if nid == tree.root else "member"
+    return role, tree.parent.get(nid), tuple(sorted(tree.children.get(nid, ())))
+
+
+def lossy_session(seed, n, rate):
+    """A session on a random geometric graph whose transport loses each frame
+    with probability `rate`; None when the draw gives no usable group."""
+    graph = random_geometric(n, 0.5, random.Random(seed))
+    members = set(bfs_parents(graph, 0))
+    if len(members) < 3:
+        return None
+    transport = RateDropTransport(seed)
+    transport.rate = rate
+    try:
+        return GroupSession(graph, 0, members, CipherSuite(), seed=seed, transport=transport)
+    except TreeError:
+        return None  # the drawn checker cuts the root off part of the group
+
+
+def churn_attempt(s, kind, pick, joiner):
+    """One epoch attempt: establish until that commits, else the drawn op.
+    False when the op has no target and nothing ran."""
+    if s.keys is None:
+        s.establish()
+    elif kind == "leave":
+        candidates = sorted(s.members - {s.root})
+        if len(candidates) < 2:
+            return False
+        s.member_leave(candidates[pick % len(candidates)])
+    elif kind == "join":
+        pool = sorted(s.members)
+        s.member_join(joiner, {pool[(pick + k * 7) % len(pool)] for k in range(1 + pick % 3)})
+    elif kind == "global":
+        s.periodic_global_rekey()
+    else:
+        level1 = s.tree.children[s.root]
+        if not level1:
+            return False
+        s.periodic_local_rekey(level1[pick % len(level1)])
+    return True
+
+
+CHURN = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 14),
+             rate=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+             ops=st.lists(st.tuples(st.sampled_from(["leave", "join", "global", "local"]),
+                                    st.integers(0, 2**16)), min_size=1, max_size=15))
+
+
 def rollback_view(session):
     """Per-node fingerprint without the anti-replay memory, and that memory."""
     return ({n: dataclasses.replace(node.state, seen_nonces={}).fingerprint()
@@ -623,21 +693,12 @@ class TestRollback:
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 14),
-           rate=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
-           ops=st.lists(st.tuples(st.sampled_from(["leave", "join", "global", "local"]),
-                                  st.integers(0, 2**16)), min_size=1, max_size=15))
+    @given(**CHURN)
     def test_rollback_invariants_under_churn_and_loss(self, seed, n, rate, ops):
-        graph = random_geometric(n, 0.5, random.Random(seed))
-        members = set(bfs_parents(graph, 0))
-        if len(members) < 3:
+        s = lossy_session(seed, n, rate)
+        if s is None:
             return
-        transport = RateDropTransport(seed)
-        transport.rate = rate
-        try:
-            s = GroupSession(graph, 0, members, CipherSuite(), seed=seed, transport=transport)
-        except TreeError:
-            return  # the drawn checker cuts the root off part of the group
+        transport = s.transport
         next_id = n
         # establish runs under the same loss; until it commits, every op
         # retries it instead
@@ -649,25 +710,8 @@ class TestRollback:
             prints_before, seen_before = rollback_view(s)
             logged = {t: len(log) for t, log in transport.delivered.items()}
             try:
-                if s.keys is None:
-                    s.establish()
-                elif kind == "leave":
-                    candidates = sorted(s.members - {s.root})
-                    if len(candidates) < 2:
-                        continue
-                    s.member_leave(candidates[pick % len(candidates)])
-                elif kind == "join":
-                    pool = sorted(s.members)
-                    anchors = {pool[(pick + k * 7) % len(pool)] for k in range(1 + pick % 3)}
-                    s.member_join(next_id, anchors)
-                    next_id += 1
-                elif kind == "global":
-                    s.periodic_global_rekey()
-                else:
-                    level1 = s.tree.children[s.root]
-                    if not level1:
-                        continue
-                    s.periodic_local_rekey(level1[pick % len(level1)])
+                if not churn_attempt(s, kind, pick, next_id):
+                    continue
             except (ProtocolAbort, TreeError):
                 assert set(s.nodes) == nodes_before
                 assert s.members == members_before
@@ -691,12 +735,34 @@ class TestRollback:
                             assert node.step(msg) == []
                             assert node.state.fingerprint() == before
                 continue
+            next_id += next_id in s.nodes
             assert set(s.nodes) == s.members
             assert s.epoch == views_before[3] + 1 == s.keys.epoch
             gk = s.gk_oracle()
             assert all(node.state.session_key == gk for node in s.nodes.values())
             # a join rolls the master key once for all, which relies on this
             assert all(node.state.master_key == s.master_key for node in s.nodes.values())
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(**CHURN)
+    def test_place_follows_the_tree_under_churn_and_loss(self, seed, n, rate, ops):
+        """Every node reads its role, parent and children from the session's
+        tree after each attempt; after an abort, from the restored tree."""
+        s = lossy_session(seed, n, rate)
+        if s is None:
+            return
+        next_id = n
+        for kind, pick in [("establish", 0)] + ops:
+            try:
+                churn_attempt(s, kind, pick, next_id)
+            except (ProtocolAbort, TreeError):
+                pass
+            next_id += next_id in s.nodes
+            for nid, node in s.nodes.items():
+                st = node.state
+                assert st.tree is s.tree
+                assert (st.role, st.parent_id, tuple(st.children)) == configured_place(s.tree, nid)
 
 
 class TestByteIdentity:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from manetsec import cli, sim
+from manetsec.adversary import broadcasts_since, capture_knowledge, forward_secrecy_candidates
 from manetsec.crypto import CipherSuite
 from manetsec.esom import SomConfig
 from manetsec.keytree import TreeError, bfs_parents
@@ -325,27 +326,37 @@ def epoch_outcome(fn):
         return type(e).__name__, str(e)
 
 
+def world_group(seed):
+    """A 24-node world after three moves, and the group root 0 can key on it."""
+    world = sim.init_world(small_config(node_count=24), seed)
+    for _ in range(3):
+        sim.mobility_step(world, 5.0)
+    graph = world.graph()
+    members = set(world.ids) & set(bfs_parents(graph, 0))
+    checker, stranded = sim._least_partitioning_checker(0, graph, members)
+    return world, members - stranded, checker
+
+
+def spawn_joiner(world, members, joiner=100):
+    """A newcomer beside the lowest-id member, as in a radio cell; then a move."""
+    base = world.positions[world.index(min(members))]
+    world.add_node(joiner, base + world.rng.uniform(-50, 50, size=2))
+    sim.mobility_step(world, 5.0)
+    return joiner
+
+
 class TestSessionOnWorldGraph:
     @pytest.mark.parametrize("seed", range(6))
     def test_same_trees_and_keys_as_on_the_members_only_graph(self, seed):
         """A session on the world's graph, with every non-member in it,
         builds the trees and agrees the keys of one on the members-only copy."""
-        world = sim.init_world(small_config(node_count=24), seed)
-        for _ in range(3):
-            sim.mobility_step(world, 5.0)
+        world, members, checker = world_group(seed)
         graph = world.graph()
-        members = set(world.ids) & set(bfs_parents(graph, 0))
-        checker, stranded = sim._least_partitioning_checker(0, graph, members)
-        members -= stranded
         full, sub = (GroupSession(g, 0, members, CipherSuite(), seed, checker=checker)
                      for g in (graph, member_subgraph(graph, members)))
         assert epoch_outcome(full.establish) == epoch_outcome(sub.establish)
 
-        # a newcomer spawns beside the lowest-id member, as in a radio cell
-        joiner = 100
-        base = world.positions[world.index(min(members))]
-        world.add_node(joiner, base + world.rng.uniform(-50, 50, size=2))
-        sim.mobility_step(world, 5.0)
+        joiner = spawn_joiner(world, members)
         graph = world.graph()
         edges = graph[joiner] & full.members
         full.graph, sub.graph = graph, member_subgraph(graph, sub.members | {joiner})
@@ -363,6 +374,31 @@ class TestSessionOnWorldGraph:
             assert outcomes[0] == outcomes[1]
             assert tree_dump(full.tree) == tree_dump(sub.tree)
             assert full.members == sub.members
+
+    @pytest.mark.parametrize("seed", [3, 5, 9])
+    def test_checker_leave_keys_the_new_checkers_link_to_the_root(self, seed):
+        """On these moved graphs the drawn replacement checker was below
+        level 1, so the root held no edge key with it until the leave keyed
+        that link; the leave commits and the old checker learns nothing."""
+        world, members, checker = world_group(seed)
+        s = GroupSession(world.graph(), 0, members, CipherSuite(), seed, checker=checker)
+        s.establish()
+        joiner = spawn_joiner(world, members)
+        s.graph = world.graph()
+        s.member_join(joiner, s.graph[joiner] & s.members)
+        sim.mobility_step(world, 5.0)
+        s.graph = world.graph()
+        level1 = set(s.tree.children[s.root])
+        know, mark = capture_knowledge(s, checker), len(s.transport.messages)
+        keys = s.member_leave(checker)
+        assert checker not in s.nodes and s.checker not in level1
+        assert s.nodes[s.root].state.edge_keys[s.checker] == \
+            s.nodes[s.checker].state.edge_keys[s.root]
+        gk = s.gk_oracle()
+        assert keys.gk == gk and all(n.state.session_key == gk for n in s.nodes.values())
+        post = broadcasts_since(s.transport.messages, mark)
+        assert gk.data not in forward_secrecy_candidates(s.suite, know, post, s.epoch,
+                                                         sorted(s.members))
 
 
 def reference_shortest_route(graph, src, dst):
