@@ -110,10 +110,9 @@ class NodeState:
     children_received: dict[NodeId, tuple[KeyMaterial, KeyMaterial]] = field(default_factory=dict)
     pending_nonces: dict[str, int] = field(default_factory=dict)
     seen_nonces: dict[NodeId, set[int]] = field(default_factory=dict)
-    # per-epoch exchange bookkeeping
-    exchange_active: bool = False
+    # per-epoch exchange bookkeeping; an exchange's progress towards the
+    # parent is its pending nonce: "up_echo" until step 2, "up_final" until step 3
     exchange_family: str = "auth"
-    parent_channel_ready: bool = False
     pending_children: set[NodeId] = field(default_factory=set)
     pending_membership: tuple[bytes, bytes] | None = None  # membership() of a leave
     expected_confirm: bytes | None = None
@@ -230,12 +229,9 @@ class ProtocolNode:
         st = self.state
         st.exchange_family = family
         st.pending_children = set(expected_children)
-        st.parent_channel_ready = False
-        if st.role == ROLE_ROOT:
-            st.exchange_active = False  # the root only ever receives
+        if st.role == ROLE_ROOT:  # the root only ever receives
             self._maybe_finish_root()
             return []
-        st.exchange_active = True
         step1 = MessageKind.AUTH_STEP1 if family == "auth" else MessageKind.JOIN_STEP_A
         nonce = self.nonces.fresh()
         st.pending_nonces["up_echo"] = nonce
@@ -296,11 +292,6 @@ class ProtocolNode:
     def join_request(self) -> list[ProtocolMessage]:
         return [ProtocolMessage(MessageKind.JOIN_REQUEST, self.state.my_id, BROADCAST,
                                 (self.state.my_id,), b"")]
-
-    def confirm_status(self, expected: set[NodeId]) -> set[NodeId]:
-        """Members whose confirmation is missing or failed (checker view)."""
-        st = self.state
-        return (expected - st.confirmations) | st.confirm_failures
 
     # -- message handling ------------------------------------------------------
 
@@ -404,12 +395,11 @@ class ProtocolNode:
         del st.pending_nonces["up_echo"]
         st.edge_keys[id_a] = self._edge_key(st.my_id, id_a, my_nonce, nonce_a)
         st.pending_nonces["up_final"] = nonce_a
-        st.parent_channel_ready = True
         return self._maybe_send_step3()
 
     def _maybe_send_step3(self) -> list[ProtocolMessage]:
         st = self.state
-        if not (st.exchange_active and st.parent_channel_ready and not st.pending_children):
+        if "up_final" not in st.pending_nonces or st.pending_children:
             return []
         if st.role == ROLE_CHECKER:
             # the checker's exchange only authenticates and keys the root edge
@@ -425,8 +415,6 @@ class ProtocolNode:
             st.intermediate = k_up
             share = st.share
         nonce_a = st.pending_nonces.pop("up_final")
-        st.exchange_active = False
-        st.parent_channel_ready = False
         step3 = MessageKind.AUTH_STEP3 if st.exchange_family == "auth" else MessageKind.JOIN_STEP_C
         return [self._seal(step3, st.parent_id, (st.parent_id, st.my_id), st.master_key,
                            st.parent_id, st.my_id, nonce_a + 1, k_up, share)]
@@ -788,31 +776,46 @@ class GroupSession:
 
     # -- protocol phases -------------------------------------------------------
 
+    def _refold(self, family: str, fresh: Iterable[NodeId], order: list[NodeId]) -> None:
+        """The one bottom-up fold, for establish, join and leave alike.
+
+        Draws new shares for `fresh`, then begins every node of `order` in
+        that order (a parent draws its nonces as its children's step 1
+        frames arrive, so the order fixes every byte): each awaits its
+        children in `order` and hands its fold up, and the root folds z.
+        Complete only when the root awaits no child and holds every child's
+        fold; a z left from the last epoch does not count."""
+        for n in fresh:
+            self.nodes[n].refresh_share()
+        folding = set(order)
+        msgs: list[ProtocolMessage] = []
+        for n in order:
+            awaited = {c for c in self.tree.children.get(n, ()) if c in folding}
+            msgs.extend(self.nodes[n].begin_exchange(family, awaited))
+        self._pump(msgs)
+        root = self.nodes[self.root].state
+        missing = {c for c in root.children if c not in root.children_received}
+        if root.pending_children or missing or root.subkey is None:
+            raise InitiationTimeout(root.pending_children | missing or {self.root})
+
     def run_key_initiation(self) -> tuple[KeyMaterial, dict[NodeId, KeyMaterial]]:
         """Bottom-up auth on every tree edge with fresh member shares; the root folds z."""
-        for m in sorted(self.nodes):
-            if m != self.checker:
-                self.nodes[m].refresh_share()
-        msgs: list[ProtocolMessage] = []
-        for m in sorted(self.nodes):
-            msgs.extend(self.nodes[m].begin_exchange("auth", set(self.tree.children.get(m, ()))))
-        self._pump(msgs)
-        root = self.nodes[self.root]
-        if root.state.subkey is None:
-            missing = {c for c in self.tree.children[self.root]
-                       if c not in root.state.children_received}
-            raise InitiationTimeout(missing or {self.root})
-        return root.state.subkey, dict(root.state.local_keys)
+        self._refold("auth", set(self.nodes) - {self.checker}, sorted(self.nodes))
+        root = self.nodes[self.root].state
+        return root.subkey, dict(root.local_keys)
+
+    def _unconfirmed(self) -> set[NodeId]:
+        """Members whose confirmation the checker lacks or rejected."""
+        ch = self.nodes[self.checker].state
+        return (self.members - {self.checker} - ch.confirmations) | ch.confirm_failures
 
     def run_session_agreement(self) -> KeyMaterial:
         """Root broadcasts z, checker answers with its share, all confirm."""
         self._pump(self.nodes[self.root].begin_agreement())
-        checker = self.nodes[self.checker]
-        expected = self.members - {self.checker}
-        bad = checker.confirm_status(expected)
+        bad = self._unconfirmed()
         if bad:
             raise CheckerVerificationFailure(bad)
-        gk = checker.state.session_key
+        gk = self.nodes[self.checker].state.session_key
         if gk is None:
             raise CheckerVerificationFailure({self.checker})
         return gk
@@ -926,17 +929,7 @@ class GroupSession:
         involved: set[NodeId] = set()
         for n in reporters:
             involved.update(key_path(self.tree, n))
-        for n in fresh:
-            self.nodes[n].refresh_share()
-        msgs: list[ProtocolMessage] = []
-        for n in sorted(involved, key=lambda x: -self.tree.level[x]):
-            expected = {c for c in self.tree.children.get(n, ()) if c in involved}
-            msgs.extend(self.nodes[n].begin_exchange("join", expected))
-        self._pump(msgs)
-        root = self.nodes[self.root]
-        missing = {c for c in root.state.children if c not in root.state.children_received}
-        if root.state.pending_children or missing or root.state.subkey is None:
-            raise InitiationTimeout(set(root.state.pending_children) | missing)
+        self._refold("join", fresh, sorted(involved, key=lambda x: -self.tree.level[x]))
 
     # -- periodic rekeys ---------------------------------------------------------
 
@@ -946,8 +939,7 @@ class GroupSession:
         with self._epoch():
             checker = self.nodes[self.checker]
             self._pump(checker.begin_global_rekey())
-            expected = self.members - {self.checker}
-            bad = checker.confirm_status(expected)
+            bad = self._unconfirmed()
             if bad:
                 raise RekeyFailure(f"global rekey unconfirmed by {sorted(bad)}")
             gk_new = checker.state.rekey_tentative
@@ -960,11 +952,10 @@ class GroupSession:
 
     def periodic_local_rekey(self, member: NodeId) -> KeyMaterial:
         """Level-1 member ratchets its local key with the root: LK xor S''."""
-        node = self.nodes.get(member)
-        root = self.nodes[self.root]
         if member not in self.tree.children.get(self.root, ()):
             raise RekeyFailure(f"node {member} is not a level-1 member")
-        if node is None or node.state.local_keys.get(member) is None:
+        node, root = self.nodes[member], self.nodes[self.root]
+        if node.state.local_keys.get(member) is None:
             raise RekeyFailure(f"node {member} holds no local key with the root")
         with self._epoch():
             self._pump(node.begin_local_rekey())

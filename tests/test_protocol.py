@@ -99,6 +99,56 @@ class TestKeyInitiation:
             s.establish()
         assert s.epoch == 0 and s.keys is None
 
+    def test_reestablish_judges_the_new_fold(self, fig4_graph, suite):
+        """A re-establish is complete only when the root folded every child's
+        new report; the root's z from the last epoch does not count."""
+        lost = set()
+        s = GroupSession(fig4_graph, 1, set(range(1, 19)), suite, seed=7, checker=5,
+                         transport=LossyTransport(lambda m: (m.kind, m.sender) in lost))
+        s.establish()
+        keys = s.keys
+        lost.add((MessageKind.AUTH_STEP3, 9))
+        with pytest.raises(InitiationTimeout, match=r"edges: \[4\]$"):
+            s.establish()
+        assert s.keys is keys and s.epoch == 1
+        assert all(node.state.session_key == s.gk_oracle() == keys.gk
+                   for node in s.nodes.values())
+        lost.clear()
+        keys = s.establish()
+        assert keys.epoch == 2 and keys.gk == s.gk_oracle()
+        assert all(node.state.session_key == keys.gk for node in s.nodes.values())
+
+    def test_join_refold_judged_by_the_same_rule(self, fig4_graph, suite):
+        lost = set()
+        s = GroupSession(fig4_graph, 1, set(range(1, 19)), suite, seed=7, checker=5,
+                         transport=LossyTransport(lambda m: (m.kind, m.sender) in lost))
+        s.establish()
+        lost.add((MessageKind.JOIN_STEP_C, 18))  # on the joiner's path 19-18-13-8-3
+        with pytest.raises(InitiationTimeout, match=r"edges: \[3\]$"):
+            s.member_join(19, {18})
+        assert 19 not in s.nodes and s.epoch == 1
+        lost.clear()
+        assert s.member_join(20, {18}).gk == s.gk_oracle()
+
+    def test_step3_waits_for_the_parent_and_every_child(self, fig4_session):
+        """An exchange's progress is its pending nonce: "up_echo" until step 2,
+        then "up_final" until step 3 goes up, once no child is pending."""
+        root, node4, node9 = (fig4_session.nodes[n] for n in (1, 4, 9))
+        node4.refresh_share()
+        node9.refresh_share()
+        pending = node4.state.pending_nonces
+        [up1] = node4.begin_exchange("auth", {9})
+        assert set(pending) == {"up_echo"}
+        [up2] = root.step(up1)
+        assert node4.step(up2) == []  # child 9 has not reported yet
+        assert set(pending) == {"up_final"}
+        [leaf1] = node9.begin_exchange("auth", set())
+        [leaf3] = node9.step(*node4.step(leaf1))
+        [up3] = node4.step(leaf3)
+        assert (up3.kind, up3.receiver) == (MessageKind.AUTH_STEP3, 1)
+        assert pending == {} and node4.state.pending_children == set()
+        assert node4.step(leaf3) == []  # a replayed report sends nothing
+
 
 class TestSessionAgreement:
     def test_zero_z_gives_checker_share(self, fig4_session, monkeypatch):
@@ -129,10 +179,31 @@ class TestSessionAgreement:
         bad = TamperingTransport(lambda m: m.kind == MessageKind.AGREE_STEP1)
         s = GroupSession(fig4_graph, 1, set(range(1, 19)), suite, seed=3,
                          checker=5, transport=bad)
-        with pytest.raises(CheckerVerificationFailure):
+        with pytest.raises(CheckerVerificationFailure, match=r"^checker rejected "
+                           r"confirmations from: \[1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, "
+                           r"14, 15, 16, 17, 18\]$"):
             s.establish()
         assert s.epoch == 0
         assert bad.hits > 0
+
+    @pytest.mark.parametrize("op, error, text", [
+        ("establish", CheckerVerificationFailure, "checker rejected confirmations from: [9]"),
+        ("periodic_global_rekey", RekeyFailure, "global rekey unconfirmed by [9]"),
+    ])
+    def test_one_bad_confirmation_names_its_sender(self, fig4_graph, suite, op, error, text):
+        """Agreement and global rekey share one rule: every member but the
+        checker confirms, and a rejected confirmation counts as missing."""
+        on = []
+        bad = TamperingTransport(lambda m: on and m.kind == MessageKind.AGREE_STEP3
+                                 and m.sender == 9)
+        s = GroupSession(fig4_graph, 1, set(range(1, 19)), suite, seed=3,
+                         checker=5, transport=bad)
+        if op != "establish":
+            s.establish()
+        on.append(True)
+        with pytest.raises(error) as info:
+            getattr(s, op)()
+        assert str(info.value) == text and bad.hits == 1
 
     def test_local_keys_held_by_both_sides(self, fig4_session):
         fig4_session.establish()
@@ -295,7 +366,8 @@ class TestPeriodicRekeys:
         s.establish()
         gk_old = s.keys.gk
         epoch_old = s.epoch
-        with pytest.raises(RekeyFailure):
+        with pytest.raises(RekeyFailure, match=r"^global rekey unconfirmed by \[1, 2, 3, 4, 6, "
+                           r"7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18\]$"):
             s.periodic_global_rekey()
         assert s.keys.gk == gk_old
         assert s.epoch == epoch_old
@@ -450,7 +522,11 @@ class TestRobustness:
     # place a sealed frame is opened: each frame meets the same drop counter.
     # Re-pinned when NodeState's five place fields became its `tree`; the
     # states hashed in the old field layout still give 2b1246974d97...
-    REPLAY_SHA256 = "620b3c7af55db875afbc8528f56f466887b2447a3333e49c3fc14b2446d90168"
+    # Re-pinned when `exchange_active` and `parent_channel_ready` were
+    # deleted: hashed with them put back, derived from `pending_nonces`
+    # ("up_echo" or "up_final" pending; "up_final" pending), the states
+    # still give the old pin 620b3c7af55d...
+    REPLAY_SHA256 = "67458517f95435240e425f1f74a37d13be30091b5e401a4cb0e9274b9d3b1cb1"
     REPLAY_TOTALS = {"integrity_failures": 2952, "nonce_mismatch": 86,
                      "unexpected": 3350, "join_requests": 85}
 
@@ -526,8 +602,7 @@ def full_state():
         intermediate=k[2], subkey=k[3], session_key=k[4], local_keys={3: k[5]},
         edge_keys={1: k[6], 7: k[7]}, children_received={7: (k[8], k[9])},
         pending_nonces={"up_echo": 11}, seen_nonces={1: {5, 9}},
-        exchange_active=True, exchange_family="join",
-        parent_channel_ready=True, pending_children={7},
+        exchange_family="join", pending_children={7},
         pending_membership=membership(5, (1, 3, 7)),
         expected_confirm=b"digest", confirmations={1}, confirm_failures={7},
         rekey_tentative=k[10], local_rekey_peer={1: (12, k[5])})
@@ -540,8 +615,6 @@ def altered(value):
     if isinstance(value, KeyTree):  # one more leaf below the root
         return KeyTree(value.root, {**value.parent, max(value.level) + 1: value.root},
                        value.checker)
-    if isinstance(value, bool):
-        return not value
     if isinstance(value, int):
         return value + 1
     if isinstance(value, (str, bytes)):
@@ -634,9 +707,9 @@ def lossy_session(seed, n, rate):
 
 
 def churn_attempt(s, kind, pick, joiner):
-    """One epoch attempt: establish until that commits, else the drawn op.
-    False when the op has no target and nothing ran."""
-    if s.keys is None:
+    """One epoch attempt: establish until that commits, else the drawn op,
+    which may be a re-establish. False when the op has no target and nothing ran."""
+    if s.keys is None or kind == "establish":
         s.establish()
     elif kind == "leave":
         candidates = sorted(s.members - {s.root})
@@ -658,7 +731,8 @@ def churn_attempt(s, kind, pick, joiner):
 
 CHURN = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 14),
              rate=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
-             ops=st.lists(st.tuples(st.sampled_from(["leave", "join", "global", "local"]),
+             ops=st.lists(st.tuples(st.sampled_from(["establish", "leave", "join", "global",
+                                                     "local"]),
                                     st.integers(0, 2**16)), min_size=1, max_size=15))
 
 
