@@ -96,7 +96,6 @@ class DetachResult:
     tree: KeyTree
     affected: set[NodeId]   # ancestors + surviving children of the leaver (or new checker)
     dropped: set[NodeId]    # members left without any path to the root (reported, out of group)
-    graph: Graph            # the input graph without the leaver
 
 
 def select_checker(root: NodeId, graph: Graph, rng: random.Random,
@@ -179,12 +178,12 @@ def detach_member(tree: KeyTree, leaver: NodeId, graph: Graph,
                   checker: NodeId | None = None) -> DetachResult:
     """Remove a member and restore the canonical BFS layering.
 
-    The reduced membership is re-layered from scratch (identical to build_tree
-    on the reduced graph); orphaned subtrees that lose every path to the root
-    are reported dropped. A leaving checker must name its replacement
-    `checker`, a tree member that leaves the body and takes the leaver's place
-    in `affected` (its ancestors and former children still in the tree); any
-    other leaver keeps the current checker.
+    The reduced membership is re-layered from scratch on `graph`, where the
+    leaver is no member and so never entered; orphaned subtrees that lose
+    every path to the root are reported dropped. A leaving checker must name
+    its replacement `checker`, a tree member that leaves the body and takes
+    the leaver's place in `affected` (its ancestors and former children still
+    in the tree); any other leaver keeps the current checker.
     """
     if leaver == tree.root:
         raise TreeError("root cannot be detached; the group dissolves instead")
@@ -197,18 +196,17 @@ def detach_member(tree: KeyTree, leaver: NodeId, graph: Graph,
     ancestors = key_path(tree, moved)[1:]  # UnknownNode for a non-member
     former_children = list(tree.children[moved])
 
-    reduced = {n: set(nbs) - {leaver} for n, nbs in graph.items() if n != leaver}
     remaining = (tree.members() | {tree.checker}) - {leaver}
     # Strip unreachable members rather than failing: they fall out of the group.
     try:
-        new_tree = build_tree(tree.root, remaining, reduced, checker)
+        new_tree = build_tree(tree.root, remaining, graph, checker)
         dropped: set[NodeId] = set()
     except Unreachable as e:
         dropped = e.nodes
-        new_tree = build_tree(tree.root, remaining - dropped, reduced, checker)
+        new_tree = build_tree(tree.root, remaining - dropped, graph, checker)
 
     affected = set(ancestors) | {c for c in former_children if c in new_tree}
-    return DetachResult(tree=new_tree, affected=affected, dropped=dropped, graph=reduced)
+    return DetachResult(tree=new_tree, affected=affected, dropped=dropped)
 
 
 def dump_tree(tree: KeyTree) -> str:

@@ -118,8 +118,7 @@ class NodeState:
     expected_confirm: bytes | None = None
     confirmations: set[NodeId] = field(default_factory=set)
     confirm_failures: set[NodeId] = field(default_factory=set)
-    rekey_tentative: KeyMaterial | None = None
-    local_rekey_peer: dict[NodeId, tuple[int, KeyMaterial]] = field(default_factory=dict)
+    local_rekey_peer: dict[NodeId, int] = field(default_factory=dict)  # root: step-3 nonces
 
     @property
     def role(self) -> str:
@@ -250,9 +249,10 @@ class ProtocolNode:
         st = self.state
         assert st.role == ROLE_CHECKER and st.session_key is not None
         fresh = KeyMaterial.random(self.rng)
-        st.rekey_tentative = st.session_key ^ fresh
-        nonce = self._await_confirmations(st.rekey_tentative)
-        return [self._seal(MessageKind.GLOBAL_REKEY, BROADCAST, (st.my_id,), st.session_key,
+        # the checker commits its side now; the members confirm or the epoch aborts
+        old, st.session_key = st.session_key, st.session_key ^ fresh
+        nonce = self._await_confirmations(st.session_key)
+        return [self._seal(MessageKind.GLOBAL_REKEY, BROADCAST, (st.my_id,), old,
                            st.my_id, fresh, nonce)]
 
     def _await_confirmations(self, key: KeyMaterial) -> int:
@@ -271,7 +271,6 @@ class ProtocolNode:
         fresh = KeyMaterial.random(self.rng)
         nonce = self.nonces.fresh()
         lk_new = lk_old ^ fresh
-        st.local_rekey_peer[st.tree.root] = (nonce, lk_new)
         msg1 = self._seal(MessageKind.LOCAL_REKEY_STEP1, st.tree.root, (st.my_id,), lk_old,
                           st.my_id, fresh, nonce)
         digest = self._confirm_digest(MessageKind.LOCAL_REKEY_STEP3, st.my_id, nonce, lk_new)
@@ -525,19 +524,20 @@ class ProtocolNode:
             return self._drop("unexpected")
         if not self._nonce_fresh(jid, nonce_j):
             return self._drop("nonce_mismatch")
-        st.local_rekey_peer[jid] = (nonce_j, st.local_keys[jid] ^ fresh)
+        # the root commits too; step 3 must prove the new key against nonce_j
+        st.local_keys[jid] = st.local_keys[jid] ^ fresh
+        st.local_rekey_peer[jid] = nonce_j
         return []
 
     def _on_local_rekey3(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
         st = self.state
-        if st.role != ROLE_ROOT or msg.sender not in st.local_rekey_peer:
+        if msg.sender not in st.local_rekey_peer:  # only the root awaits a step 3
             return self._drop("unexpected")
-        nonce_j, lk_new = st.local_rekey_peer[msg.sender]
-        want = self._confirm_digest(MessageKind.LOCAL_REKEY_STEP3, msg.sender, nonce_j, lk_new)
+        want = self._confirm_digest(MessageKind.LOCAL_REKEY_STEP3, msg.sender,
+                                    st.local_rekey_peer[msg.sender], st.local_keys[msg.sender])
         if not hmac.compare_digest(msg.payload, want):
             return self._drop("integrity_failures")
         del st.local_rekey_peer[msg.sender]
-        st.local_keys[msg.sender] = lk_new
         return []
 
     def _on_master_rekey(self, msg: ProtocolMessage, sid: NodeId, salt: KeyMaterial,
@@ -653,7 +653,7 @@ class GroupSession:
 
     Owns the tree, the connectivity graph snapshot, one ProtocolNode per group
     member (checker included) and a Transport. No graph is changed in place
-    (`member_join` and `detach_member` build new dicts and sets), so `graph`
+    (a join or a leave copies the dict and the sets it changes), so `graph`
     may be shared, as a radio cell shares the world's, non-members included:
     every keytree rule reads members only. Each public operation either
     commits a new epoch (returning SessionKeys) or raises a ProtocolAbort
@@ -667,8 +667,8 @@ class GroupSession:
     back, a joiner goes), the tree, the graph and `keys`; the views follow.
     It keeps on purpose what must not run backwards: each node's
     `seen_nonces`, so nonces burned during the aborted epoch stay burned;
-    `NonceSource.used`; the drop `counters`; and every RNG position, so a
-    retry draws fresh shares and nonces.
+    `NonceSource.used`; the drop `counters`; every RNG position; and `lives`,
+    so a retry, a joiner's included, draws fresh shares and nonces.
     """
 
     def __init__(self, graph: Graph, root: NodeId, members: set[NodeId], suite: CipherSuite,
@@ -686,6 +686,7 @@ class GroupSession:
             checker = select_checker(root, self.graph, self.rng, members)
         self.tree = build_tree(root, members, self.graph, checker)
         self.unsafe_skip_nonce_checks = unsafe_skip_nonce_checks
+        self.lives: dict[NodeId, int] = {}  # how many nodes each id has had
         self.nodes = {m: self._new_node(m, master_key) for m in sorted(members)}
         self.keys: SessionKeys | None = None
 
@@ -710,7 +711,11 @@ class GroupSession:
     # -- plumbing -------------------------------------------------------------
 
     def _new_node(self, node_id: NodeId, master: KeyMaterial) -> ProtocolNode:
-        rng = random.Random(_sub_seed(self.seed, f"node:{node_id}"))
+        # each life of an id has its own stream: node:<id>, then node:<id>/<k>
+        life = self.lives.get(node_id, 0)
+        self.lives[node_id] = life + 1
+        label = f"node:{node_id}/{life}" if life else f"node:{node_id}"
+        rng = random.Random(_sub_seed(self.seed, label))
         return ProtocolNode(node_id, self.suite, master, self.tree, rng,
                             unsafe_skip_nonce_checks=self.unsafe_skip_nonce_checks)
 
@@ -723,9 +728,7 @@ class GroupSession:
         while queue:
             msg = queue.popleft()
             for rcv, delivered in self.transport.deliver(msg, self.nodes.keys()):
-                node = self.nodes.get(rcv)
-                if node is not None:
-                    queue.extend(node.step(delivered))
+                queue.extend(self.nodes[rcv].step(delivered))
 
     @contextmanager
     def _epoch(self):
@@ -875,6 +878,9 @@ class GroupSession:
             raise UnsupportedLeave("the protocol initiator cannot leave")
         self._require_established()
         with self._epoch():
+            graph = dict(self.graph)
+            for e in graph.pop(leaver, ()):
+                graph[e] = graph[e] - {leaver}
             old = self.tree
             # a leaving checker hands over to another one-hop neighbor of the root
             new_checker = (select_checker(self.root, self.graph, self.rng, self.members - {leaver})
@@ -882,7 +888,7 @@ class GroupSession:
             det = detach_member(old, leaver, self.graph, checker=new_checker)
             if new_checker is not None:
                 self.nodes[new_checker].state.share = None
-            self.tree, self.graph = det.tree, det.graph
+            self.tree, self.graph = det.tree, graph
             gone = det.dropped | {leaver}
             self.nodes = {n: node for n, node in self.nodes.items() if n not in gone}
             self._configure_all()
@@ -929,6 +935,7 @@ class GroupSession:
         involved: set[NodeId] = set()
         for n in reporters:
             involved.update(key_path(self.tree, n))
+        # same-level nodes keep the set's order, which depends on insertion order
         self._refold("join", fresh, sorted(involved, key=lambda x: -self.tree.level[x]))
 
     # -- periodic rekeys ---------------------------------------------------------
@@ -942,12 +949,9 @@ class GroupSession:
             bad = self._unconfirmed()
             if bad:
                 raise RekeyFailure(f"global rekey unconfirmed by {sorted(bad)}")
-            gk_new = checker.state.rekey_tentative
-            checker.state.session_key = gk_new
             # absorb the ratchet into the checker's ledger entry so the XOR
             # oracle over shares keeps matching the live GK
-            checker.state.share = checker.state.share ^ (gk_new ^ self.keys.gk)
-            checker.state.rekey_tentative = None
+            checker.state.share ^= checker.state.session_key ^ self.keys.gk
             return self._commit()
 
     def periodic_local_rekey(self, member: NodeId) -> KeyMaterial:

@@ -528,8 +528,7 @@ def _run_cell(config: ScenarioConfig, seed: int):
     row: dict = {c: None for c in _COLUMNS}
 
     graph = world.graph()
-    component = set(bfs_parents(graph, config.root))
-    members = set(world.ids) & component
+    members = set(bfs_parents(graph, config.root))
     unreachable = set(world.ids) - members
     transport = RadioTransport(world)
 
@@ -544,7 +543,6 @@ def _run_cell(config: ScenarioConfig, seed: int):
         session = GroupSession(graph, config.root, members, suite, seed,
                                transport=transport, checker=checker)
     else:
-        members = set()
         events.append((0.0, "epoch_abort", "establish", None,
                        "root is isolated; no group can form"))
     for n in sorted(unreachable):
@@ -752,8 +750,7 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
 
         # authenticated map exchange on the root's one-hop group; pairs that
         # drifted out of radio reach lose their messages
-        members, world_graph = session.members, world.graph()
-        graph = {n: world_graph.get(n, set()) & members for n in members}
+        graph = world.graph()
         lks = session.keys.local_keys
         root = session.root
 

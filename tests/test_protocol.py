@@ -32,6 +32,30 @@ def all_members(session):
     return {nid: node.state for nid, node in session.nodes.items()}
 
 
+def held_keys(value):
+    """Every KeyMaterial inside a state value, nested containers included."""
+    if isinstance(value, KeyMaterial):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list, set)):
+        return [k for v in value for k in held_keys(v)]
+    return []
+
+
+def unlisted_keys(state):
+    """Names of the fields holding a key that `key_material()` leaves out."""
+    listed = {k.data for k in state.key_material()}
+    return {f.name for f in dataclasses.fields(NodeState)
+            if any(k.data not in listed for k in held_keys(getattr(state, f.name)))}
+
+
+def stray_keys(session):
+    """(node, field) for every key a node holds outside its `key_material()`."""
+    return {(nid, name) for nid, node in session.nodes.items()
+            for name in unlisted_keys(node.state)}
+
+
 class TamperingTransport(Transport):
     """Flips the low bit of the last payload byte of every message matching
     the predicate."""
@@ -253,6 +277,33 @@ class TestMemberJoin:
         assert held == before
         assert s.graph[19] == {6, 7} and 19 in s.graph[6] and 19 in s.graph[7]
 
+    def test_a_returning_member_joins_on_a_new_stream(self, fig4_session):
+        # a second life of id 18 draws from its own stream, so its first
+        # step-A nonce is not one its parent burned for the first life
+        s = fig4_session
+        s.establish()
+        edges = set(s.graph[18])
+        s.member_leave(18)
+        keys = s.member_join(18, edges)
+        assert 18 in s.members and keys.gk == s.gk_oracle()
+        assert s.lives[18] == 2
+
+    def test_a_retried_join_commits(self, fig4_graph, suite):
+        lost = []
+
+        def lose_first_step_c(msg):
+            if msg.kind == MessageKind.JOIN_STEP_C and msg.sender == 18 and not lost:
+                lost.append(msg)
+            return msg in lost
+
+        s = GroupSession(fig4_graph, 1, set(range(1, 19)), suite, seed=7, checker=5,
+                         transport=LossyTransport(lose_first_step_c))
+        s.establish()
+        with pytest.raises(InitiationTimeout, match=r"edges: \[3\]"):
+            s.member_join(19, {18})
+        keys = s.member_join(19, {18})
+        assert keys.gk == s.gk_oracle() and s.lives[19] == 2
+
     def test_duplicate_join_rejected(self, fig4_session):
         fig4_session.establish()
         with pytest.raises(ValueError):
@@ -297,6 +348,16 @@ class TestMemberLeave:
         with pytest.raises(UnsupportedLeave):
             fig4_session.member_leave(1)
 
+    def test_committed_leave_leaves_the_old_graph_alone(self, fig4_session):
+        s = fig4_session
+        s.establish()
+        held = s.graph
+        before = {n: set(nbs) for n, nbs in held.items()}
+        s.member_leave(14)
+        assert held == before
+        assert s.graph == {n: nbs - {14} for n, nbs in before.items() if n != 14}
+        assert s.graph[10] is not held[10] and s.graph[6] is held[6]
+
     def test_partitioned_members_drop_out(self, fig4_session):
         fig4_session.establish()
         keys = fig4_session.member_leave(6)  # strands 10, 11 and their leaves
@@ -332,6 +393,17 @@ class TestPeriodicRekeys:
         assert lk_new ^ lk_old == fresh
         assert fig4_session.nodes[1].state.local_keys[2] == lk_new
         assert fig4_session.nodes[2].state.local_keys[2] == lk_new
+
+    def test_a_superseded_local_key_leaves_no_copy(self, fig4_session):
+        # the join refreshes every local key; no node keeps the one that
+        # the local rekey replaced
+        s = fig4_session
+        s.establish()
+        s.periodic_local_rekey(2)
+        s.periodic_global_rekey()
+        s.member_join(19, {18})
+        assert stray_keys(s) == set()
+        assert s.nodes[1].state.local_rekey_peer == {}
 
     def test_rekey_without_establishment(self, fig4_session):
         with pytest.raises(RekeyFailure):
@@ -526,7 +598,13 @@ class TestRobustness:
     # deleted: hashed with them put back, derived from `pending_nonces`
     # ("up_echo" or "up_final" pending; "up_final" pending), the states
     # still give the old pin 620b3c7af55d...
-    REPLAY_SHA256 = "67458517f95435240e425f1f74a37d13be30091b5e401a4cb0e9274b9d3b1cb1"
+    # Re-pinned when every ratchet began to commit where it is applied:
+    # the code before that change, its states hashed without
+    # `rekey_tentative`, without the members' `local_rekey_peer` entries
+    # and with the root's entries cut to their nonce (none is pending),
+    # gives this pin over the same replay; in its own layout it gave
+    # 67458517f954...
+    REPLAY_SHA256 = "a0f713480938845a3eefd81218ee9186a6511e0bca602c328f8be94147a26607"
     REPLAY_TOTALS = {"integrity_failures": 2952, "nonce_mismatch": 86,
                      "unexpected": 3350, "join_requests": 85}
 
@@ -596,7 +674,7 @@ class TestTranscriptHygiene:
 
 def full_state():
     """A NodeState with every field set and every container non-empty."""
-    k = [KeyMaterial(bytes([i]) * 16) for i in range(1, 12)]
+    k = [KeyMaterial(bytes([i]) * 16) for i in range(1, 11)]
     return NodeState(
         my_id=3, master_key=k[0], tree=KeyTree(1, {3: 1, 7: 3, 8: 1}, 2), share=k[1],
         intermediate=k[2], subkey=k[3], session_key=k[4], local_keys={3: k[5]},
@@ -605,7 +683,7 @@ def full_state():
         exchange_family="join", pending_children={7},
         pending_membership=membership(5, (1, 3, 7)),
         expected_confirm=b"digest", confirmations={1}, confirm_failures={7},
-        rekey_tentative=k[10], local_rekey_peer={1: (12, k[5])})
+        local_rekey_peer={1: 12})
 
 
 def altered(value):
@@ -634,6 +712,11 @@ def altered(value):
 class TestNodeStateDeclaration:
     """fingerprint() and checkpoint() follow the dataclass declaration, so a
     new or renamed field cannot fall out of the replay and rollback checks."""
+
+    def test_key_material_lists_every_held_key(self):
+        st = full_state()
+        assert len(held_keys([getattr(st, f.name) for f in dataclasses.fields(NodeState)])) == 10
+        assert unlisted_keys(st) == set()
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(NodeState)])
     def test_every_field_moves_the_fingerprint(self, name):
@@ -808,7 +891,9 @@ class TestRollback:
                             before = node.state.fingerprint()
                             assert node.step(msg) == []
                             assert node.state.fingerprint() == before
+                assert stray_keys(s) == set()
                 continue
+            assert stray_keys(s) == set()
             next_id += next_id in s.nodes
             assert set(s.nodes) == s.members
             assert s.epoch == views_before[3] + 1 == s.keys.epoch
@@ -822,7 +907,8 @@ class TestRollback:
     @given(**CHURN)
     def test_place_follows_the_tree_under_churn_and_loss(self, seed, n, rate, ops):
         """Every node reads its role, parent and children from the session's
-        tree after each attempt; after an abort, from the restored tree."""
+        tree after each attempt; after an abort, from the restored tree. No
+        node holds a key outside its `key_material()`."""
         s = lossy_session(seed, n, rate)
         if s is None:
             return
@@ -837,6 +923,7 @@ class TestRollback:
                 st = node.state
                 assert st.tree is s.tree
                 assert (st.role, st.parent_id, tuple(st.children)) == configured_place(s.tree, nid)
+            assert stray_keys(s) == set()
 
 
 class TestByteIdentity:
