@@ -5,7 +5,8 @@ All group keys are KEY_BITS-bit strings combined with XOR; encryption is
 authenticated (a wrong key or a flipped bit is a detectable failure, which
 the mutual-authentication steps rely on); digests are SHA-256 and keyed
 digests HMAC-SHA-256. Randomness is drawn from caller-supplied deterministic
-RNG state so whole runs replay bit-for-bit from a seed.
+RNG state so whole runs replay bit-for-bit from a seed. The process keeps at
+most 256 AES-GCM contexts, one per key value, least recently used first out.
 """
 
 from __future__ import annotations
@@ -125,8 +126,13 @@ class NonceSource:
                 return v
 
 
+@functools.lru_cache(maxsize=256)
 def _aead(key: KeyMaterial) -> AESGCM:
-    """The AES-GCM object for `key`, once its width is checked."""
+    """The AES-GCM object for `key`, once its width is checked.
+
+    Cached by key value, since every member opens a group broadcast with its
+    own KeyMaterial of the same bytes; a width error is raised, never cached.
+    """
     if len(key.data) != KEY_BYTES:
         raise WidthMismatch(f"suite expects {KEY_BITS}-bit keys, got {key.width_bits}-bit")
     return AESGCM(key.data)

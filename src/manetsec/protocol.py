@@ -17,7 +17,6 @@ abort the epoch and roll every node back to its pre-epoch checkpoint.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import hmac
@@ -143,14 +142,16 @@ class NodeState:
     def checkpoint(self) -> NodeState:
         """Copy that a rollback can reinstate as the live state.
 
-        Every dict and set field is copied one level deep: their values are
-        frozen KeyMaterials, tuples and ints. `seen_nonces` is shared on
-        purpose, so nonces burned during an aborted epoch stay burned, and
-        `tree` is kept by reference, since a KeyTree is frozen.
+        A copy of the instance dict in which every dict and set field is
+        copied one level deep: their values are frozen KeyMaterials, tuples
+        and ints. Every other field is kept by reference, `tree` too, since a
+        KeyTree is frozen. `seen_nonces` is shared on purpose, so nonces
+        burned during an aborted epoch stay burned.
         """
-        snap = copy.copy(self)
+        snap = object.__new__(NodeState)
+        snap.__dict__ = fields = self.__dict__.copy()
         for name in _COPIED:
-            setattr(snap, name, getattr(self, name).copy())
+            fields[name] = fields[name].copy()
         return snap
 
     def key_material(self) -> list[KeyMaterial]:

@@ -4,6 +4,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from manetsec import crypto
 from manetsec.crypto import (
     KEY_BITS,
     KEY_BYTES,
@@ -231,6 +232,62 @@ class TestOpener:
         ct = SHA256.encrypt(KeyMaterial.random(rng), b"payload", rng)
         assert SHA256.opener([])(ct) is None
         assert SHA256.opener(iter(()))(ct) is None
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Start from an empty context cache and list every AESGCM key built."""
+    keys, real = [], crypto.AESGCM
+
+    def counting_aesgcm(key):  # the Rust AESGCM type cannot be subclassed
+        keys.append(key)
+        return real(key)
+
+    crypto._aead.cache_clear()
+    monkeypatch.setattr(crypto, "AESGCM", counting_aesgcm)
+    return keys
+
+
+class TestContextCache:
+    def test_equal_keys_share_one_context(self, rng, built):
+        data = KeyMaterial.random(rng).data
+        sealer, opener = KeyMaterial(data), KeyMaterial(data)
+        assert sealer is not opener
+        ct = SHA256.encrypt(sealer, b"payload", rng)
+        assert SHA256.decrypt(opener, ct) == b"payload"
+        assert SHA256.opener([opener])(ct) == b"payload"
+        assert built == [data]
+
+    def test_cache_stays_bounded(self, rng, built):
+        for _ in range(300):
+            SHA256.encrypt(KeyMaterial.random(rng), b"x", rng)
+        assert len(built) == 300
+        assert crypto._aead.cache_info().currsize <= 256
+
+    def test_width_errors_are_never_cached(self, rng, built):
+        short = KeyMaterial(bytes(KEY_BYTES - 1))
+        for _ in range(3):
+            with pytest.raises(WidthMismatch):
+                SHA256.encrypt(short, b"x", rng)
+            with pytest.raises(WidthMismatch):
+                SHA256.decrypt(short, bytes(40))
+        info = crypto._aead.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 6, 0) and built == []
+
+    def test_cached_contexts_keep_their_own_key(self, rng, built):
+        a, b = KeyMaterial.random(rng), KeyMaterial.random(rng)
+        ct_a, ct_b = SHA256.encrypt(a, b"for a", rng), SHA256.encrypt(b, b"for b", rng)
+        with pytest.raises(IntegrityFailure):
+            SHA256.decrypt(b, ct_a)  # b's context is cached, and stays b's
+        assert SHA256.decrypt(b, ct_b) == b"for b"
+        assert built == [a.data, b.data]
+        for _ in range(crypto._aead.cache_info().maxsize):  # evict both
+            SHA256.encrypt(KeyMaterial.random(rng), b"x", rng)
+        del built[:]
+        assert SHA256.decrypt(a, ct_a) == b"for a"
+        with pytest.raises(IntegrityFailure):
+            SHA256.decrypt(a, ct_b)
+        assert built == [a.data]
 
 
 class TestHashing:

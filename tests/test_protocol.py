@@ -18,6 +18,7 @@ from manetsec.protocol import (
     RekeyFailure,
     Transport,
     UnsupportedLeave,
+    _COPIED,
     _HANDLERS,
     derive_master_key,
     membership,
@@ -746,6 +747,21 @@ class TestNodeStateDeclaration:
             assert snap.seen_nonces is st.seen_nonces  # burned nonces stay burned
         else:
             assert snap.fingerprint() == before
+
+    def test_checkpoint_shares_all_but_the_copied_containers(self):
+        st = full_state()
+        snap = st.checkpoint()
+        assert type(snap) is NodeState
+        copied = {f.name for f in dataclasses.fields(NodeState)
+                  if isinstance(getattr(st, f.name), (dict, set)) and f.name != "seen_nonces"}
+        assert set(_COPIED) == copied
+        for f in dataclasses.fields(NodeState):
+            live, kept = getattr(st, f.name), getattr(snap, f.name)
+            if f.name in copied:
+                assert kept is not live and kept == live, f.name
+            else:  # keys, the tree and seen_nonces included
+                assert kept is live, f.name
+        assert (snap.role, snap.parent_id, snap.children) == (st.role, st.parent_id, st.children)
 
 
 class RateDropTransport(Transport):
