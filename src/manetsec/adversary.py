@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .crypto import KEY_BYTES, CipherSuite, KeyMaterial
 from .protocol import GroupSession, derive_master_key, membership
@@ -109,19 +112,54 @@ def last_broadcasts(messages: list[ProtocolMessage], n: int) -> list[ProtocolMes
     return list(itertools.islice(back, n))[::-1]
 
 
+# The scan walks the transcript in chunks of this many start offsets, so its
+# numpy temporaries stay bounded whatever the transcript length.
+_SCAN_CHUNK = 1 << 14
+
+
+def _prefix_index(cols: list[np.ndarray], shift: int) -> np.ndarray:
+    """Big-endian integer of the byte columns `cols`, less its low `shift` bits."""
+    v = cols[0].astype(np.uint32)
+    for col in cols[1:]:
+        v <<= 8
+        v |= col
+    v >>= shift
+    return v
+
+
 def scan_for_secrets(transcript: bytes, secrets: set[bytes]) -> int:
-    """Count byte-aligned occurrences of any secret (all of one width) in the raw bytes."""
+    """Count byte-aligned occurrences of any secret (all of one width) in the raw bytes.
+
+    Every start offset of the whole transcript counts, across frame
+    boundaries. A boolean table over the top bits of each secret's first
+    (up to) three bytes marks the offsets that could start a secret; only
+    those are compared with the secret set. The table only prunes: an
+    offset it passes over starts no secret, so the count is exact.
+    """
     if not secrets:
         return 0
     widths = {len(s) for s in secrets}
     if len(widths) != 1:
         raise ValueError(f"secret scan expects one key width, got {sorted(widths)}")
     (width,) = widths
+    if width == 0:
+        raise ValueError("secret scan expects a secret of at least one byte")
     t = bytes(transcript)
+    n_offsets = len(t) - width + 1
+    head = min(3, width)
+    # 32 to 64 table entries per secret, clamped to 64K-4M: few chance marks
+    bits = min(8 * head, 22, max(16, len(secrets).bit_length() + 5))
+    shift = 8 * head - bits
+    table = np.zeros(1 << bits, dtype=bool)
+    heads = np.frombuffer(b"".join(s[:head] for s in secrets), dtype=np.uint8)
+    table[_prefix_index(list(heads.reshape(-1, head).T), shift)] = True
+    buf = np.frombuffer(t, dtype=np.uint8)
     hits = 0
-    for i in range(len(t) - width + 1):
-        if t[i : i + width] in secrets:
-            hits += 1
+    for start in range(0, n_offsets, _SCAN_CHUNK):
+        n = min(_SCAN_CHUNK, n_offsets - start)
+        cols = [buf[start + j : start + j + n] for j in range(head)]
+        marked = np.flatnonzero(table[_prefix_index(cols, shift)]) + start
+        hits += sum(t[i : i + width] in secrets for i in marked.tolist())
     return hits
 
 
@@ -191,9 +229,7 @@ def run_security_suite(seed: int, cycles: int = 1000,
     every secret that was ever live, and previously delivered messages are
     re-injected to confirm no node state moves.
     """
-    import time as _time
-
-    t0 = _time.monotonic()
+    t0 = time.monotonic()
     suite = CipherSuite()
     rng = random.Random(seed)
     base = 8
@@ -262,5 +298,5 @@ def run_security_suite(seed: int, cycles: int = 1000,
             report.replay_trials += 1
             report.replay_failures += replay_moves_state(session, msg, [msg.receiver])
             break
-    report.elapsed = _time.monotonic() - t0
+    report.elapsed = time.monotonic() - t0
     return report

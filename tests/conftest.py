@@ -29,6 +29,15 @@ def bfs_levels(root, nodes, graph):
     return dist
 
 
+def scan_reference(transcript, secrets):
+    """Test every byte offset in a Python loop; the secret-scan oracle."""
+    if not secrets:
+        return 0
+    (width,) = {len(s) for s in secrets}
+    t = bytes(transcript)
+    return sum(t[i : i + width] in secrets for i in range(len(t) - width + 1))
+
+
 def random_geometric(n, radius, rng, w=1.0, h=1.0):
     pts = [(rng.uniform(0, w), rng.uniform(0, h)) for _ in range(n)]
     graph = {i: set() for i in range(n)}

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from manetsec import adversary, crypto, sim, wire
 from manetsec.adversary import (
@@ -21,7 +22,7 @@ from manetsec.esom import SomConfig
 from manetsec.protocol import GroupSession
 from manetsec.wire import MessageKind
 
-from conftest import make_graph
+from conftest import make_graph, scan_reference
 
 
 @pytest.fixture
@@ -61,6 +62,11 @@ class TestOracleMachinery:
         with pytest.raises(ValueError):
             scan_for_secrets(b"noise" + bytes(range(24)), {bytes(range(16)), bytes(range(24))})
 
+    def test_scan_rejects_a_zero_width_secret(self):
+        # the per-offset loop would report len(t) + 1 empty "hits"
+        with pytest.raises(ValueError, match="at least one byte"):
+            scan_for_secrets(b"any bytes", {b""})
+
     def test_pairwise_xor_is_never_narrowed(self, suite):
         # more recovered keys than any fixed cap: every pair still XORs
         rng = random.Random(70)
@@ -70,6 +76,86 @@ class TestOracleMachinery:
         pairs = {bytes(a ^ b for a, b in zip(x.data, y.data))
                  for x, y in itertools.combinations(keys, 2)}
         assert cands == {k.data for k in keys} | pairs
+
+
+CHUNK = adversary._SCAN_CHUNK
+
+
+def plant(buf, offset, window):
+    """Write `window` into `buf` at `offset`, clipped to the buffer."""
+    window = window[: max(0, len(buf) - offset)]
+    buf[offset : offset + len(window)] = window
+
+
+class TestSecretScan:
+    """The prefix-table scan counts exactly what the per-offset loop counts."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1),
+           width=st.sampled_from([1, 2, 3, 16, 24]),  # 1-2: below the 3-byte prefix
+           alphabet=st.sampled_from([2, 4, 256]),
+           length=st.sampled_from(["short", "chunk-1", "chunk", "chunk+1", "chunks"]),
+           n_random=st.sampled_from([0, 1, 2, 50, 5000]),
+           plant_windows=st.booleans())
+    def test_matches_the_loop(self, seed, width, alphabet, length, n_random, plant_windows):
+        rng = random.Random(seed)
+        # a transcript of exactly CHUNK start offsets is exactly one chunk
+        size = {"short": rng.randrange(width),
+                "chunk-1": CHUNK + width - 2,
+                "chunk": CHUNK + width - 1,
+                "chunk+1": CHUNK + width,
+                "chunks": rng.randrange(2 * CHUNK, 3 * CHUNK)}[length]
+        buf = bytearray(rng.randrange(alphabet) for _ in range(size))
+        secrets = {bytes(rng.randrange(alphabet) for _ in range(width))
+                   for _ in range(n_random)}
+        planted = set()
+        if plant_windows and size >= width:
+            last = size - width
+            offsets = [0, last]
+            for edge in range(CHUNK, size, CHUNK):  # every chunk boundary
+                offsets += [edge - 1, edge - (width + 1) // 2, edge]
+            offsets = [o for o in offsets if 0 <= o <= last]
+            repeated = bytes(rng.randrange(alphabet) for _ in range(width))
+            for o in offsets:
+                plant(buf, o, repeated if rng.random() < 0.3 else
+                      bytes(rng.randrange(alphabet) for _ in range(width)))
+                # an overlapping copy one byte further on
+                if rng.random() < 0.3:
+                    plant(buf, o + 1, bytes(buf[o : o + width]))
+            planted = set(offsets)
+            secrets |= {bytes(buf[o : o + width]) for o in planted}
+        t = bytes(buf)
+        got = scan_for_secrets(t, secrets)
+        assert got == scan_reference(t, secrets)
+        assert got >= len(planted)
+
+    def test_real_frame_bytes(self, fig4_session):
+        # frame headers repeat, so prefixes collide far more often than in
+        # random bytes; windows planted at and across frame boundaries
+        s = fig4_session
+        s.establish()
+        s.member_join(19, {6})
+        s.member_leave(19)
+        s.periodic_global_rekey()
+        frames = [m.to_bytes() for m in s.transport.messages]
+        t = s.transport.transcript
+        assert t == b"".join(frames)
+        starts = list(itertools.accumulate(len(f) for f in frames[:-1]))
+        live = s.current_secrets()
+        assert scan_for_secrets(t, live) == scan_reference(t, live) == 0
+        rng = random.Random(25)
+        for width in (1, 2, 3, 4, crypto.KEY_BYTES, 24):
+            picks = rng.sample(starts, 20)
+            back = (width + 1) // 2
+            windows = {t[b : b + width] for b in picks}  # inside a header
+            windows |= {t[b - back : b - back + width] for b in picks}  # across a boundary
+            secrets = {w for w in windows if len(w) == width}
+            if width == crypto.KEY_BYTES:
+                secrets |= live
+            got = scan_for_secrets(t, secrets)
+            assert got == scan_reference(t, secrets)
+            assert got >= len(picks)
 
 
 def every_frame_candidate_group_keys(suite, keys, messages):
