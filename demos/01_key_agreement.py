@@ -34,7 +34,7 @@ print("\n== establishment ==")
 print(f"epoch {keys.epoch}")
 print(f"GK            = {keys.gk.hex()}")
 print(f"XOR oracle    = {session.gk_oracle().hex()}")
-print(f"local keys for level-1 members: {sorted(keys.local_keys)}")
+print(f"local keys for level-1 members: {sorted(session.local_keys)}")
 
 agree = all(n.state.session_key == keys.gk for n in session.nodes.values())
 print(f"all 18 parties hold the same GK: {agree}")
@@ -58,11 +58,11 @@ print(f"epoch {keys.epoch}")
 print(f"GK_new xor GK_old = {(keys.gk ^ old).hex()}  (the checker's fresh share)")
 
 print("\n== periodic local rekey with member 2 ==")
-old_lk = session.nodes[1].state.local_keys[2]
+old_lk = session.local_keys[2]
 lk_new = session.periodic_local_rekey(2)
 print(f"LK_new xor LK_old = {(lk_new ^ old_lk).hex()}  (member 2's fresh share)")
 print(f"root and member 2 agree: "
-      f"{session.nodes[1].state.local_keys[2] == session.nodes[2].state.local_keys[2]}")
+      f"{session.local_keys[2] == session.nodes[2].state.local_keys[2]}")
 
 print(f"\ntranscript: {len(session.transport.messages)} messages, "
       f"{len(session.transport.transcript)} bytes on the wire")

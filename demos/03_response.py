@@ -43,7 +43,7 @@ def adversary(step, sender, receiver, payload, digest):
 
 
 print("== local map distribution (node 4's reply is tampered in flight) ==")
-res = distribute_local_maps(suite, 1, neighbors, local_keys, maps,
+res = distribute_local_maps(suite, 1, local_keys, maps,
                             NonceSource(rng), now=12.0, channel=adversary)
 for nid in sorted(res.glm.entries):
     cov, verdict = res.glm.entries[nid]

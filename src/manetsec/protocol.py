@@ -85,10 +85,9 @@ ROLE_MEMBER = "member"
 
 @dataclass
 class SessionKeys:
-    """Result of a successful epoch: the group key and the root's local keys."""
+    """Commit record of a successful epoch: the group key and the epoch number."""
 
     gk: KeyMaterial
-    local_keys: dict[NodeId, KeyMaterial]
     epoch: int
 
 
@@ -111,7 +110,6 @@ class NodeState:
     seen_nonces: dict[NodeId, set[int]] = field(default_factory=dict)
     # per-epoch exchange bookkeeping; an exchange's progress towards the
     # parent is its pending nonce: "up_echo" until step 2, "up_final" until step 3
-    exchange_family: str = "auth"
     pending_children: set[NodeId] = field(default_factory=set)
     pending_membership: tuple[bytes, bytes] | None = None  # membership() of a leave
     expected_confirm: bytes | None = None
@@ -223,16 +221,14 @@ class ProtocolNode:
     def refresh_share(self) -> None:
         self.state.share = KeyMaterial.random(self.rng)
 
-    def begin_exchange(self, family: str, expected_children: set[NodeId]) -> list[ProtocolMessage]:
-        """Start this node's part of a (re)initiation: wait for the given
-        children, then authenticate upward carrying the folded intermediate."""
+    def begin_exchange(self, step1: MessageKind, awaited: set[NodeId]) -> list[ProtocolMessage]:
+        """Start this node's part of a (re)initiation in `step1`'s family: wait for
+        the awaited children, then authenticate upward carrying the folded key."""
         st = self.state
-        st.exchange_family = family
-        st.pending_children = set(expected_children)
+        st.pending_children = set(awaited)
         if st.role == ROLE_ROOT:  # the root only ever receives
             self._maybe_finish_root()
             return []
-        step1 = MessageKind.AUTH_STEP1 if family == "auth" else MessageKind.JOIN_STEP_A
         nonce = self.nonces.fresh()
         st.pending_nonces["up_echo"] = nonce
         return [self._seal(step1, st.parent_id, (st.my_id, st.parent_id), st.master_key,
@@ -376,8 +372,7 @@ class ProtocolNode:
         nonce_a = self.nonces.fresh()
         st.pending_nonces[f"down_echo:{id_d}"] = nonce_a
         st.pending_nonces[f"down_seen:{id_d}"] = nonce_d
-        step2 = MessageKind.AUTH_STEP2 if msg.kind == MessageKind.AUTH_STEP1 else MessageKind.JOIN_STEP_B
-        return [self._seal(step2, id_d, (st.my_id, id_d), st.master_key,
+        return [self._seal(_NEXT_STEP[msg.kind], id_d, (st.my_id, id_d), st.master_key,
                            st.my_id, id_d, nonce_d + 1, nonce_a)]
 
     # step 2: our ascendant answered; prove freshness and send the fold up
@@ -395,9 +390,9 @@ class ProtocolNode:
         del st.pending_nonces["up_echo"]
         st.edge_keys[id_a] = self._edge_key(st.my_id, id_a, my_nonce, nonce_a)
         st.pending_nonces["up_final"] = nonce_a
-        return self._maybe_send_step3()
+        return self._maybe_send_step3(_NEXT_STEP[msg.kind])
 
-    def _maybe_send_step3(self) -> list[ProtocolMessage]:
+    def _maybe_send_step3(self, step3: MessageKind) -> list[ProtocolMessage]:
         st = self.state
         if "up_final" not in st.pending_nonces or st.pending_children:
             return []
@@ -415,7 +410,6 @@ class ProtocolNode:
             st.intermediate = k_up
             share = st.share
         nonce_a = st.pending_nonces.pop("up_final")
-        step3 = MessageKind.AUTH_STEP3 if st.exchange_family == "auth" else MessageKind.JOIN_STEP_C
         return [self._seal(step3, st.parent_id, (st.parent_id, st.my_id), st.master_key,
                            st.parent_id, st.my_id, nonce_a + 1, k_up, share)]
 
@@ -440,7 +434,7 @@ class ProtocolNode:
         if st.role == ROLE_ROOT:
             self._maybe_finish_root()
             return []
-        return self._maybe_send_step3()
+        return self._maybe_send_step3(msg.kind)  # one refold never mixes families
 
     def _maybe_finish_root(self) -> None:
         """Fold the subtree intermediates into z and refresh the local keys."""
@@ -583,6 +577,12 @@ _HANDLERS = {
     MessageKind.MASTER_REKEY: ProtocolNode._on_master_rekey,
 }
 
+# the kind an exchange step answers with: each family stays in its own kinds
+_NEXT_STEP = {MessageKind.AUTH_STEP1: MessageKind.AUTH_STEP2,
+              MessageKind.AUTH_STEP2: MessageKind.AUTH_STEP3,
+              MessageKind.JOIN_STEP_A: MessageKind.JOIN_STEP_B,
+              MessageKind.JOIN_STEP_B: MessageKind.JOIN_STEP_C}
+
 
 def membership(epoch: int, ids: Iterable[NodeId]) -> tuple[bytes, bytes]:
     """The roster a master-key roll binds: the epoch and the sorted member ids,
@@ -661,11 +661,12 @@ class GroupSession:
     after rolling back to the pre-epoch checkpoint. All five epoch methods
     run their body inside `_epoch()`, the one place a rollback happens.
 
-    Each fact is stored once: `members`, `checker`, `master_key` and `epoch`
-    are read-only views of `nodes`, `tree`, the root's NodeState and the
-    commit record `keys`. A rollback restores every node's state
-    (NodeState.checkpoint), the node set (a leaver or a dropped member comes
-    back, a joiner goes), the tree, the graph and `keys`; the views follow.
+    Each fact is stored once: `members`, `root` and `checker`, `master_key`
+    and `local_keys`, and `epoch` are read-only views of `nodes`, `tree`, the
+    root's NodeState and the commit record `keys`. A rollback restores every
+    node's state (NodeState.checkpoint), the node set (a leaver or a dropped
+    member comes back, a joiner goes), the tree, the graph and `keys`; the
+    views follow.
     It keeps on purpose what must not run backwards: each node's
     `seen_nonces`, so nonces burned during the aborted epoch stay burned;
     `NonceSource.used`; the drop `counters`; every RNG position; and `lives`,
@@ -678,7 +679,6 @@ class GroupSession:
         self.suite = suite
         self.seed = seed
         self.graph = graph
-        self.root = root
         members = set(members)
         self.transport = transport if transport is not None else Transport()
         self.rng = random.Random(_sub_seed(seed, "session"))
@@ -698,12 +698,20 @@ class GroupSession:
         return set(self.nodes)
 
     @property
+    def root(self) -> NodeId:
+        return self.tree.root
+
+    @property
     def checker(self) -> NodeId:
         return self.tree.checker
 
     @property
     def master_key(self) -> KeyMaterial:
         return self.nodes[self.root].state.master_key
+
+    @property
+    def local_keys(self) -> dict[NodeId, KeyMaterial]:
+        return self.nodes[self.root].state.local_keys
 
     @property
     def epoch(self) -> int:
@@ -757,9 +765,7 @@ class GroupSession:
         ch.expected_confirm = None
         ch.confirmations = set()
         ch.confirm_failures = set()
-        root = self.nodes[self.root]
-        self.keys = SessionKeys(gk=root.state.session_key,
-                                local_keys=dict(root.state.local_keys),
+        self.keys = SessionKeys(gk=self.nodes[self.root].state.session_key,
                                 epoch=self.epoch + 1)
         return self.keys
 
@@ -780,7 +786,7 @@ class GroupSession:
 
     # -- protocol phases -------------------------------------------------------
 
-    def _refold(self, family: str, fresh: Iterable[NodeId], order: list[NodeId]) -> None:
+    def _refold(self, step1: MessageKind, fresh: Iterable[NodeId], order: list[NodeId]) -> None:
         """The one bottom-up fold, for establish, join and leave alike.
 
         Draws new shares for `fresh`, then begins every node of `order` in
@@ -795,18 +801,16 @@ class GroupSession:
         msgs: list[ProtocolMessage] = []
         for n in order:
             awaited = {c for c in self.tree.children.get(n, ()) if c in folding}
-            msgs.extend(self.nodes[n].begin_exchange(family, awaited))
+            msgs.extend(self.nodes[n].begin_exchange(step1, awaited))
         self._pump(msgs)
         root = self.nodes[self.root].state
         missing = {c for c in root.children if c not in root.children_received}
         if root.pending_children or missing or root.subkey is None:
             raise InitiationTimeout(root.pending_children | missing or {self.root})
 
-    def run_key_initiation(self) -> tuple[KeyMaterial, dict[NodeId, KeyMaterial]]:
+    def run_key_initiation(self) -> None:
         """Bottom-up auth on every tree edge with fresh member shares; the root folds z."""
-        self._refold("auth", set(self.nodes) - {self.checker}, sorted(self.nodes))
-        root = self.nodes[self.root].state
-        return root.subkey, dict(root.local_keys)
+        self._refold(MessageKind.AUTH_STEP1, set(self.nodes) - {self.checker}, sorted(self.nodes))
 
     def _unconfirmed(self) -> set[NodeId]:
         """Members whose confirmation the checker lacks or rejected."""
@@ -898,10 +902,8 @@ class GroupSession:
             links = [*self.tree.parent.items(), (self.checker, self.root)]
             fresh_edges = [(c, p) for c, p in links
                            if self.nodes[c].state.edge_keys.get(p) is None]
-            msgs = []
-            for child, parent in fresh_edges:
-                msgs.extend(self.nodes[child].begin_exchange("auth", set()))
-            self._pump(msgs)
+            self._pump([m for child, _ in fresh_edges
+                        for m in self.nodes[child].begin_exchange(MessageKind.AUTH_STEP1, set())])
             for child, parent in fresh_edges:
                 if self.nodes[child].state.edge_keys.get(parent) is None:
                     raise InitiationTimeout({child})
@@ -937,7 +939,8 @@ class GroupSession:
         for n in reporters:
             involved.update(key_path(self.tree, n))
         # same-level nodes keep the set's order, which depends on insertion order
-        self._refold("join", fresh, sorted(involved, key=lambda x: -self.tree.level[x]))
+        self._refold(MessageKind.JOIN_STEP_A, fresh,
+                     sorted(involved, key=lambda x: -self.tree.level[x]))
 
     # -- periodic rekeys ---------------------------------------------------------
 

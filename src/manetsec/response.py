@@ -184,28 +184,25 @@ class MapExchangeResult:
     events: list[Event] = field(default_factory=list)
 
 
-def distribute_local_maps(suite: CipherSuite, initiator: NodeId, neighbors: set[NodeId],
+def distribute_local_maps(suite: CipherSuite, initiator: NodeId,
                           local_keys: Mapping[NodeId, KeyMaterial],
                           maps: Mapping[NodeId, SecurityMap], nonces: NonceSource,
                           now: float = 0.0,
                           channel: Channel = _identity_channel) -> MapExchangeResult:
     """Four-step authenticated map exchange within a one-hop group.
 
-    Step 1 broadcasts the initiator's map with one keyed digest per neighbor
-    (the local keys are pairwise); step 2 collects each neighbor's map and
-    digest; step 3 composes the neighborhood summary from the entries that
-    verified; step 4 broadcasts the summary, digested per neighbor again.
+    The group is the key set of the pairwise `local_keys`. Step 1 broadcasts
+    the initiator's map with one keyed digest per neighbor; step 2 collects
+    each neighbor's map and digest; step 3 composes the neighborhood summary
+    from the entries that verified; step 4 broadcasts it, digested again.
     """
     if initiator not in maps:
         raise ResponseError("initiator has no security map of its own")
     events: list[Event] = []
-    keyed = {j: local_keys[j] for j in neighbors if j in local_keys}
-    for j in neighbors - set(keyed):
-        events.append((now, "map_no_key", initiator, j, "no pairwise local key"))
 
     def send(step: str, j: NodeId, payload: bytes, nonce: int) -> bool | None:
         sender, receiver = (j, initiator) if step == "reply" else (initiator, j)
-        ok = _send(suite, channel, step, sender, receiver, keyed[j], payload, nonce)
+        ok = _send(suite, channel, step, sender, receiver, local_keys[j], payload, nonce)
         if ok is None:
             events.append((now, "map_lost", initiator, j, f"{step} lost"))
         elif not ok:
@@ -214,11 +211,11 @@ def distribute_local_maps(suite: CipherSuite, initiator: NodeId, neighbors: set[
 
     nonce1 = nonces.fresh()
     own_bytes = maps[initiator].to_bytes()
-    responsive = {j for j in sorted(keyed) if send("announce", j, own_bytes, nonce1)}
+    responsive = {j for j in sorted(local_keys) if send("announce", j, own_bytes, nonce1)}
 
     verified: dict[NodeId, SecurityMap] = {}
     tampered: set[NodeId] = set()
-    missing = set(keyed) - responsive
+    missing = set(local_keys) - responsive
     for j in sorted(responsive):
         if j not in maps:
             missing.add(j)
@@ -234,7 +231,7 @@ def distribute_local_maps(suite: CipherSuite, initiator: NodeId, neighbors: set[
 
     glm = compose_global_local_map(maps[initiator], verified, composed_at=now)
     glm_bytes = glm.to_bytes()
-    for j in sorted(keyed):
+    for j in sorted(local_keys):
         send("summary", j, glm_bytes, nonce1)
     events.append((now, "map_composed", initiator, None,
                    f"entries={len(glm.entries)} tampered={len(tampered)} missing={len(missing)}"))

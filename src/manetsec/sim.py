@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from collections import deque
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, field, replace
@@ -528,7 +529,7 @@ def _run_cell(config: ScenarioConfig, seed: int):
     row: dict = {c: None for c in _COLUMNS}
 
     graph = world.graph()
-    members = set(bfs_parents(graph, config.root))
+    members = set(world.hops(config.root))
     unreachable = set(world.ids) - members
     transport = RadioTransport(world)
 
@@ -719,9 +720,8 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
     out["test_samples"] = len(test_idx)
 
     som_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x50D]))
-    import warnings as _w
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         model = esom.fit_detector(data[train_idx], labels[train_idx], config.som, som_rng)
     normalized = esom.apply_normalization(model.stats, data[test_idx])
     results = esom.classify_batch(model.grid, model.labeling, normalized)
@@ -751,7 +751,7 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
         # authenticated map exchange on the root's one-hop group; pairs that
         # drifted out of radio reach lose their messages
         graph = world.graph()
-        lks = session.keys.local_keys
+        lks = session.local_keys
         root = session.root
 
         def radio(step, sender, receiver, payload, digest):
@@ -759,9 +759,8 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
 
         if root in maps and lks:
             nonces = NonceSource(random.Random(seed ^ 0xA1A))
-            res = resp.distribute_local_maps(suite, root, set(lks), lks,
-                                             maps, nonces, now=world.time,
-                                             channel=radio)
+            res = resp.distribute_local_maps(suite, root, lks, maps, nonces,
+                                             now=world.time, channel=radio)
             events.extend(res.events)
         # an alarm's receivers rebuild their routes as they quarantine
         tables = {n: resp.RoutingTable(owner=n) for n in session.members}

@@ -189,7 +189,7 @@ def test_c07_map_integrity_fuzz():
                 blob[pos // 8] ^= 1 << (pos % 8)
                 return bytes(blob[: len(payload)]), bytes(blob[len(payload):])
 
-            res = distribute_local_maps(suite, 1, {2}, lk, maps,
+            res = distribute_local_maps(suite, 1, lk, maps,
                                         NonceSource(rng), channel=flip_reply)
             assert 2 not in res.glm.entries and 2 in res.tampered, trial
 
