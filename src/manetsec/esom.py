@@ -135,6 +135,43 @@ class SomGrid:
         return idx // self.cols, idx % self.cols
 
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+
+
+def _online_bmu(diff: np.ndarray, screen: np.ndarray) -> int:
+    """Best-matching unit of one training step, ties to the lowest index.
+
+    `diff` holds weights minus sample, feature-major `(dim, N)`. The winner
+    is bit for bit the argmin of `einsum("ij,ij->i")` over the `(N, dim)`
+    C-order rows, whose summation order differs from a left fold. The
+    screen sums the same squares into `screen` in another order, and only
+    the neurons within a rounding bound of its minimum are re-checked with
+    the row formula, on their rows copied to C order.
+
+    Rounding bound, with u = ε/2, η the smallest subnormal and d features:
+    both sums of neuron j lie within γ_d·D_j + d·η of D_j, the exact sum of
+    the exact squares of the shared differences, in any summation order and
+    with or without FMA. With j* the row formula's winner and m the screen's
+    argmin, that gives screen_j* ≤ screen_m·(1 + 4γ_d) + 4d·η, about
+    screen_m·(1 + 2dε). The bound takes 16(d+2)ε and 16(d+2)η. A nan or inf
+    screen minimum, or a bound that overflows, measures every neuron with
+    the row formula, so nan rows win as `np.argmin` lets them.
+    """
+    np.einsum("ij,ij->j", diff, diff, out=screen)
+    bmu = int(screen.argmin())
+    tol = 16 * (len(diff) + 2)
+    bound = float(screen[bmu]) * (1.0 + tol * _EPS) + tol * _TINY
+    if not bound < math.inf:
+        rows = diff.T.copy()
+        return int(np.argmin(np.einsum("ij,ij->i", rows, rows)))
+    kept = np.flatnonzero(screen <= bound)
+    if len(kept) == 1:
+        return bmu
+    rows = diff[:, kept].T.copy()
+    return int(kept[np.argmin(np.einsum("ij,ij->i", rows, rows))])
+
+
 def train_som(data: np.ndarray, config: SomConfig, rng: np.random.Generator,
               on_epoch=None) -> SomGrid:
     """Online Kohonen training, deterministic for a given generator state.
@@ -142,33 +179,49 @@ def train_som(data: np.ndarray, config: SomConfig, rng: np.random.Generator,
     Per sample: best-matching unit by Euclidean distance, then a Gaussian
     neighborhood pull with linearly decaying learning rate and radius.
     `on_epoch(epoch_index, weights_copy)` is called after each pass when given.
+
+    The weights live feature-major, `(dim, N)`, so every element-wise step
+    runs `dim` long loops instead of N short ones, into reused buffers. Each
+    stored value is the one the neuron-major `(N, dim)` form computes: the
+    pull is element-wise with the same operands in the same order, the
+    squared lattice distance is a sum of two exact integers, and
+    `_online_bmu` re-checks its screen with the row formula.
     """
     config.validate()
     data = np.asarray(data, dtype=float)
     n, dim = data.shape
-    n_neurons = config.rows * config.cols
+    rows, cols = config.rows, config.cols
     lo, hi = data.min(axis=0), data.max(axis=0)
-    weights = rng.uniform(size=(n_neurons, dim)) * (hi - lo) + lo
-    rr, cc = np.divmod(np.arange(n_neurons), config.cols)
-    r0 = max(config.rows, config.cols) / 2
+    weights = (rng.uniform(size=(rows * cols, dim)) * (hi - lo) + lo).T.copy()
+    samples = data[:, :, None]
+    diff = np.empty_like(weights)
+    screen = np.empty(rows * cols)
+    h = np.empty((rows, cols))
+    h_flat = h.reshape(-1)
+    r, c = np.arange(rows, dtype=float), np.arange(cols, dtype=float)
+    dr2 = ((r[:, None] - r) ** 2)[:, :, None]  # dr2[rb] is a (rows, 1) column
+    dc2 = (c[:, None] - c) ** 2
+    r0 = max(rows, cols) / 2
     total = config.epochs * n
     step = 0
     denom = max(total - 1, 1)
     for epoch in range(config.epochs):
         for idx in rng.permutation(n):
-            x = data[idx]
             t = step / denom
             lr = _LR_START + (_LR_END - _LR_START) * t
             rad = r0 + (_RADIUS_END - r0) * t
-            diff = weights - x
-            bmu = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
-            d2 = (rr - rr[bmu]) ** 2 + (cc - cc[bmu]) ** 2
-            h = np.exp(d2 / (-2.0 * rad * rad))
-            weights -= (lr * h)[:, None] * diff
+            np.subtract(weights, samples[idx], out=diff)
+            rb, cb = divmod(_online_bmu(diff, screen), cols)
+            np.add(dr2[rb], dc2[cb], out=h)
+            h /= -2.0 * rad * rad
+            np.exp(h, out=h)
+            np.multiply(lr, h, out=h)
+            np.multiply(h_flat, diff, out=diff)
+            weights -= diff
             step += 1
         if on_epoch is not None:
-            on_epoch(epoch, weights.copy())
-    return SomGrid(rows=config.rows, cols=config.cols, weights=weights)
+            on_epoch(epoch, weights.T.copy())
+    return SomGrid(rows=rows, cols=cols, weights=weights.T.copy())
 
 
 _NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]

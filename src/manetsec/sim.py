@@ -599,7 +599,8 @@ def _run_cell(config: ScenarioConfig, seed: int):
         mobility_step(world, config.traffic.sample_interval)
         t = world.time
 
-    # detector: stratified even/odd split so both halves see both phases
+    # detector: even/odd split per class; samples arrive per tick in source
+    # order, so each half can hold every second source only (ROADMAP item 9)
     row.update(_detect_and_respond(config, suite, session, world, samples, events, seed))
 
     # adversary verdicts; unscheduled replayers dump their whole capture at
@@ -709,7 +710,8 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
     data = np.array([v for _, v, _ in samples])
     labels = np.array([1 if a else 0 for _, _, a in samples], dtype=int)
     nodes_of = [n for n, _, _ in samples]
-    # stratified even/odd split per class keeps both halves representative
+    # biased even/odd split per class: with samples in per-tick source order,
+    # an even source count puts every second source in each half (ROADMAP item 9)
     train_idx, test_idx = [], []
     for cls in (0, 1):
         cls_idx = np.flatnonzero(labels == cls)

@@ -2,9 +2,11 @@ import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from manetsec.crypto import CipherSuite
+from manetsec.esom import _LR_END, _LR_START, _RADIUS_END, SomGrid
 from manetsec.protocol import GroupSession
 
 
@@ -36,6 +38,37 @@ def scan_reference(transcript, secrets):
     (width,) = {len(s) for s in secrets}
     t = bytes(transcript)
     return sum(t[i : i + width] in secrets for i in range(len(t) - width + 1))
+
+
+def train_som_reference(data, config, rng, on_epoch=None):
+    """Neuron-major `(N, dim)` weights and one fresh array per operation;
+    the online-trainer oracle."""
+    config.validate()
+    data = np.asarray(data, dtype=float)
+    n, dim = data.shape
+    n_neurons = config.rows * config.cols
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    weights = rng.uniform(size=(n_neurons, dim)) * (hi - lo) + lo
+    rr, cc = np.divmod(np.arange(n_neurons), config.cols)
+    r0 = max(config.rows, config.cols) / 2
+    total = config.epochs * n
+    step = 0
+    denom = max(total - 1, 1)
+    for epoch in range(config.epochs):
+        for idx in rng.permutation(n):
+            x = data[idx]
+            t = step / denom
+            lr = _LR_START + (_LR_END - _LR_START) * t
+            rad = r0 + (_RADIUS_END - r0) * t
+            diff = weights - x
+            bmu = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+            d2 = (rr - rr[bmu]) ** 2 + (cc - cc[bmu]) ** 2
+            h = np.exp(d2 / (-2.0 * rad * rad))
+            weights -= (lr * h)[:, None] * diff
+            step += 1
+        if on_epoch is not None:
+            on_epoch(epoch, weights.copy())
+    return SomGrid(rows=config.rows, cols=config.cols, weights=weights)
 
 
 def random_geometric(n, radius, rng, w=1.0, h=1.0):

@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from manetsec import esom
+
+from conftest import train_som_reference
 
 
 def make_two_class(n_per, sep, rng):
@@ -111,6 +113,149 @@ class TestTraining:
             esom.SomConfig(rows=1, cols=5).validate()
         with pytest.raises(ValueError):
             esom.SomConfig(hill_quantile=1.5).validate()
+
+    def test_on_epoch_gets_a_detached_neuron_major_copy(self):
+        rng = np.random.default_rng(19)
+        data, _ = make_two_class(40, 3.0, rng)
+        cfg = esom.SomConfig(rows=3, cols=5, epochs=4)
+        seen = []
+
+        def scribble(epoch, w):
+            seen.append((epoch, w.shape, w.dtype, w.flags.c_contiguous))
+            w[...] = np.nan  # must not reach the trainer
+
+        plain = esom.train_som(data, cfg, np.random.default_rng(29))
+        scribbled = esom.train_som(data, cfg, np.random.default_rng(29), on_epoch=scribble)
+        assert seen == [(e, (15, 7), np.float64, True) for e in range(4)]
+        assert scribbled.weights.tobytes() == plain.weights.tobytes()
+        assert plain.weights.shape == (15, 7) and plain.weights.flags.c_contiguous
+
+
+def train_both(case):
+    """Final weights and per-epoch snapshots of `train_som` and the oracle."""
+    data, cfg, seed = case
+    out = []
+    for train in (esom.train_som, train_som_reference):
+        snaps = []
+        with np.errstate(all="ignore"):
+            grid = train(data, cfg, np.random.default_rng(seed),
+                         on_epoch=lambda e, w: snaps.append(w.tobytes()))
+        out.append((grid.weights.tobytes(), snaps))
+    return out
+
+
+@st.composite
+def trainer_cases(draw):
+    """Small lattices (2xN and non-square too) and samples built for exact
+    ties, zero distances, squares that underflow or overflow, and nan/inf."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    cfg = esom.SomConfig(rows=draw(st.integers(2, 5)), cols=draw(st.integers(2, 6)),
+                         epochs=draw(st.integers(1, 4)))
+    n = draw(st.integers(3, 12))
+    if draw(st.booleans()):   # small integers: exact ties
+        data = rng.integers(-2, 3, size=(n, 7)).astype(float)
+    else:
+        data = rng.normal(size=(n, 7))
+    data *= draw(st.sampled_from([1.0, 1e-160, 1e154]))  # squares underflow / overflow
+    if draw(st.booleans()):   # duplicated samples
+        data[rng.integers(n, size=n // 2)] = data[rng.integers(n, size=n // 2)]
+    if draw(st.booleans()):   # the first sample drawn sits on an initial neuron
+        replay = np.random.default_rng(seed)
+        lo, hi = data.min(axis=0), data.max(axis=0)
+        w0 = replay.uniform(size=(cfg.rows * cfg.cols, 7)) * (hi - lo) + lo
+        order = replay.permutation(n)
+        data[order[-2:]] = lo, hi   # lo and hi, so w0 stays the same
+        data[order[0]] = w0[rng.integers(len(w0))]
+    if draw(st.booleans()):   # nan and inf entries
+        cells = rng.integers(n * 7, size=draw(st.integers(1, 3)))
+        data.flat[cells] = rng.choice([np.nan, np.inf, -np.inf], size=len(cells))
+    return data, cfg, seed
+
+
+# Three points, three copies each, whose features span fifteen orders of
+# magnitude: on a 3x3 lattice at seed 221 the screen keeps more than one
+# neuron and, at one step, its own argmin is not the row formula's winner.
+RECHECK_DECIDES = (
+    np.repeat(np.array([[float.fromhex(v) for v in row] for row in (
+        ("0x1.0000000000000p+0", "0x1.a36e2eb1c460fp-13", "0x1.3a92a30553997p-12",
+         "0x1.c9c3800000005p+24", "0x1.0c6f7a0b5ed8dp-20", "0x1.f400000000009p+9",
+         "0x1.ad7f29abefd94p-24"),
+        ("0x1.0000000000005p+0", "0x1.a36e2eb1c432dp-13", "0x1.3a92a30553262p-12",
+         "0x1.c9c3800000000p+24", "0x1.0c6f7a0b75e7cp-20", "0x1.f400000000009p+9",
+         "0x1.ad7f29abefd94p-24"),
+        ("0x1.0000000000005p+0", "0x1.a36e2eb1c449ep-13", "0x1.3a92a30553262p-12",
+         "0x1.c9c3800000000p+24", "0x1.0c6f7a0b5ed8dp-20", "0x1.f400000000000p+9",
+         "0x1.ad7f29abdd66ep-24"))]), 3, axis=0),
+    esom.SomConfig(rows=3, cols=3, epochs=8),
+    221,
+)
+
+
+class TestOnlineTrainer:
+    """`train_som` stores, step by step, the bytes of the neuron-major
+    oracle `train_som_reference`."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @example(case=RECHECK_DECIDES)
+    @given(case=trainer_cases())
+    def test_equals_reference(self, case):
+        (got, got_snaps), (want, want_snaps) = train_both(case)
+        assert got == want
+        assert got_snaps == want_snaps
+
+    @pytest.mark.parametrize("rows,cols,n,epochs", [(50, 80, 300, 2), (12, 16, 400, 10)])
+    def test_equals_reference_at_benchmark_sizes(self, rows, cols, n, epochs):
+        rng = np.random.default_rng(rows)
+        data, _ = make_two_class(n // 2, 1.5, rng)
+        normed, _ = esom.normalize_features(data)
+        case = (normed, esom.SomConfig(rows=rows, cols=cols, epochs=epochs), 1)
+        (got, got_snaps), (want, want_snaps) = train_both(case)
+        assert got == want and got_snaps == want_snaps
+
+    def test_recheck_decides_the_pinned_case(self, monkeypatch):
+        steps = []
+        online_bmu = esom._online_bmu
+
+        def spy(diff, screen):
+            bmu = online_bmu(diff, screen)
+            steps.append((diff.copy(), bmu))
+            return bmu
+
+        monkeypatch.setattr(esom, "_online_bmu", spy)
+        (got, _), (want, _) = train_both(RECHECK_DECIDES)
+        assert got == want and len(steps) == 72
+        screen_only = 0
+        for diff, bmu in steps:
+            rows = diff.T.copy()
+            assert bmu == np.argmin(np.einsum("ij,ij->i", rows, rows))
+            screen_only += bmu != np.argmin(np.einsum("ij,ij->j", diff, diff))
+        assert screen_only > 0
+
+    @staticmethod
+    def tied_pair(a, b):
+        """Two neurons whose squares are a², b², b² with b² half an ulp of
+        a² (an even a²): the screen's left fold sums (b², b², a²) exactly to
+        a² + ulp and rounds (a², b², b²) down to a², while the row formula
+        rounds both down to a²; neuron 1 wins on the screen, neuron 0 by
+        the row formula's tie rule."""
+        diff = np.zeros((7, 2))
+        diff[:3, 0] = b, b, a
+        diff[:3, 1] = a, b, b
+        rows = diff.T.copy()
+        assert np.argmin(np.einsum("ij,ij->j", diff, diff)) == 1
+        assert np.argmin(np.einsum("ij,ij->i", rows, rows)) == 0
+        return diff
+
+    def test_recheck_overrules_a_screen_that_is_one_ulp_off(self):
+        diff = self.tied_pair(3.0, 2.0 ** -25)
+        assert esom._online_bmu(diff, np.empty(2)) == 0
+
+    def test_overflowing_bound_falls_back_to_the_row_formula(self):
+        # a² is one ulp below the largest double, so the bound overflows
+        diff = self.tied_pair(float.fromhex("0x1.fffffffffffffp+511"), 2.0 ** 485)
+        assert esom._online_bmu(diff, np.empty(2)) == 0
 
 
 class TestUMatrix:
