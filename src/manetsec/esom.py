@@ -82,11 +82,16 @@ def normalize_features(data: np.ndarray) -> tuple[np.ndarray, NormStats]:
     """Z-score each column to mean zero, variance one.
 
     Zero-variance columns are floored at 1e-9 with a warning so constant
-    features normalize to zeros instead of blowing up.
+    features normalize to zeros instead of blowing up. A nan or inf sample
+    raises DatasetError, as the CSV reader does: its column would train nan
+    weights, which no model file may hold.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("need a 2-D sample matrix with at least 2 rows")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise DatasetError(f"sample {bad[0]}: feature values must be finite, not nan or inf")
     mean = data.mean(axis=0)
     std = data.std(axis=0)
     degenerate = std < _STD_FLOOR

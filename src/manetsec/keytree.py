@@ -11,8 +11,8 @@ Every traversal in the package follows one rule, implemented once in
 ascending ID order, so the first (and kept) path to a node is its
 lexicographically least shortest path from the root. Tree layering and the
 response layer's first hops come from it. Radio routes (`sim.shortest_route`)
-are the same lowest-ID BFS paths, walked greedily over a hop-count map
-instead.
+are the same lowest-ID BFS paths, walked greedily over hop counts from the
+radio's in-range matrix instead.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import math
 import random
 import warnings
 from collections import deque
-from collections.abc import Callable, Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -152,16 +152,76 @@ class ScenarioConfig:
         return [n for n in range(self.node_count) if n not in taken]
 
 
+class Topology:
+    """One world version's radio graph, built once and then read-only.
+
+    `within` is the in-range boolean matrix over `ids`: row and column i
+    stand for node `ids[i]` (`index` maps an id back), with no self loops.
+    `hop_rows` derives hop counts from it by node index, every row on the
+    first request in the version. `graph`, the same adjacency as a dict of
+    neighbour sets, stays None until `World.graph()` fills it, so only the
+    readers that need a dict (the protocol session, `RadioTransport` and the
+    response layer) pay for one.
+    """
+
+    def __init__(self, ids: list[NodeId], within: np.ndarray):
+        self.ids = list(ids)
+        self.within = within
+        self.index = {nid: i for i, nid in enumerate(self.ids)}
+        self.id_array = np.asarray(self.ids, dtype=np.int64)
+        self._adjacency = within.astype(np.float32)
+        self._rows: dict[NodeId, np.ndarray] = {}
+        self.graph: Graph | None = None
+
+    def hop_rows(self, roots: Sequence[NodeId]) -> list[np.ndarray]:
+        """Per root, the hop count from it to every node by index, -1 where
+        it is unreachable; read-only.
+
+        The rows not yet built in this version come from one batched BFS:
+        per level, the (k, n) frontier times the (n, n) matrix in float32,
+        each sum counting paths, so any positive entry is a node the level
+        reaches (float32 counts up to n exactly). The product takes only
+        the columns where some frontier is nonzero and the matching matrix
+        rows, which leaves every sum as it is, so a level costs about
+        k x frontier x n instead of k x n x n: at 1000 nodes a tick's BFS
+        is several times cheaper than the full product.
+        """
+        todo = [r for r in dict.fromkeys(roots) if r not in self._rows]
+        if todo:
+            hops = np.full((len(todo), len(self.ids)), -1, dtype=np.int32)
+            frontier = np.zeros(hops.shape, dtype=bool)
+            start = (np.arange(len(todo)), [self.index[r] for r in todo])
+            hops[start] = 0
+            frontier[start] = True
+            level = 0
+            while True:
+                active = frontier.any(axis=0).nonzero()[0]
+                if not active.size:
+                    break
+                level += 1
+                paths = frontier[:, active].astype(np.float32) @ self._adjacency[active]
+                frontier = (paths > 0) & (hops < 0)
+                hops[frontier] = level
+            hops.flags.writeable = False
+            self._rows.update(zip(todo, hops))
+        return [self._rows[r] for r in roots]
+
+    def component(self, root: NodeId) -> set[NodeId]:
+        """Every node `root` reaches, itself included."""
+        (row,) = self.hop_rows((root,))
+        return set(self.id_array[row >= 0].tolist())
+
+
 @dataclass
 class World:
     """Mutable simulation state; advance with mobility_step.
 
-    `mobility_step`, `add_node` and `remove_node` bump `version`. One cache
-    entry, `(version, graph, hop maps)`, holds what the radio layer derives
-    from a version: `graph()` builds the in-range adjacency once per version,
-    and `hops(root)` builds the hop-count map rooted at a node on the first
-    request in that version. A direct write to `positions` bumps nothing, so
-    code that makes one calls `connectivity(world)` instead.
+    `mobility_step`, `add_node` and `remove_node` bump `version`.
+    `topology()` builds the in-range matrix once per version and keeps it,
+    with the hop-count rows read from it, in a `Topology`; `graph()` builds
+    that version's dict graph from the matrix on the first request. A direct
+    write to `positions` bumps nothing, so code that makes one bumps
+    `version` itself.
     """
 
     ids: list[NodeId]
@@ -176,28 +236,25 @@ class World:
     adversaries: dict[NodeId, str] = field(default_factory=dict)  # id -> adversary kind
     time: float = 0.0
     version: int = field(default=0, init=False, repr=False, compare=False)
-    _topology: tuple[int, Graph, dict[NodeId, dict[NodeId, int]]] | None = field(
+    _topology: tuple[int, Topology] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def index(self, node: NodeId) -> int:
         return self.ids.index(node)
 
-    def _current(self) -> tuple[int, Graph, dict[NodeId, dict[NodeId, int]]]:
+    def topology(self) -> Topology:
+        """The current version's `Topology`, shared by every caller."""
         if self._topology is None or self._topology[0] != self.version:
-            self._topology = (self.version, connectivity(self), {})
-        return self._topology
+            self._topology = (self.version, Topology(self.ids, _in_range(self)))
+        return self._topology[1]
 
     def graph(self) -> Graph:
-        """`connectivity(self)` for the current version, built once and shared
-        by every caller; callers must not mutate it."""
-        return self._current()[1]
-
-    def hops(self, root: NodeId) -> dict[NodeId, int]:
-        """`hop_map(self.graph(), root)`, built once per version; read-only."""
-        _, graph, maps = self._current()
-        if root not in maps:
-            maps[root] = hop_map(graph, root)
-        return maps[root]
+        """`connectivity(self)`, built once per version on the first request
+        and shared by every caller; callers must not mutate it."""
+        topology = self.topology()
+        if topology.graph is None:
+            topology.graph = connectivity(self)
+        return topology.graph
 
     def add_node(self, node: NodeId, position: np.ndarray) -> None:
         self.version += 1
@@ -279,13 +336,12 @@ def mobility_step(world: World, dt: float) -> World:
     return world
 
 
-def connectivity(world: World) -> Graph:
-    """Undirected in-range adjacency; the 250 m boundary itself connects.
+def _in_range(world: World) -> np.ndarray:
+    """The (n, n) in-range matrix by index; the 250 m boundary itself
+    connects, and no node is its own neighbour.
 
-    Uncached; `World.graph()` keeps one per world version, next to that
-    version's hop maps. The squared distances are summed in place, two (n, n)
-    temporaries in all, in the order `dx*dx + dy*dy`. Each neighbour set is
-    filled in ascending index order.
+    The squared distances are summed in place, two (n, n) temporaries in
+    all, in the order `dx*dx + dy*dy`.
     """
     x, y = world.positions.T
     d2 = np.subtract.outer(x, x)
@@ -295,10 +351,22 @@ def connectivity(world: World) -> Graph:
     d2 += dy
     within = d2 <= world.range_m * world.range_m
     np.fill_diagonal(within, False)
-    neighbours = np.asarray(world.ids, dtype=np.int64)[np.nonzero(within)[1]].tolist()
+    return within
+
+
+def connectivity(world: World) -> Graph:
+    """Undirected in-range adjacency as a dict of neighbour sets, read off
+    the in-range matrix of the world's current version.
+
+    Uncached; `World.graph()` keeps one per version. Each neighbour set is
+    filled in ascending index order.
+    """
+    topology = world.topology()
+    within = topology.within
+    neighbours = topology.id_array[np.nonzero(within)[1]].tolist()
     graph: Graph = {}
     start = 0
-    for nid, end in zip(world.ids, np.cumsum(within.sum(axis=1)).tolist()):
+    for nid, end in zip(topology.ids, np.cumsum(within.sum(axis=1)).tolist()):
         graph[nid] = set(neighbours[start:end])
         start = end
     return graph
@@ -307,14 +375,14 @@ def connectivity(world: World) -> Graph:
 class RadioTransport(Transport):
     """Range-checked delivery over the live world.
 
-    Each frame reads the world's one graph and hop maps for its current
-    version (`World.graph()`, `World.hops()`), so a pump between two world
-    changes builds the topology once and each hop map at most once. Each
-    radio transmission reaches exactly the nodes within range of the
-    transmitter. Unicasts to a distant receiver are relayed along the
-    lowest-ID shortest in-range path (the ad hoc routing layer such networks
-    run), broadcasts flood hop-by-hop through the connected component: the
-    key set of the sender's hop map. Adversaries listen per hop:
+    Each frame reads the world's one `Topology` for its current version
+    (`World.topology()`), and a unicast its dict graph (`World.graph()`), so
+    a pump between two world changes builds each at most once. Each radio
+    transmission reaches exactly the nodes within range of the transmitter.
+    Unicasts to a distant receiver are relayed along the lowest-ID shortest
+    in-range path (the ad hoc routing layer such networks run), broadcasts
+    flood hop-by-hop through the connected component: the nodes the
+    sender's hop-count row reaches. Adversaries listen per hop:
     eavesdroppers record every message some transmitting hop put in their
     range, replayers store what they hear for later re-injection. Droppers
     run the protocol faithfully, so control messages are never dropped here.
@@ -343,20 +411,22 @@ class RadioTransport(Transport):
 
     def _resolve(self, msg: ProtocolMessage, members: Collection[int]):
         world = self.world
-        graph = world.graph()
-        if msg.receiver == BROADCAST:
-            component = world.hops(msg.sender).keys() if msg.sender in graph else set()
-            return (sorted(m for m in members if m != msg.sender and m in component),
+        topology = world.topology()
+        sender, receiver = msg.sender, msg.receiver
+        if receiver == BROADCAST:
+            component = topology.component(sender) if sender in topology.index else set()
+            return (sorted(m for m in members if m != sender and m in component),
                     component, True)
-        route = (shortest_route(graph, msg.sender, msg.receiver, world.hops)
-                 if msg.sender in graph and msg.receiver in graph else None)
-        if route is None or msg.receiver not in members:
-            return [], set(graph.get(msg.sender, ())) | {msg.sender}, False
+        route = (shortest_route(topology, sender, receiver)
+                 if sender in topology.index and receiver in topology.index else None)
+        graph = world.graph()
+        if route is None or receiver not in members:
+            return [], set(graph.get(sender, ())) | {sender}, False
         hearers: set[NodeId] = set()
         for hop in route[:-1]:  # every forwarding hop transmits once
             hearers.add(hop)
             hearers.update(graph.get(hop, ()))
-        return [msg.receiver], hearers, True
+        return [receiver], hearers, True
 
 
 # -- parametric feature stream -------------------------------------------------
@@ -370,43 +440,38 @@ _BASELINES = {
     "active_neighbors": (0.0, 0.5),   # mean comes from the live degree
     "forwarding_nodes": (0.0, 0.5),   # mean comes from the live route length
 }
+_MEANS, _SDS = (np.array(col) for col in zip(*_BASELINES.values()))
 
 
-def hop_map(graph: Graph, root: NodeId) -> dict[NodeId, int]:
-    """BFS hop count from `root` to every node it reaches, root included."""
-    hops = {root: 0}
-    frontier = deque([root])
-    while frontier:
-        node = frontier.popleft()
-        level = hops[node] + 1
-        for nb in graph.get(node, ()):
-            if nb not in hops:
-                hops[nb] = level
-                frontier.append(nb)
-    return hops
-
-
-def shortest_route(graph: Graph, src: NodeId, dst: NodeId,
-                   hops: Callable[[NodeId], dict[NodeId, int]] | None = None,
-                   ) -> list[NodeId] | None:
+def shortest_route(topology: Topology, src: NodeId, dst: NodeId) -> list[NodeId] | None:
     """Lowest-ID BFS route; None when the destination is unreachable.
 
     That route is the lexicographically least shortest path, so it is the
     greedy walk from `src` that always steps to the lowest-ID neighbour one
-    hop closer to `dst`. The walk reads the hop map rooted at `dst`, from
-    `hops(dst)` (`World.hops` caches one per version) or built here. Routes
-    of zero and one hop need no map.
+    hop closer to `dst`. The walk reads the hop counts to `dst` by node
+    index (`Topology.hop_rows`) and compares the closer neighbours' ids, not
+    their indices: after a leave and a rejoin the ids are out of ascending
+    order. Routes of zero and one hop need no hop counts.
     """
     if src == dst:
         return [src]
-    if dst in graph.get(src, ()):
-        return [src, dst]
-    to_dst = hops(dst) if hops is not None else hop_map(graph, dst)
-    if src not in to_dst:
+    index = topology.index
+    if src not in index or dst not in index:
         return None
+    within = topology.within
+    at = index[src]
+    if within[at, index[dst]]:
+        return [src, dst]
+    (to_dst,) = topology.hop_rows((dst,))
+    if to_dst[at] < 0:
+        return None
+    ids = topology.id_array
     path = [src]
-    for level in range(to_dst[src] - 1, 0, -1):
-        path.append(min(nb for nb in graph[path[-1]] if to_dst.get(nb) == level))
+    for level in range(int(to_dst[at]) - 1, 0, -1):
+        neighbours = within[at].nonzero()[0]
+        closer = neighbours[to_dst[neighbours] == level]
+        at = closer[ids[closer].argmin()]
+        path.append(topology.ids[at])
     path.append(dst)
     return path
 
@@ -423,41 +488,39 @@ def generate_features(world: World, traffic: TrafficConfig,
                       pairs: list[tuple[NodeId, NodeId]], rng: np.random.Generator,
                       ) -> dict[NodeId, tuple[np.ndarray, bool]]:
     """One interval of per-source samples plus ground truth, on the world's
-    current graph and hop maps.
+    current topology; every id in `pairs` is a world node.
 
     A source is under attack when the clock is inside the attack window and
     some intermediate hop of its current route is a dropper; then rx_rate and
     forwarding count shift down and the data retransmission rate shifts up by
-    effect_size standard deviations.
+    effect_size standard deviations. Outside the window a source's hop count
+    is all it needs, so only the window walks routes. The hop counts of
+    every destination come in one batch, and the tick's normals in one call,
+    source by source in `_BASELINES` order as the 7 scalar draws per source
+    came.
     """
-    t = world.time
-    in_window = traffic.attack_start <= t < traffic.attack_end
-    payload_scale = traffic.mean_payload / 512.0
-    graph = world.graph()
-    out: dict[NodeId, tuple[np.ndarray, bool]] = {}
-    for src, dst in pairs:
-        route = shortest_route(graph, src, dst, world.hops)
-        hops = len(route) - 1 if route else 0
-        intermediates = route[1:-1] if route else []
-        attacked = bool(in_window and any(world.adversaries.get(h) == DROPPER
-                                          for h in intermediates))
-        draw = {name: rng.normal(mu, sd) for name, (mu, sd) in _BASELINES.items()}
-        vec = np.array([
-            max(draw["nav"] * payload_scale, 0.0),
-            max(draw["tx_rate"], 0.0),
-            max(draw["rx_rate"], 0.0),
-            min(max(draw["rts_retx_rate"], 0.0), 1.0),
-            min(max(draw["data_retx_rate"], 0.0), 1.0),
-            max(len(graph.get(src, ())) + draw["active_neighbors"], 0.0),
-            max(hops + draw["forwarding_nodes"], 0.0),
-        ])
-        if attacked:
-            eff = traffic.effect_size
+    topology = world.topology()
+    at = [topology.index[src] for src, _ in pairs]
+    rows = topology.hop_rows([dst for _, dst in pairs])
+    attacked = [False] * len(pairs)
+    if traffic.attack_start <= world.time < traffic.attack_end:
+        for k, (src, dst) in enumerate(pairs):
+            route = shortest_route(topology, src, dst) or []
+            attacked[k] = any(world.adversaries.get(h) == DROPPER for h in route[1:-1])
+    vecs = rng.normal(_MEANS, _SDS, size=(len(pairs), len(_BASELINES)))
+    vecs[:, 0] *= traffic.mean_payload / 512.0
+    vecs[:, 5] += topology.within[at].sum(axis=1)
+    vecs[:, 6] += [max(int(row[i]), 0) for row, i in zip(rows, at)]
+    vecs[vecs < 0.0] = 0.0            # max(x, 0.0), nan and -0.0 kept
+    rates = vecs[:, 3:5]
+    rates[rates > 1.0] = 1.0          # min(x, 1.0)
+    eff = traffic.effect_size
+    for vec, hit in zip(vecs, attacked):
+        if hit:
             vec[2] = max(vec[2] - eff * _BASELINES["rx_rate"][1], 0.0)
             vec[4] = min(max(vec[4] + eff * _BASELINES["data_retx_rate"][1], 0.0), 1.0)
             vec[6] = max(vec[6] - eff * _BASELINES["forwarding_nodes"][1], 0.0)
-        out[src] = (vec, attacked)
-    return out
+    return {src: (vec, hit) for (src, _), vec, hit in zip(pairs, vecs, attacked)}
 
 
 # -- scenario orchestration -----------------------------------------------------
@@ -529,7 +592,7 @@ def _run_cell(config: ScenarioConfig, seed: int):
     row: dict = {c: None for c in _COLUMNS}
 
     graph = world.graph()
-    members = set(world.hops(config.root))
+    members = world.topology().component(config.root)
     unreachable = set(world.ids) - members
     transport = RadioTransport(world)
 

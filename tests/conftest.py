@@ -5,6 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from manetsec import sim
 from manetsec.crypto import CipherSuite
 from manetsec.esom import _LR_END, _LR_START, _RADIUS_END, SomGrid
 from manetsec.protocol import GroupSession
@@ -29,6 +30,96 @@ def bfs_levels(root, nodes, graph):
                 dist[nb] = dist[n] + 1
                 frontier.append(nb)
     return dist
+
+
+def hop_map(graph, root):
+    """BFS hop count from `root` to every node it reaches, root included;
+    the dict hop-count oracle of `sim.Topology.hop_rows`."""
+    hops = {root: 0}
+    frontier = deque([root])
+    while frontier:
+        node = frontier.popleft()
+        level = hops[node] + 1
+        for nb in graph.get(node, ()):
+            if nb not in hops:
+                hops[nb] = level
+                frontier.append(nb)
+    return hops
+
+
+def walk_route_reference(graph, src, dst):
+    """The greedy lowest-ID walk over a dict graph and `hop_map`."""
+    if src == dst:
+        return [src]
+    if dst in graph.get(src, ()):
+        return [src, dst]
+    to_dst = hop_map(graph, dst)
+    if src not in to_dst:
+        return None
+    path = [src]
+    for level in range(to_dst[src] - 1, 0, -1):
+        path.append(min(nb for nb in graph[path[-1]] if to_dst.get(nb) == level))
+    path.append(dst)
+    return path
+
+
+def reference_connectivity(world):
+    """The original builder: an (n, n, 2) broadcast and a loop over every
+    in-range pair. Its neighbour sets are the order reference."""
+    pos = world.positions
+    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+    within = d2 <= world.range_m * world.range_m
+    graph = {nid: set() for nid in world.ids}
+    ii, jj = np.nonzero(within)
+    for a, b in zip(ii, jj):
+        if a != b:
+            graph[world.ids[a]].add(world.ids[b])
+    return graph
+
+
+def topology_of(graph, ids=None):
+    """A `sim.Topology` of a dict graph, its rows in the order of `ids`
+    (default: the graph's key order, which need not be ascending)."""
+    ids = list(graph) if ids is None else list(ids)
+    index = {nid: i for i, nid in enumerate(ids)}
+    within = np.zeros((len(ids), len(ids)), dtype=bool)
+    for a in ids:
+        for b in graph.get(a, ()):
+            within[index[a], index[b]] = True
+    return sim.Topology(ids, within)
+
+
+def generate_features_reference(world, traffic, pairs, rng):
+    """The per-source feature tick: 7 scalar draws per source, a dict
+    graph, a dict BFS and a walk per pair; the feature-stream oracle."""
+    t = world.time
+    in_window = traffic.attack_start <= t < traffic.attack_end
+    payload_scale = traffic.mean_payload / 512.0
+    graph = reference_connectivity(world)
+    out = {}
+    for src, dst in pairs:
+        route = walk_route_reference(graph, src, dst)
+        hops = len(route) - 1 if route else 0
+        intermediates = route[1:-1] if route else []
+        attacked = bool(in_window and any(world.adversaries.get(h) == sim.DROPPER
+                                          for h in intermediates))
+        draw = {name: rng.normal(mu, sd) for name, (mu, sd) in sim._BASELINES.items()}
+        vec = np.array([
+            max(draw["nav"] * payload_scale, 0.0),
+            max(draw["tx_rate"], 0.0),
+            max(draw["rx_rate"], 0.0),
+            min(max(draw["rts_retx_rate"], 0.0), 1.0),
+            min(max(draw["data_retx_rate"], 0.0), 1.0),
+            max(len(graph.get(src, ())) + draw["active_neighbors"], 0.0),
+            max(hops + draw["forwarding_nodes"], 0.0),
+        ])
+        if attacked:
+            eff = traffic.effect_size
+            vec[2] = max(vec[2] - eff * sim._BASELINES["rx_rate"][1], 0.0)
+            vec[4] = min(max(vec[4] + eff * sim._BASELINES["data_retx_rate"][1], 0.0), 1.0)
+            vec[6] = max(vec[6] - eff * sim._BASELINES["forwarding_nodes"][1], 0.0)
+        out[src] = (vec, attacked)
+    return out
 
 
 def scan_reference(transcript, secrets):

@@ -71,6 +71,17 @@ class TestNormalization:
         with pytest.raises(ValueError):
             esom.normalize_features(np.zeros((1, 7)))
 
+    @pytest.mark.parametrize("bad", [{17: np.nan}, {63: np.inf}, {17: np.nan, 63: -np.inf}])
+    def test_non_finite_samples_refused_before_training(self, bad):
+        # a nan column would train nan weights that save_model writes and
+        # load_model refuses; the set is refused as the CSV reader refuses it
+        data, labels = make_two_class(50, 4.0, np.random.default_rng(61))  # 100 samples
+        for row, value in bad.items():
+            data[row, row % 7] = value
+        with pytest.raises(esom.DatasetError, match=f"sample {min(bad)}: .*finite"):
+            esom.fit_detector(data, labels, esom.SomConfig(rows=4, cols=5, epochs=2),
+                              np.random.default_rng(5))
+
 
 class TestTraining:
     def test_single_point_attractor(self):

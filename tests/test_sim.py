@@ -19,7 +19,8 @@ from manetsec.protocol import GroupSession, ProtocolAbort
 from manetsec.response import RoutingTable
 from manetsec.wire import BROADCAST, MessageKind, ProtocolMessage
 
-from conftest import bfs_levels, make_graph, random_geometric
+from conftest import (bfs_levels, generate_features_reference, hop_map, make_graph,
+                      random_geometric, reference_connectivity, topology_of)
 from test_protocol import tree_dump
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -202,6 +203,7 @@ class TestConnectivity:
         g = sim.connectivity(w)
         assert 1 in g[0] and 0 in g[1]
         w.positions[1] = (250.0001, 0.0)
+        w.version += 1  # a direct write bumps nothing
         g = sim.connectivity(w)
         assert g[0] == set()
 
@@ -216,20 +218,6 @@ class TestConnectivity:
                 d = math.dist(w.positions[i], w.positions[j])
                 assert (b in g[a]) == (d <= w.range_m)
                 assert (a in g[b]) == (b in g[a])
-
-
-def reference_connectivity(world):
-    """The original builder: an (n, n, 2) broadcast and a loop over every
-    in-range pair. Its neighbour sets are the order reference."""
-    pos = world.positions
-    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-    within = d2 <= world.range_m * world.range_m
-    graph = {nid: set() for nid in world.ids}
-    ii, jj = np.nonzero(within)
-    for a, b in zip(ii, jj):
-        if a != b:
-            graph[world.ids[a]].add(world.ids[b])
-    return graph
 
 
 def scaled_world(n, seed):
@@ -287,7 +275,7 @@ class TestWorldGraph:
             elif len(w.ids) > 1:
                 w.remove_node(w.ids[int(a * len(w.ids)) % len(w.ids)])
             g = w.graph()
-            assert g == sim.connectivity(w)
+            assert g == reference_connectivity(w)
             assert w.graph() is g  # no change, no rebuild
 
     def test_each_world_change_bumps_the_version(self):
@@ -303,15 +291,22 @@ class TestWorldGraph:
         assert "version" not in repr(w)
 
     def test_topology_built_once_per_world_change(self, monkeypatch):
-        # one build per tick plus one after each membership event, never
-        # one per radio frame
+        # at most one in-range matrix per world version, never one per
+        # radio frame; the dict graph only on the versions a reader asks for
+        # it (epochs, frames and the response), not on every tick
         cfg = sim.parse_scenario(DEMOS / "scenario_basic.cfg")
-        calls = []
-        build = sim.connectivity
-        monkeypatch.setattr(sim, "connectivity", lambda w: calls.append(1) or build(w))
+        matrices, graphs = [], []
+        in_range, build = sim._in_range, sim.connectivity
+        monkeypatch.setattr(sim, "_in_range", lambda w: matrices.append(w.version) or in_range(w))
+        monkeypatch.setattr(sim, "connectivity", lambda w: graphs.append(w.version) or build(w))
         sim.run_scenario(cfg)
         ticks = math.ceil(cfg.duration / cfg.traffic.sample_interval)
-        assert 0 < len(calls) <= ticks + len(cfg.schedule) + 2
+        # one sweep cell, so one world: a version names one build
+        assert len(cfg.pause_times or (None,)) * len(cfg.dropper_counts or (None,)) == 1
+        assert len(set(matrices)) == len(matrices)
+        assert 0 < len(matrices) <= ticks + len(cfg.schedule) + 2
+        assert len(set(graphs)) == len(graphs) and set(graphs) <= set(matrices)
+        assert 0 < len(graphs) < ticks
 
 
 def member_subgraph(graph, members):
@@ -425,29 +420,32 @@ def reference_shortest_route(graph, src, dst):
 
 class TestShortestRoute:
     def test_lowest_id_tie_rule(self):
-        # two equal two-hop routes; the set {1, 8} iterates 8 first, so only
-        # the ascending-id expansion picks relay 1
+        # two equal two-hop routes; relay 8 has the lower index, so only
+        # the lowest-id rule picks relay 1
         graph = make_graph([(0, 8), (0, 1), (8, 3), (1, 3)])
-        assert sim.shortest_route(graph, 0, 3) == [0, 1, 3]
-        assert sim.shortest_route(graph, 3, 0) == [3, 1, 0]
+        topology = topology_of(graph)
+        assert topology.index[8] < topology.index[1]
+        assert sim.shortest_route(topology, 0, 3) == [0, 1, 3]
+        assert sim.shortest_route(topology, 3, 0) == [3, 1, 0]
 
     def test_source_is_destination(self):
-        assert sim.shortest_route(make_graph([(0, 1)]), 0, 0) == [0]
+        assert sim.shortest_route(topology_of(make_graph([(0, 1)])), 0, 0) == [0]
 
     def test_unreachable_destination(self):
         graph = make_graph([(0, 1), (2, 3)])
-        assert sim.shortest_route(graph, 0, 3) is None
+        assert sim.shortest_route(topology_of(graph), 0, 3) is None
 
     def test_matches_bfs_oracle_and_routing_table(self):
         rng = random.Random(31)
         for trial in range(10):
             graph = random_geometric(30, 0.25, rng)  # sparse: some trials split
+            topology = topology_of(graph)
             for owner in (0, 17):
                 dist = bfs_levels(owner, set(graph), graph)
                 table = RoutingTable(owner=owner)
                 table.rebuild(graph)
                 for dst in graph:
-                    route = sim.shortest_route(graph, owner, dst)
+                    route = sim.shortest_route(topology, owner, dst)
                     if dst not in dist:
                         assert route is None and dst not in table.next_hop
                         continue
@@ -461,60 +459,80 @@ class TestShortestRoute:
               suppress_health_check=[HealthCheck.too_slow])
     @given(ids=st.lists(st.integers(0, 70), min_size=1, max_size=14, unique=True),
            edges=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=40))
-    @example(ids=[0, 1, 3, 8], edges=[(0, 3), (0, 1), (3, 2), (1, 2)])  # 0-1-3 ties 0-8-3
+    @example(ids=[0, 8, 1, 3], edges=[(0, 1), (0, 2), (1, 3), (2, 3)])  # 0-1-3 ties 0-8-3
     @example(ids=[0, 1, 2, 3, 9, 17], edges=[(0, 1), (2, 3), (4, 5)])
     def test_equals_the_goal_bfs(self, ids, edges):
-        # ids above 7 make sets iterate out of ascending order; random edge
-        # sets give ties, one-hop pairs, isolated nodes and split components
+        # the rows follow `ids`, which is out of ascending order; random
+        # edge sets give ties, one-hop pairs, isolated nodes and split
+        # components
         graph = {nid: set() for nid in ids}
         for a, b in edges:
             a, b = ids[a % len(ids)], ids[b % len(ids)]
             if a != b:
                 graph[a].add(b)
                 graph[b].add(a)
-        maps = {}
-
-        def cached(root):
-            return maps.setdefault(root, sim.hop_map(graph, root))
-
-        def no_map(root):
-            raise AssertionError("a route of at most one hop asked for a map")
+        topology = topology_of(graph)
+        asked = []
+        rows = topology.hop_rows
+        topology.hop_rows = lambda roots: asked.extend(roots) or rows(roots)
 
         nodes = ids + [max(ids) + 1]  # plus one id outside the graph
         for src in nodes:
             for dst in nodes:
                 ref = reference_shortest_route(graph, src, dst)
-                assert sim.shortest_route(graph, src, dst) == ref
-                short = src == dst or dst in graph.get(src, ())
-                assert sim.shortest_route(graph, src, dst, no_map if short else cached) == ref
+                before = len(asked)
+                assert sim.shortest_route(topology, src, dst) == ref
+                if src == dst or dst in graph.get(src, ()):
+                    assert len(asked) == before  # zero and one hop need no hop counts
+        for root in ids:
+            (row,) = rows((root,))
+            expect = hop_map(graph, root)
+            assert row.tolist() == [expect.get(nid, -1) for nid in ids]
 
     @settings(derandomize=True, max_examples=40, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14),
-           ops=st.lists(st.tuples(st.sampled_from(["move", "add", "remove"]),
+           ops=st.lists(st.tuples(st.sampled_from(["move", "add", "rejoin", "remove"]),
                                   st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                         max_size=10))
+    # a diamond 64-{80, 1}-72 after two leaves and a rejoin of id 1: ids
+    # [64, 72, 80, 1], so relay 80 has the lower index and only the id rule
+    # picks relay 1
+    @example(seed=0, n=2, ops=[("add", 0.15, 0.5), ("add", 0.65, 0.5),
+                               ("remove", 0.0, 0.0), ("remove", 0.0, 0.0),
+                               ("add", 0.4, 0.3), ("rejoin", 0.4, 0.7)])
     def test_world_routes_follow_every_world_change(self, seed, n, ops):
-        # new ids 8 apart scramble set order; every map is read before the
-        # next change, so a stale one would be served if it survived
+        # new ids 8 apart scramble set order, and a rejoin re-adds the last
+        # removed id at the end of the rows, out of ascending order, as a
+        # rejoin through `_apply_schedule_event` does; every row is read
+        # before the next change, so a stale one would be served if it
+        # survived
         w = sim.init_world(small_config(node_count=n, range_m=200), seed)
-        next_id = 64
+        next_id, removed = 64, []
         for kind, a, b in [("move", 1.0, 0.0)] + ops:
             if kind == "move":
                 sim.mobility_step(w, 0.5 + 30 * a)
-            elif kind == "add":
-                w.add_node(next_id, np.array([a * w.area[0], b * w.area[1]]))
-                next_id += 8
+            elif kind in ("add", "rejoin"):
+                if kind == "rejoin" and removed:
+                    nid = removed.pop()
+                else:
+                    nid, next_id = next_id, next_id + 8
+                w.add_node(nid, np.array([a * w.area[0], b * w.area[1]]))
             elif len(w.ids) > 1:
-                w.remove_node(w.ids[int(a * len(w.ids)) % len(w.ids)])
-            graph = sim.connectivity(w)
+                removed.append(w.ids[int(a * len(w.ids)) % len(w.ids)])
+                w.remove_node(removed[-1])
+            graph = reference_connectivity(w)
+            topology = w.topology()
             for src in w.ids:
                 for dst in w.ids:
-                    assert sim.shortest_route(w.graph(), src, dst, w.hops) == \
+                    assert sim.shortest_route(topology, src, dst) == \
                         reference_shortest_route(graph, src, dst)
-            for root in w.ids:
-                assert w.hops(root) == sim.hop_map(graph, root)
-                assert w.hops(root) is w.hops(root)  # built once per version
+            rows = topology.hop_rows(w.ids)
+            for root, row in zip(w.ids, rows):
+                expect = hop_map(graph, root)
+                assert row.tolist() == [expect.get(nid, -1) for nid in w.ids]
+                assert topology.component(root) == set(expect)
+                assert topology.hop_rows((root,))[0] is row  # built once per version
 
 
 class TestRadioTransport:
@@ -582,6 +600,58 @@ class TestFeatureStream:
     def world_and_pairs(self, cfg, seed):
         w = sim.init_world(cfg, seed)
         return w, sim.traffic_pairs(sorted(w.ids), cfg.traffic)
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1),
+           cells=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)),
+                          min_size=2, max_size=12, unique=True),
+           picks=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                          min_size=1, max_size=10),
+           droppers=st.sets(st.integers(0, 11), max_size=5),
+           now=st.sampled_from([5.0, 20.0, 45.0, 60.0]),
+           rejoin=st.booleans(),
+           effect=st.sampled_from([0.0, 4.0, 30.0]),
+           payload=st.sampled_from([64.0, 512.0, 4096.0]))
+    # a line 0-1-2-3 and an isolated 4: dropper 1 inside the window on the
+    # routes 0->3 and 3->0, off the one-hop 2->3; 1->1; 4 reaches nothing
+    @example(seed=1, cells=[(0, 0), (1, 0), (2, 0), (3, 0), (6, 4)],
+             picks=[(0, 3), (3, 0), (1, 1), (2, 3), (4, 0)], droppers={1}, now=45.0,
+             rejoin=False, effect=4.0, payload=512.0)
+    # the same outside the window, with id 1 rejoined at the end of the rows
+    @example(seed=2, cells=[(0, 0), (1, 0), (2, 0), (3, 0), (6, 4)],
+             picks=[(0, 3), (3, 0), (1, 1), (2, 3), (4, 0)], droppers={1, 4}, now=5.0,
+             rejoin=True, effect=4.0, payload=512.0)
+    # 0-{1, 4}-2 ties; after id 1 rejoins, the rows run [0, 2, 3, 4, 1], so
+    # relay 4 (dropper, row 3) has the lower index and only the id rule
+    # routes around it
+    @example(seed=3, cells=[(0, 1), (1, 0), (2, 1), (6, 4), (1, 2)], picks=[(0, 1)],
+             droppers={3}, now=45.0, rejoin=True, effect=4.0, payload=512.0)
+    def test_equals_the_scalar_reference(self, seed, cells, picks, droppers, now, rejoin,
+                                         effect, payload):
+        # a 100 m grid at 150 m range: side and diagonal cells are in range,
+        # two cells apart are not, so routes run several hops
+        cfg = small_config(node_count=len(cells), range_m=150.0)
+        w = sim.init_world(cfg, seed)
+        w.positions[:] = [(100.0 * x, 100.0 * y) for x, y in cells]
+        if rejoin:
+            w.remove_node(1)
+            w.add_node(1, np.array([100.0 * c for c in cells[1]]))
+        ids = w.ids
+        for d in droppers:
+            if d < len(ids):
+                w.adversaries[ids[d]] = sim.DROPPER
+        pairs = [(ids[a % len(ids)], ids[b % len(ids)]) for a, b in picks]
+        w.time = now
+        traffic = replace(cfg.traffic, effect_size=effect, mean_payload=payload)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sim.generate_features(w, traffic, pairs, rng)
+        ref = generate_features_reference(w, traffic, pairs, ref_rng)
+        assert list(got) == list(ref)
+        for src, (vec, attacked) in ref.items():
+            assert got[src][0].tobytes() == vec.tobytes()
+            assert got[src][1] is attacked
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_no_adversaries_all_normal(self):
         cfg = small_config()
