@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .crypto import CipherSuite, KeyMaterial, NonceSource
+from .esom import VERDICT_ATTACK, VERDICT_NORMAL
 from .keytree import Graph, NodeId, bfs_parents
-
-VERDICT_NORMAL = "normal"
-VERDICT_ATTACK = "attack"
 
 # summary verdict threshold: a map is attack-dominant past half its window
 _DOMINANCE_NUM, _DOMINANCE_DEN = 1, 2

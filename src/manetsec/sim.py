@@ -43,38 +43,6 @@ class ScenarioError(Exception):
 
 
 @dataclass
-class MobilityConfig:
-    speed_min: float = 0.0
-    speed_max: float = 10.0
-    pause_time: float = 0.0
-
-    def validate(self):
-        if not 0 <= self.speed_min <= self.speed_max:
-            raise ScenarioError("need 0 <= speed_min <= speed_max")
-        if self.pause_time < 0:
-            raise ScenarioError("pause_time must be non-negative")
-
-
-@dataclass
-class TrafficConfig:
-    generators: int = 20
-    destinations: int = 10
-    mean_payload: float = 512.0
-    attack_start: float = 50.0
-    attack_end: float = 200.0
-    sample_interval: float = 1.0
-    effect_size: float = 4.0
-
-    def validate(self, duration: float):
-        if self.generators < 1 or self.destinations < 1:
-            raise ScenarioError("traffic needs at least one generator and destination")
-        if not 0 <= self.attack_start <= self.attack_end <= duration:
-            raise ScenarioError("attack window must fit inside the run duration")
-        if self.sample_interval <= 0:
-            raise ScenarioError("sample_interval must be positive")
-
-
-@dataclass
 class ScheduleEvent:
     time: float
     kind: str          # "join" | "leave" | "global_rekey" | "local_rekey"
@@ -89,8 +57,16 @@ class ScenarioConfig:
     range_m: float = 250.0
     duration: float = 200.0
     root: NodeId = 0
-    mobility: MobilityConfig = field(default_factory=MobilityConfig)
-    traffic: TrafficConfig = field(default_factory=TrafficConfig)
+    speed_min: float = 0.0
+    speed_max: float = 10.0
+    pause_time: float = 0.0
+    generators: int = 20
+    destinations: int = 10
+    mean_payload: float = 512.0
+    attack_start: float = 50.0
+    attack_end: float = 200.0
+    sample_interval: float = 1.0
+    effect_size: float = 4.0
     droppers: tuple[NodeId, ...] = ()
     eavesdroppers: tuple[NodeId, ...] = ()
     replayers: tuple[NodeId, ...] = ()
@@ -98,7 +74,7 @@ class ScenarioConfig:
     som: esom.SomConfig = field(default_factory=lambda: esom.SomConfig(rows=12, cols=16, epochs=10))
     coverage_window: int = 30
     schedule: tuple[ScheduleEvent, ...] = ()
-    pause_times: tuple[float, ...] = ()      # sweep; empty = single mobility.pause_time
+    pause_times: tuple[float, ...] = ()      # sweep; empty = single pause_time
     dropper_counts: tuple[int, ...] = ()     # sweep; empty = the explicit droppers list
     seed: int | None = None
 
@@ -109,8 +85,16 @@ class ScenarioConfig:
             raise ScenarioError("area and range must be positive")
         if not 0 <= self.root < self.node_count:
             raise ScenarioError("root must be one of the initial node ids")
-        self.mobility.validate()
-        self.traffic.validate(self.duration)
+        if not 0 <= self.speed_min <= self.speed_max:
+            raise ScenarioError("need 0 <= speed_min <= speed_max")
+        if self.pause_time < 0:
+            raise ScenarioError("pause_time must be non-negative")
+        if self.generators < 1 or self.destinations < 1:
+            raise ScenarioError("traffic needs at least one generator and destination")
+        if not 0 <= self.attack_start <= self.attack_end <= self.duration:
+            raise ScenarioError("attack window must fit inside the run duration")
+        if self.sample_interval <= 0:
+            raise ScenarioError("sample_interval must be positive")
         try:
             self.som.validate()
         except ValueError as e:
@@ -229,9 +213,7 @@ class World:
     waypoints: np.ndarray          # (n, 2)
     speeds: np.ndarray             # (n,) m/s
     pause_until: np.ndarray        # (n,) seconds
-    area: tuple[float, float]
-    range_m: float
-    mobility: MobilityConfig
+    config: ScenarioConfig         # the cell's scenario: area, range, mobility
     rng: np.random.Generator
     adversaries: dict[NodeId, str] = field(default_factory=dict)  # id -> adversary kind
     time: float = 0.0
@@ -262,7 +244,7 @@ class World:
         self.positions = np.vstack([self.positions, position[None, :]])
         self.waypoints = np.vstack([self.waypoints, position[None, :]])
         self.speeds = np.append(self.speeds, 0.0)
-        self.pause_until = np.append(self.pause_until, self.time + self.mobility.pause_time)
+        self.pause_until = np.append(self.pause_until, self.time + self.config.pause_time)
 
     def remove_node(self, node: NodeId) -> None:
         idx = self.index(node)
@@ -289,10 +271,8 @@ def init_world(config: ScenarioConfig, seed: int) -> World:
         positions=pos,
         waypoints=pos.copy(),
         speeds=np.zeros(n),
-        pause_until=np.full(n, config.mobility.pause_time, dtype=float),
-        area=(config.area_width, config.area_height),
-        range_m=config.range_m,
-        mobility=config.mobility,
+        pause_until=np.full(n, config.pause_time, dtype=float),
+        config=config,
         rng=rng,
         adversaries=config.adversary_roles(),
     )
@@ -306,8 +286,8 @@ def mobility_step(world: World, dt: float) -> World:
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    m = world.mobility
-    w, h = world.area
+    cfg = world.config
+    w, h = cfg.area_width, cfg.area_height
     now, rng = world.time, world.rng
     positions, waypoints = world.positions.tolist(), world.waypoints.tolist()
     speeds, pause_until = world.speeds.tolist(), world.pause_until.tolist()
@@ -320,9 +300,9 @@ def mobility_step(world: World, dt: float) -> World:
         step = speeds[i] * dt
         if dist <= step or dist == 0.0:
             positions[i] = waypoints[i]
-            pause_until[i] = now + m.pause_time
+            pause_until[i] = now + cfg.pause_time
             waypoints[i] = [rng.uniform(0.0, w), rng.uniform(0.0, h)]
-            speeds[i] = rng.uniform(m.speed_min, m.speed_max)
+            speeds[i] = rng.uniform(cfg.speed_min, cfg.speed_max)
         else:
             f = step / dist
             positions[i] = [px + gx * f, py + gy * f]
@@ -349,7 +329,8 @@ def _in_range(world: World) -> np.ndarray:
     dy = np.subtract.outer(y, y)
     dy *= dy
     d2 += dy
-    within = d2 <= world.range_m * world.range_m
+    r = world.config.range_m
+    within = d2 <= r * r
     np.fill_diagonal(within, False)
     return within
 
@@ -476,19 +457,18 @@ def shortest_route(topology: Topology, src: NodeId, dst: NodeId) -> list[NodeId]
     return path
 
 
-def traffic_pairs(members: list[NodeId], traffic: TrafficConfig) -> list[tuple[NodeId, NodeId]]:
+def traffic_pairs(members: list[NodeId], config: ScenarioConfig) -> list[tuple[NodeId, NodeId]]:
     """Deterministic source/destination assignment from the sorted roster."""
     members = sorted(members)
-    sources = members[: min(traffic.generators, len(members))]
-    dests = members[-min(traffic.destinations, len(members)):]
+    sources = members[: min(config.generators, len(members))]
+    dests = members[-min(config.destinations, len(members)):]
     return [(s, dests[i % len(dests)]) for i, s in enumerate(sources)]
 
 
-def generate_features(world: World, traffic: TrafficConfig,
-                      pairs: list[tuple[NodeId, NodeId]], rng: np.random.Generator,
-                      ) -> dict[NodeId, tuple[np.ndarray, bool]]:
+def generate_features(world: World, pairs: list[tuple[NodeId, NodeId]],
+                      rng: np.random.Generator) -> dict[NodeId, tuple[np.ndarray, bool]]:
     """One interval of per-source samples plus ground truth, on the world's
-    current topology; every id in `pairs` is a world node.
+    current topology and traffic knobs; every id in `pairs` is a world node.
 
     A source is under attack when the clock is inside the attack window and
     some intermediate hop of its current route is a dropper; then rx_rate and
@@ -499,22 +479,23 @@ def generate_features(world: World, traffic: TrafficConfig,
     source by source in `_BASELINES` order as the 7 scalar draws per source
     came.
     """
+    cfg = world.config
     topology = world.topology()
     at = [topology.index[src] for src, _ in pairs]
     rows = topology.hop_rows([dst for _, dst in pairs])
     attacked = [False] * len(pairs)
-    if traffic.attack_start <= world.time < traffic.attack_end:
+    if cfg.attack_start <= world.time < cfg.attack_end:
         for k, (src, dst) in enumerate(pairs):
             route = shortest_route(topology, src, dst) or []
             attacked[k] = any(world.adversaries.get(h) == DROPPER for h in route[1:-1])
     vecs = rng.normal(_MEANS, _SDS, size=(len(pairs), len(_BASELINES)))
-    vecs[:, 0] *= traffic.mean_payload / 512.0
+    vecs[:, 0] *= cfg.mean_payload / 512.0
     vecs[:, 5] += topology.within[at].sum(axis=1)
     vecs[:, 6] += [max(int(row[i]), 0) for row, i in zip(rows, at)]
     vecs[vecs < 0.0] = 0.0            # max(x, 0.0), nan and -0.0 kept
     rates = vecs[:, 3:5]
     rates[rates > 1.0] = 1.0          # min(x, 1.0)
-    eff = traffic.effect_size
+    eff = cfg.effect_size
     for vec, hit in zip(vecs, attacked):
         if hit:
             vec[2] = max(vec[2] - eff * _BASELINES["rx_rate"][1], 0.0)
@@ -567,14 +548,13 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> MetricsRepo
         seed = config.seed
     if seed is None:
         raise ScenarioError("a seed is required for a reproducible run")
-    pause_values = config.pause_times or (config.mobility.pause_time,)
+    pause_values = config.pause_times or (config.pause_time,)
     dropper_values = config.dropper_counts or (None,)
     rows, events = [], []
     for pause in pause_values:
         for dcount in dropper_values:
-            cell_cfg = replace(config, mobility=replace(config.mobility, pause_time=pause))
-            if dcount is not None:
-                cell_cfg = replace(cell_cfg, droppers=tuple(config._dropper_pool()[:dcount]))
+            droppers = config.droppers if dcount is None else config._dropper_pool()[:dcount]
+            cell_cfg = replace(config, pause_time=pause, droppers=tuple(droppers))
             # float() so that pause 20 and 20.0 seed the same cell
             row, ev = _run_cell(cell_cfg, _sub_seed(seed, f"{float(pause)}/{dcount}"))
             row["pause_time"] = pause
@@ -655,11 +635,10 @@ def _run_cell(config: ScenarioConfig, seed: int):
         if t >= config.duration:
             break
         active = sorted(session.members) if session is not None else sorted(world.ids)
-        pairs = traffic_pairs(active, config.traffic)
-        for src, (vec, attacked) in generate_features(
-                world, config.traffic, pairs, feat_rng).items():
+        pairs = traffic_pairs(active, config)
+        for src, (vec, attacked) in generate_features(world, pairs, feat_rng).items():
             samples.append((src, vec, attacked))
-        mobility_step(world, config.traffic.sample_interval)
+        mobility_step(world, config.sample_interval)
         t = world.time
 
     # detector: even/odd split per class; samples arrive per tick in source
@@ -742,8 +721,9 @@ def _apply_schedule_event(ev: ScheduleEvent, session: GroupSession, world: World
             # range; a node already in the world joins where it is
             anchor = min(session.members)
             base = world.positions[world.index(anchor)]
-            offset = world.rng.uniform(-world.range_m / 4, world.range_m / 4, size=2)
-            world.add_node(nid, np.clip(base + offset, (0, 0), world.area))
+            cfg = world.config
+            offset = world.rng.uniform(-cfg.range_m / 4, cfg.range_m / 4, size=2)
+            world.add_node(nid, np.clip(base + offset, (0, 0), (cfg.area_width, cfg.area_height)))
         session.graph = world.graph()
         edges = session.graph.get(nid, set()) & session.members
         if attempt("join", lambda: session.member_join(nid, edges)):
@@ -890,16 +870,16 @@ _KEYS = {
     "eavesdroppers": (None, "eavesdroppers", _List(int)),
     "replayers": (None, "replayers", _List(int)),
     "dropper_counts": (None, "dropper_counts", _List(int)),
-    "speed_min": ("mobility", "speed_min", _finite),
-    "speed_max": ("mobility", "speed_max", _finite),
-    "pause_time": ("mobility", "pause_time", _finite),
-    "generators": ("traffic", "generators", int),
-    "destinations": ("traffic", "destinations", int),
-    "mean_payload": ("traffic", "mean_payload", _finite),
-    "attack_start": ("traffic", "attack_start", _finite),
-    "attack_end": ("traffic", "attack_end", _finite),
-    "sample_interval": ("traffic", "sample_interval", _finite),
-    "effect_size": ("traffic", "effect_size", _finite),
+    "speed_min": (None, "speed_min", _finite),
+    "speed_max": (None, "speed_max", _finite),
+    "pause_time": (None, "pause_time", _finite),
+    "generators": (None, "generators", int),
+    "destinations": (None, "destinations", int),
+    "mean_payload": (None, "mean_payload", _finite),
+    "attack_start": (None, "attack_start", _finite),
+    "attack_end": (None, "attack_end", _finite),
+    "sample_interval": (None, "sample_interval", _finite),
+    "effect_size": (None, "effect_size", _finite),
     "som_rows": ("som", "rows", int), "som_cols": ("som", "cols", int),
     "som_epochs": ("som", "epochs", int), "hill_quantile": ("som", "hill_quantile", _finite),
     "join_at": (None, "schedule", _List(_event("join"))),

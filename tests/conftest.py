@@ -68,7 +68,7 @@ def reference_connectivity(world):
     in-range pair. Its neighbour sets are the order reference."""
     pos = world.positions
     d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-    within = d2 <= world.range_m * world.range_m
+    within = d2 <= world.config.range_m * world.config.range_m
     graph = {nid: set() for nid in world.ids}
     ii, jj = np.nonzero(within)
     for a, b in zip(ii, jj):
@@ -89,9 +89,10 @@ def topology_of(graph, ids=None):
     return sim.Topology(ids, within)
 
 
-def generate_features_reference(world, traffic, pairs, rng):
+def generate_features_reference(world, pairs, rng):
     """The per-source feature tick: 7 scalar draws per source, a dict
     graph, a dict BFS and a walk per pair; the feature-stream oracle."""
+    traffic = world.config
     t = world.time
     in_window = traffic.attack_start <= t < traffic.attack_end
     payload_scale = traffic.mean_payload / 512.0

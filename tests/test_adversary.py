@@ -510,8 +510,7 @@ class TestReplayVerdict:
         pairs = fingerprint_verdicts(monkeypatch)
         cfg = sim.ScenarioConfig(
             node_count=16, area_width=600, area_height=400, duration=20,
-            traffic=sim.TrafficConfig(generators=4, destinations=2,
-                                      attack_start=5, attack_end=20),
+            generators=4, destinations=2, attack_start=5, attack_end=20,
             som=SomConfig(rows=6, cols=8, epochs=2), coverage_window=10,
             replayers=(5,), replay_at=(10.0,),
             schedule=(sim.ScheduleEvent(8.0, "global_rekey"),))

@@ -3,14 +3,14 @@ import math
 import random
 import re
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from manetsec import cli, sim
+from manetsec import cli, esom, sim
 from manetsec.adversary import broadcasts_since, capture_knowledge, forward_secrecy_candidates
 from manetsec.crypto import CipherSuite
 from manetsec.esom import SomConfig
@@ -30,8 +30,7 @@ def small_config(**kw):
     defaults = dict(
         node_count=16, area_width=600, area_height=400, range_m=250,
         duration=60, root=0,
-        traffic=sim.TrafficConfig(generators=8, destinations=4,
-                                  attack_start=20, attack_end=60),
+        generators=8, destinations=4, attack_start=20, attack_end=60,
         som=SomConfig(rows=8, cols=10, epochs=6),
         coverage_window=10,
     )
@@ -73,12 +72,12 @@ class TestInitWorld:
         with pytest.raises(sim.ScenarioError):
             sim.ScenarioConfig(droppers=(99,)).validate()
         with pytest.raises(sim.ScenarioError):
-            small_config(traffic=sim.TrafficConfig(attack_start=50, attack_end=40)).validate()
+            small_config(attack_start=50, attack_end=40).validate()
 
 
 class TestMobility:
     def test_pause_equal_to_duration_means_stationary(self):
-        cfg = small_config(mobility=sim.MobilityConfig(pause_time=200.0))
+        cfg = small_config(pause_time=200.0)
         w = sim.init_world(cfg, 5)
         start = w.positions.copy()
         for _ in range(200):
@@ -86,7 +85,7 @@ class TestMobility:
         assert np.array_equal(w.positions, start)
 
     def test_zero_speed_max_keeps_positions(self):
-        cfg = small_config(mobility=sim.MobilityConfig(speed_max=0.0, pause_time=0.0))
+        cfg = small_config(speed_max=0.0, pause_time=0.0)
         w = sim.init_world(cfg, 5)
         start = w.positions.copy()
         for _ in range(50):
@@ -94,8 +93,7 @@ class TestMobility:
         assert np.allclose(w.positions, start)
 
     def test_displacement_bounded_by_speed(self):
-        cfg = small_config(mobility=sim.MobilityConfig(speed_min=0, speed_max=10,
-                                                       pause_time=0.0))
+        cfg = small_config(speed_min=0, speed_max=10, pause_time=0.0)
         w = sim.init_world(cfg, 6)
         for _ in range(100):
             before = w.positions.copy()
@@ -104,8 +102,7 @@ class TestMobility:
             assert np.all(moved <= 10.0 + 1e-9)
 
     def test_waypoints_stay_inside_area(self):
-        cfg = small_config(mobility=sim.MobilityConfig(speed_min=5, speed_max=10,
-                                                       pause_time=0.0))
+        cfg = small_config(speed_min=5, speed_max=10, pause_time=0.0)
         w = sim.init_world(cfg, 7)
         for _ in range(300):
             sim.mobility_step(w, 1.0)
@@ -117,8 +114,8 @@ class TestMobility:
 def reference_mobility_step(world, dt):
     """The per-row numpy loop that `mobility_step` replaced, kept as its
     bit-for-bit oracle."""
-    m = world.mobility
-    w, h = world.area
+    m = world.config
+    w, h = m.area_width, m.area_height
     for i in range(len(world.ids)):
         if world.time < world.pause_until[i]:
             continue
@@ -161,8 +158,8 @@ class TestMobilityOracle:
                                   st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                         min_size=10, max_size=40))
     def test_bit_identical_to_the_numpy_loop(self, seed, n, pause, speed, ops):
-        cfg = small_config(node_count=n, mobility=sim.MobilityConfig(
-            speed_min=speed[0], speed_max=speed[1], pause_time=pause))
+        cfg = small_config(node_count=n, speed_min=speed[0], speed_max=speed[1],
+                           pause_time=pause)
         worlds = [sim.init_world(cfg, seed), sim.init_world(cfg, seed)]
         next_id = n
         for w in worlds:
@@ -172,7 +169,7 @@ class TestMobilityOracle:
                 if kind == "move":
                     step(w, 1.0 if a < 0.3 else 0.25 + 4 * a)
                 elif kind == "add":
-                    w.add_node(next_id, np.array([a * w.area[0], b * w.area[1]]))
+                    w.add_node(next_id, np.array([a * cfg.area_width, b * cfg.area_height]))
                 elif len(w.ids) > 1:
                     w.remove_node(w.ids[int(a * len(w.ids)) % len(w.ids)])
             next_id += kind == "add"
@@ -183,8 +180,8 @@ class TestMobilityOracle:
             assert (got.time, got.version, got.ids) == (ref.time, ref.version, ref.ids)
 
     def test_rigged_legs_take_their_branches(self):
-        w = sim.init_world(small_config(node_count=3, mobility=sim.MobilityConfig(
-            speed_min=1, speed_max=2, pause_time=0.0)), 4)
+        w = sim.init_world(small_config(node_count=3, speed_min=1, speed_max=2,
+                                        pause_time=0.0), 4)
         self.rig(w)
         paused = w.positions[2].copy()
         sim.mobility_step(w, 1.0)
@@ -216,7 +213,7 @@ class TestConnectivity:
                 if a == b:
                     continue
                 d = math.dist(w.positions[i], w.positions[j])
-                assert (b in g[a]) == (d <= w.range_m)
+                assert (b in g[a]) == (d <= w.config.range_m)
                 assert (a in g[b]) == (b in g[a])
 
 
@@ -251,7 +248,7 @@ class TestConnectivityBuild:
             w.positions[i] = xy
         g = sim.connectivity(w)
         edges = {(a, b) for a in g for b in g[a] if a < b}
-        assert edges == spatial.cKDTree(w.positions).query_pairs(w.range_m)
+        assert edges == spatial.cKDTree(w.positions).query_pairs(w.config.range_m)
         assert {(0, 1), (2, 3), (4, 5)} <= edges and (6, 7) not in edges
         assert all(a in g[b] for a, b in edges)
 
@@ -270,7 +267,7 @@ class TestWorldGraph:
             if kind == "move":
                 sim.mobility_step(w, 0.5 + 30 * a)
             elif kind == "add":
-                w.add_node(next_id, np.array([a * w.area[0], b * w.area[1]]))
+                w.add_node(next_id, np.array([a * w.config.area_width, b * w.config.area_height]))
                 next_id += 1
             elif len(w.ids) > 1:
                 w.remove_node(w.ids[int(a * len(w.ids)) % len(w.ids)])
@@ -300,7 +297,7 @@ class TestWorldGraph:
         monkeypatch.setattr(sim, "_in_range", lambda w: matrices.append(w.version) or in_range(w))
         monkeypatch.setattr(sim, "connectivity", lambda w: graphs.append(w.version) or build(w))
         sim.run_scenario(cfg)
-        ticks = math.ceil(cfg.duration / cfg.traffic.sample_interval)
+        ticks = math.ceil(cfg.duration / cfg.sample_interval)
         # one sweep cell, so one world: a version names one build
         assert len(cfg.pause_times or (None,)) * len(cfg.dropper_counts or (None,)) == 1
         assert len(set(matrices)) == len(matrices)
@@ -517,7 +514,7 @@ class TestShortestRoute:
                     nid = removed.pop()
                 else:
                     nid, next_id = next_id, next_id + 8
-                w.add_node(nid, np.array([a * w.area[0], b * w.area[1]]))
+                w.add_node(nid, np.array([a * w.config.area_width, b * w.config.area_height]))
             elif len(w.ids) > 1:
                 removed.append(w.ids[int(a * len(w.ids)) % len(w.ids)])
                 w.remove_node(removed[-1])
@@ -599,7 +596,15 @@ class TestRadioTransport:
 class TestFeatureStream:
     def world_and_pairs(self, cfg, seed):
         w = sim.init_world(cfg, seed)
-        return w, sim.traffic_pairs(sorted(w.ids), cfg.traffic)
+        return w, sim.traffic_pairs(sorted(w.ids), cfg)
+
+    def test_columns_follow_the_detector_feature_names(self):
+        # generate_features writes columns by position: nav 0, rx_rate 2, the
+        # two retransmission rates 3:5, degree 5 and route length 6
+        assert tuple(sim._BASELINES) == esom.FEATURE_NAMES
+        written = ("nav", "rx_rate", "rts_retx_rate", "data_retx_rate",
+                   "active_neighbors", "forwarding_nodes")
+        assert [esom.FEATURE_NAMES.index(n) for n in written] == [0, 2, 3, 4, 5, 6]
 
     @settings(derandomize=True, max_examples=80, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -631,7 +636,8 @@ class TestFeatureStream:
                                          effect, payload):
         # a 100 m grid at 150 m range: side and diagonal cells are in range,
         # two cells apart are not, so routes run several hops
-        cfg = small_config(node_count=len(cells), range_m=150.0)
+        cfg = small_config(node_count=len(cells), range_m=150.0, effect_size=effect,
+                           mean_payload=payload)
         w = sim.init_world(cfg, seed)
         w.positions[:] = [(100.0 * x, 100.0 * y) for x, y in cells]
         if rejoin:
@@ -643,10 +649,9 @@ class TestFeatureStream:
                 w.adversaries[ids[d]] = sim.DROPPER
         pairs = [(ids[a % len(ids)], ids[b % len(ids)]) for a, b in picks]
         w.time = now
-        traffic = replace(cfg.traffic, effect_size=effect, mean_payload=payload)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sim.generate_features(w, traffic, pairs, rng)
-        ref = generate_features_reference(w, traffic, pairs, ref_rng)
+        got = sim.generate_features(w, pairs, rng)
+        ref = generate_features_reference(w, pairs, ref_rng)
         assert list(got) == list(ref)
         for src, (vec, attacked) in ref.items():
             assert got[src][0].tobytes() == vec.tobytes()
@@ -658,28 +663,25 @@ class TestFeatureStream:
         w, pairs = self.world_and_pairs(cfg, 4)
         w.time = 30.0  # inside the attack window, but nobody drops
         rng = np.random.default_rng(0)
-        out = sim.generate_features(w, cfg.traffic, pairs, rng)
+        out = sim.generate_features(w, pairs, rng)
         assert out and all(not attacked for _, attacked in out.values())
 
     def test_null_effect_size_matches_baseline(self):
-        cfg = small_config(traffic=sim.TrafficConfig(generators=8, destinations=4,
-                                                     attack_start=0, attack_end=60,
-                                                     effect_size=0.0),
-                           droppers=(1,))
+        cfg = small_config(generators=8, destinations=4, attack_start=0, attack_end=60,
+                           effect_size=0.0, droppers=(1,))
         w, pairs = self.world_and_pairs(cfg, 4)
         w.adversaries[1] = sim.DROPPER
         w.time = 30.0
-        out_a = sim.generate_features(w, cfg.traffic, pairs, np.random.default_rng(7))
+        out_a = sim.generate_features(w, pairs, np.random.default_rng(7))
         w.adversaries.clear()
-        out_b = sim.generate_features(w, cfg.traffic, pairs, np.random.default_rng(7))
+        out_b = sim.generate_features(w, pairs, np.random.default_rng(7))
         for src in out_a:
             assert np.allclose(out_a[src][0], out_b[src][0])
 
     def test_attack_window_gates_labels(self):
         # force a route through a dropper with a line topology
         cfg = small_config(node_count=3, range_m=250,
-                           traffic=sim.TrafficConfig(generators=1, destinations=1,
-                                                     attack_start=20, attack_end=60))
+                           generators=1, destinations=1, attack_start=20, attack_end=60)
         w = sim.init_world(cfg, 2)
         w.positions[0] = (0, 0)
         w.positions[1] = (200, 0)
@@ -688,26 +690,25 @@ class TestFeatureStream:
         pairs = [(0, 2)]
         rng = np.random.default_rng(3)
         w.time = 10.0
-        assert sim.generate_features(w, cfg.traffic, pairs, rng)[0][1] is False
+        assert sim.generate_features(w, pairs, rng)[0][1] is False
         w.time = 30.0
-        vec, attacked = sim.generate_features(w, cfg.traffic, pairs, rng)[0]
+        vec, attacked = sim.generate_features(w, pairs, rng)[0]
         assert attacked is True
 
     def test_effect_shifts_expected_features(self):
-        cfg = small_config(node_count=3)
+        cfg = small_config(node_count=3, generators=1, destinations=1,
+                           attack_start=0, attack_end=60, effect_size=6.0)
         w = sim.init_world(cfg, 2)
         w.positions[0] = (0, 0)
         w.positions[1] = (200, 0)
         w.positions[2] = (400, 0)
         w.adversaries[1] = sim.DROPPER
-        traffic = sim.TrafficConfig(generators=1, destinations=1,
-                                    attack_start=0, attack_end=60, effect_size=6.0)
         w.time = 30.0
         rng_a = np.random.default_rng(11)
         rng_b = np.random.default_rng(11)
-        vec_attacked, _ = sim.generate_features(w, traffic, [(0, 2)], rng_a)[0]
+        vec_attacked, _ = sim.generate_features(w, [(0, 2)], rng_a)[0]
         w.adversaries.clear()
-        vec_clean, _ = sim.generate_features(w, traffic, [(0, 2)], rng_b)[0]
+        vec_clean, _ = sim.generate_features(w, [(0, 2)], rng_b)[0]
         assert vec_attacked[2] < vec_clean[2]      # rx_rate down
         assert vec_attacked[4] > vec_clean[4]      # data retransmissions up
         assert vec_attacked[6] < vec_clean[6]      # forwarding count down
@@ -728,23 +729,20 @@ class TestRunScenario:
 
     def test_pause_sweep_rows(self):
         cfg = small_config(pause_times=(0.0, 20.0, 50.0, 70.0, 200.0), duration=30,
-                           traffic=sim.TrafficConfig(generators=6, destinations=3,
-                                                     attack_start=10, attack_end=30))
+                           generators=6, destinations=3, attack_start=10, attack_end=30)
         report = sim.run_scenario(cfg, 13)
         assert len(report.rows) == 5
         assert [r["pause_time"] for r in report.rows] == [0.0, 20.0, 50.0, 70.0, 200.0]
 
     def test_dropper_count_sweep_rows(self):
         cfg = small_config(dropper_counts=(1, 2, 3), duration=30,
-                           traffic=sim.TrafficConfig(generators=6, destinations=3,
-                                                     attack_start=10, attack_end=30))
+                           generators=6, destinations=3, attack_start=10, attack_end=30)
         report = sim.run_scenario(cfg, 13)
         assert [r["dropper_count"] for r in report.rows] == [1, 2, 3]
 
     def test_no_adversaries_epochs_succeed(self):
         cfg = small_config(duration=30,
-                           traffic=sim.TrafficConfig(generators=6, destinations=3,
-                                                     attack_start=10, attack_end=30))
+                           generators=6, destinations=3, attack_start=10, attack_end=30)
         report = sim.run_scenario(cfg, 17)
         row = report.rows[0]
         assert row["detection_rate"] is None       # nothing to detect
@@ -756,8 +754,7 @@ class TestRunScenario:
         # the radio only loses messages, so one announce digest is flipped in
         # transit; it counts as a tamper just as a reply mismatch would
         cfg = small_config(duration=40, som=SomConfig(rows=6, cols=8, epochs=2),
-                           traffic=sim.TrafficConfig(generators=15, destinations=4,
-                                                     attack_start=20, attack_end=40))
+                           generators=15, destinations=4, attack_start=20, attack_end=40)
         exchange = sim.resp.distribute_local_maps
         flipped = []
 
@@ -782,10 +779,9 @@ class TestRunScenario:
         cfg = sim.ScenarioConfig(
             node_count=50, area_width=1800, area_height=1000, range_m=250,
             duration=200, root=0,
-            mobility=sim.MobilityConfig(speed_min=0, speed_max=10, pause_time=20),
-            traffic=sim.TrafficConfig(generators=20, destinations=10,
-                                      attack_start=50, attack_end=200,
-                                      effect_size=4.0),
+            speed_min=0, speed_max=10, pause_time=20,
+            generators=20, destinations=10, attack_start=50, attack_end=200,
+            effect_size=4.0,
             droppers=(3, 7, 11, 19, 23),
             som=SomConfig(rows=12, cols=16, epochs=10), coverage_window=30,
         )
@@ -795,8 +791,7 @@ class TestRunScenario:
 
     def test_scheduled_replayer_bursts_are_inert(self):
         cfg = small_config(duration=30, replayers=(5,), replay_at=(15.0, 25.0),
-                           traffic=sim.TrafficConfig(generators=6, destinations=3,
-                                                     attack_start=10, attack_end=30))
+                           generators=6, destinations=3, attack_start=10, attack_end=30)
         report = sim.run_scenario(cfg, 29)
         row = report.rows[0]
         assert row["replay_state_changes"] == 0
@@ -807,8 +802,7 @@ class TestRunScenario:
         # burst sizes stay flat across the run
         cfg = small_config(duration=30, replayers=(5,),
                            replay_at=tuple(float(t) for t in range(2, 30, 2)),
-                           traffic=sim.TrafficConfig(generators=4, destinations=2,
-                                                     attack_start=10, attack_end=30))
+                           generators=4, destinations=2, attack_start=10, attack_end=30)
         report = sim.run_scenario(cfg, 31)
         bursts = [int(e[4].split()[1]) for e in report.events if e[1] == "replay_burst"]
         assert bursts and max(bursts) == bursts[-1]  # monotone capture, no blowup
@@ -816,15 +810,13 @@ class TestRunScenario:
 
     def test_event_at_the_end_of_the_run_applies(self):
         cfg = small_config(duration=30, schedule=(sim.ScheduleEvent(30.0, "global_rekey"),),
-                           traffic=sim.TrafficConfig(generators=6, destinations=3,
-                                                     attack_start=10, attack_end=30))
+                           generators=6, destinations=3, attack_start=10, attack_end=30)
         row = sim.run_scenario(cfg, 29).rows[0]
         assert (row["epochs_attempted"], row["epochs_succeeded"]) == (2, 2)
 
     def test_replay_at_the_end_of_the_run_fires(self):
         cfg = small_config(duration=30, replayers=(5,), replay_at=(30.0,),
-                           traffic=sim.TrafficConfig(generators=6, destinations=3,
-                                                     attack_start=10, attack_end=30))
+                           generators=6, destinations=3, attack_start=10, attack_end=30)
         report = sim.run_scenario(cfg, 29)
         assert [e[:3] for e in report.events if e[1] == "replay_burst"] == \
             [(30.0, "replay_burst", 5)]
@@ -833,8 +825,7 @@ class TestRunScenario:
     def test_dropper_sweep_skips_the_other_adversaries(self, monkeypatch):
         cfg = small_config(duration=20, eavesdroppers=(1,), replayers=(2,),
                            dropper_counts=(2,),
-                           traffic=sim.TrafficConfig(generators=4, destinations=2,
-                                                     attack_start=5, attack_end=20),
+                           generators=4, destinations=2, attack_start=5, attack_end=20,
                            som=SomConfig(rows=6, cols=8, epochs=2))
         worlds = []
         init_world = sim.init_world
@@ -846,8 +837,7 @@ class TestRunScenario:
 
     def test_membership_events_apply(self):
         cfg = small_config(duration=40,
-                           traffic=sim.TrafficConfig(generators=6, destinations=3,
-                                                     attack_start=10, attack_end=40),
+                           generators=6, destinations=3, attack_start=10, attack_end=40,
                            schedule=(sim.ScheduleEvent(10.0, "join", 16),
                                      sim.ScheduleEvent(20.0, "leave", 16)))
         report = sim.run_scenario(cfg, 19)
@@ -859,7 +849,7 @@ class TestRunScenario:
         # a scheduled join must take it where it stands, not add a second copy
         cfg = sim.parse_scenario(DEMOS / "scenario_basic.cfg")
         cfg = replace(cfg, duration=20.0, schedule=(sim.ScheduleEvent(5.0, "join", 3),),
-                      traffic=replace(cfg.traffic, attack_start=10.0, attack_end=20.0),
+                      attack_start=10.0, attack_end=20.0,
                       som=SomConfig(rows=6, cols=8, epochs=2))
         worlds = []
         init_world = sim.init_world
@@ -906,9 +896,8 @@ class TestRunScenario:
         # a pause built in code (20) and one parsed from a file (20.0) are the
         # same scenario, so they must give the same run
         runs = [sim.run_scenario(small_config(
-                    duration=20, mobility=sim.MobilityConfig(pause_time=pause),
-                    traffic=sim.TrafficConfig(generators=4, destinations=2,
-                                              attack_start=5, attack_end=20),
+                    duration=20, pause_time=pause,
+                    generators=4, destinations=2, attack_start=5, attack_end=20,
                     som=SomConfig(rows=6, cols=8, epochs=2)), 37)
                 for pause in (20, 20.0)]
         assert runs[0].to_csv() == runs[1].to_csv()
@@ -1134,10 +1123,10 @@ class TestScenarioKeys:
         expected = sim.ScenarioConfig(
             node_count=30, area_width=900.0, area_height=700.0, range_m=200.0,
             duration=120.0, root=2,
-            mobility=sim.MobilityConfig(speed_min=1.0, speed_max=5.0, pause_time=15.0),
-            traffic=sim.TrafficConfig(generators=12, destinations=6, mean_payload=256.0,
-                                      attack_start=40.0, attack_end=100.0,
-                                      sample_interval=2.0, effect_size=3.5),
+            speed_min=1.0, speed_max=5.0, pause_time=15.0,
+            generators=12, destinations=6, mean_payload=256.0,
+            attack_start=40.0, attack_end=100.0,
+            sample_interval=2.0, effect_size=3.5,
             droppers=(4, 8), eavesdroppers=(5,), replayers=(6, 7), replay_at=(50.0, 90.0),
             som=SomConfig(rows=6, cols=9, epochs=4, hill_quantile=0.9),
             coverage_window=12,
@@ -1161,3 +1150,35 @@ class TestScenarioKeys:
                 names.update(re.findall(r"`(\w+)`", row.split("|")[1]))
         assert names == set(sim._KEYS)
         assert len(names) == 32
+
+
+class TestScenarioStoredOnce:
+    """A scenario is one record: the world reads it rather than copying its
+    facts, and every field has exactly one file key."""
+
+    def test_world_keeps_the_record_not_copies(self):
+        cfg = small_config()
+        world = sim.init_world(cfg, 1)
+        assert world.config is cfg
+        names = {f.name for f in fields(sim.World)}
+        assert not names & {"area", "range_m", "mobility"}
+        scenario = {f.name for f in fields(sim.ScenarioConfig)}
+        assert names & (scenario | {"config"}) == {"config"}
+
+    def test_som_is_the_only_section(self):
+        cfg = sim.ScenarioConfig()
+        nested = [f.name for f in fields(cfg) if is_dataclass(getattr(cfg, f.name))]
+        assert nested == ["som"]
+
+    def test_every_field_has_exactly_one_key(self):
+        targets: dict[tuple, list[str]] = {}
+        for key, (section, name, _) in sim._KEYS.items():
+            targets.setdefault((section, name), []).append(key)
+        assert {section for section, _ in targets} == {None, "som"}
+        assert sorted(targets.pop((None, "schedule"))) == [
+            "global_rekey_at", "join_at", "leave_at", "local_rekey_at"]
+        expected = {(None, f.name) for f in fields(sim.ScenarioConfig)
+                    if f.name not in ("som", "schedule")}
+        expected |= {("som", f.name) for f in fields(SomConfig)}
+        assert set(targets) == expected
+        assert all(len(keys) == 1 for keys in targets.values())
