@@ -225,6 +225,46 @@ class TestOnlineTrainer:
         (got, got_snaps), (want, want_snaps) = train_both(case)
         assert got == want and got_snaps == want_snaps
 
+    @pytest.mark.parametrize("nonfinite", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e154])
+    @pytest.mark.parametrize("rows,cols", [(42, 65), (53, 52)])
+    def test_equals_reference_on_both_row_layouts(self, rows, cols, scale, nonfinite):
+        # 42x65 (2730 neurons) is the largest map on contiguous rows, 53x52
+        # (2756) a map on padded rows; small integers make exact ties, the
+        # scales make squares underflow and overflow
+        rng = np.random.default_rng(rows)
+        data = rng.integers(-2, 3, size=(12, 7)).astype(float) * scale
+        if nonfinite:
+            data.flat[[9, 38, 75]] = np.nan, np.inf, -np.inf
+        case = (data, esom.SomConfig(rows=rows, cols=cols, epochs=2), cols)
+        (got, got_snaps), (want, want_snaps) = train_both(case)
+        assert got == want and got_snaps == want_snaps
+
+    @pytest.mark.parametrize("rows,cols,stride", [
+        (12, 16, 192),    # radio_200's map: contiguous rows
+        (42, 65, 2730),   # the largest map on contiguous rows
+        (53, 52, 2764),   # just past the threshold: padded rows
+        (50, 80, 4008),   # detector_50x80's map: rows padded by 8 floats
+    ])
+    def test_row_layout_per_map_size(self, monkeypatch, rows, cols, stride):
+        strides = set()
+        online_bmu = esom._online_bmu
+
+        def spy(diff, screen):
+            strides.add(diff.strides)
+            return online_bmu(diff, screen)
+
+        monkeypatch.setattr(esom, "_online_bmu", spy)
+        data = np.random.default_rng(7).normal(size=(4, 7))
+        esom.train_som(data, esom.SomConfig(rows=rows, cols=cols, epochs=1),
+                       np.random.default_rng(1))
+        assert strides == {(stride * 8, 8)}
+
+    def test_non_matrix_samples_rejected(self):
+        with pytest.raises(ValueError, match="need a 2-D sample matrix"):
+            esom.train_som(np.zeros(7), esom.SomConfig(rows=3, cols=3, epochs=1),
+                           np.random.default_rng(1))
+
     def test_recheck_decides_the_pinned_case(self, monkeypatch):
         steps = []
         online_bmu = esom._online_bmu
@@ -331,6 +371,35 @@ def classify_one(grid, labeling, point):
     """classify_batch on a one-row input."""
     (result,) = esom.classify_batch(grid, labeling, np.asarray(point)[None, :])
     return result
+
+
+class TestTrainingLabels:
+    """One 0/1 label per training sample, checked before any training."""
+
+    @pytest.mark.parametrize("n_labels", [1, 39, 41])
+    def test_wrong_length_rejected_before_training(self, monkeypatch, n_labels):
+        data, labels = make_two_class(20, 4.0, np.random.default_rng(37))  # 40 samples
+        trained = []
+        monkeypatch.setattr(esom, "train_som", lambda *a, **k: trained.append(a))
+        with pytest.raises(ValueError, match="one training label per sample: 40 samples"):
+            esom.fit_detector(data, np.resize(labels, n_labels),
+                              esom.SomConfig(rows=4, cols=5, epochs=2), np.random.default_rng(5))
+        assert trained == []
+
+    @pytest.mark.parametrize("n_labels", [1, 39, 41])
+    def test_label_regions_rejects_wrong_length(self, small_model, n_labels):
+        model, data, labels = small_model
+        normed = esom.apply_normalization(model.stats, data[:40])
+        with pytest.raises(ValueError, match="one training label per sample: 40 samples"):
+            esom.label_regions(model.grid, esom.compute_umatrix(model.grid), normed,
+                               labels[:n_labels])
+
+    def test_labels_other_than_zero_and_one_rejected(self):
+        data, labels = make_two_class(20, 4.0, np.random.default_rng(37))
+        labels[3] = 2
+        with pytest.raises(ValueError, match="must be 0 \\(normal\\) or 1 \\(attack\\)"):
+            esom.fit_detector(data, labels, esom.SomConfig(rows=4, cols=5, epochs=2),
+                              np.random.default_rng(5))
 
 
 class TestClassification:
