@@ -117,6 +117,11 @@ class SomConfig:
     def validate(self) -> None:
         if self.rows < 2 or self.cols < 2:
             raise ValueError("lattice must be at least 2x2")
+        try:  # the model file's header holds each lattice side as a uint16
+            _HEADER.pack(_MAGIC, 1, self.rows, self.cols, N_FEATURES)
+        except struct.error:
+            raise ValueError(f"lattice {self.rows}x{self.cols} does not fit the model "
+                             "file: each side must be at most 65535") from None
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
         if not 0.0 < self.hill_quantile < 1.0:
@@ -140,41 +145,10 @@ class SomGrid:
         return idx // self.cols, idx % self.cols
 
 
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).smallest_subnormal)
-
-
 def _online_bmu(diff: np.ndarray, screen: np.ndarray) -> int:
-    """Best-matching unit of one training step, ties to the lowest index.
-
-    `diff` holds weights minus sample, feature-major `(dim, N)`. The winner
-    is bit for bit the argmin of `einsum("ij,ij->i")` over the `(N, dim)`
-    C-order rows, whose summation order differs from a left fold. The
-    screen sums the same squares into `screen` in another order, and only
-    the neurons within a rounding bound of its minimum are re-checked with
-    the row formula, on their rows copied to C order.
-
-    Rounding bound, with u = ε/2, η the smallest subnormal and d features:
-    both sums of neuron j lie within γ_d·D_j + d·η of D_j, the exact sum of
-    the exact squares of the shared differences, in any summation order and
-    with or without FMA. With j* the row formula's winner and m the screen's
-    argmin, that gives screen_j* ≤ screen_m·(1 + 4γ_d) + 4d·η, about
-    screen_m·(1 + 2dε). The bound takes 16(d+2)ε and 16(d+2)η. A nan or inf
-    screen minimum, or a bound that overflows, measures every neuron with
-    the row formula, so nan rows win as `np.argmin` lets them.
-    """
+    """Best-matching unit of one training step: argmin of `_exact_d2`, lowest index on ties."""
     np.einsum("ij,ij->j", diff, diff, out=screen)
-    bmu = int(screen.argmin())
-    tol = 16 * (len(diff) + 2)
-    bound = float(screen[bmu]) * (1.0 + tol * _EPS) + tol * _TINY
-    if not bound < math.inf:
-        rows = diff.T.copy()
-        return int(np.argmin(np.einsum("ij,ij->i", rows, rows)))
-    kept = np.flatnonzero(screen <= bound)
-    if len(kept) == 1:
-        return bmu
-    rows = diff[:, kept].T.copy()
-    return int(kept[np.argmin(np.einsum("ij,ij->i", rows, rows))])
+    return int(screen.argmin())
 
 
 def train_som(data: np.ndarray, config: SomConfig, rng: np.random.Generator,
@@ -185,12 +159,18 @@ def train_som(data: np.ndarray, config: SomConfig, rng: np.random.Generator,
     neighborhood pull with linearly decaying learning rate and radius.
     `on_epoch(epoch_index, weights_copy)` is called after each pass when given.
 
+    The BMU rule is the one `bmu_indices` labels and classifies with: the
+    least `_exact_d2`, the squares summed feature by feature in order, ties
+    to the lowest index. On the feature-major weights `einsum("ij,ij->j")`
+    adds row i of squares into every neuron's sum in turn, the same left
+    fold, so `_online_bmu` takes the argmin of its sums as they are (a test
+    pins the two bit for bit, nan included).
+
     The weights live feature-major, `(dim, N)`, so every element-wise step
     runs `dim` long loops instead of N short ones, into reused buffers. Each
     stored value is the one the neuron-major `(N, dim)` form computes: the
-    pull is element-wise with the same operands in the same order, the
-    squared lattice distance is a sum of two exact integers, and
-    `_online_bmu` re-checks its screen with the row formula.
+    pull is element-wise with the same operands in the same order, and the
+    squared lattice distance is a sum of two exact integers.
 
     Row padding: two ops per step broadcast one operand, the sample column
     in `weights - x` and the neighbourhood row in `h * diff`. On contiguous

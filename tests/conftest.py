@@ -133,7 +133,8 @@ def scan_reference(transcript, secrets):
 
 
 def train_som_reference(data, config, rng, on_epoch=None):
-    """Neuron-major `(N, dim)` weights and one fresh array per operation;
+    """Neuron-major `(N, dim)` weights and one fresh array per operation,
+    the BMU the least squared distance summed feature by feature in order;
     the online-trainer oracle."""
     config.validate()
     data = np.asarray(data, dtype=float)
@@ -153,7 +154,7 @@ def train_som_reference(data, config, rng, on_epoch=None):
             lr = _LR_START + (_LR_END - _LR_START) * t
             rad = r0 + (_RADIUS_END - r0) * t
             diff = weights - x
-            bmu = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+            bmu = int(np.argmin(((weights - x) ** 2).sum(axis=1)))
             d2 = (rr - rr[bmu]) ** 2 + (cc - cc[bmu]) ** 2
             h = np.exp(d2 / (-2.0 * rad * rad))
             weights -= (lr * h)[:, None] * diff

@@ -199,6 +199,18 @@ class TestDetectorPipeline:
             "error: train needs a non-negative --seed (reproducibility is mandatory)\n"
         assert not model.exists()
 
+    @pytest.mark.parametrize("sides", [("65536", "2"), ("2", "70000")])
+    def test_lattice_the_model_file_cannot_store_is_input_error(self, tmp_path, capsys, sides):
+        # the model header holds each side as a uint16: refused before training
+        train_csv = tmp_path / "train.csv"
+        write_dataset(train_csv, 10, 2.0, 4)
+        model = tmp_path / "m.bin"
+        assert main(["train", "--data", str(train_csv), "--model", str(model), "--seed", "1",
+                     "--rows", sides[0], "--cols", sides[1], "--epochs", "1"]) == 1
+        assert capsys.readouterr().err == (f"error: lattice {sides[0]}x{sides[1]} does not fit "
+                                           "the model file: each side must be at most 65535\n")
+        assert not model.exists()
+
     def test_train_defaults_are_the_som_defaults(self):
         args = cli.build_parser().parse_args(["train", "--data", "d.csv", "--model", "m.bin"])
         default = esom.SomConfig()

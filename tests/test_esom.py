@@ -124,6 +124,10 @@ class TestTraining:
             esom.SomConfig(rows=1, cols=5).validate()
         with pytest.raises(ValueError):
             esom.SomConfig(hill_quantile=1.5).validate()
+        esom.SomConfig(rows=65535, cols=2).validate()   # the model header's uint16
+        for rows, cols in ((65536, 2), (2, 65536)):
+            with pytest.raises(ValueError, match="each side must be at most 65535"):
+                esom.SomConfig(rows=rows, cols=cols).validate()
 
     def test_on_epoch_gets_a_detached_neuron_major_copy(self):
         rng = np.random.default_rng(19)
@@ -185,9 +189,10 @@ def trainer_cases(draw):
 
 
 # Three points, three copies each, whose features span fifteen orders of
-# magnitude: on a 3x3 lattice at seed 221 the screen keeps more than one
-# neuron and, at one step, its own argmin is not the row formula's winner.
-RECHECK_DECIDES = (
+# magnitude: on a 3x3 lattice at seed 221 the row formula
+# `einsum("ij,ij->i")`, which sums the squares in another order than the
+# left fold, picks another neuron at one step.
+ROW_FORMULA_DIFFERS = (
     np.repeat(np.array([[float.fromhex(v) for v in row] for row in (
         ("0x1.0000000000000p+0", "0x1.a36e2eb1c460fp-13", "0x1.3a92a30553997p-12",
          "0x1.c9c3800000005p+24", "0x1.0c6f7a0b5ed8dp-20", "0x1.f400000000009p+9",
@@ -203,13 +208,27 @@ RECHECK_DECIDES = (
 )
 
 
+def same_bits(a, b):
+    """Equal bit for bit where not nan, and nan in the same places."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+def classifier_bmu(diff):
+    """`bmu_indices` on the step's `(dim, N)` differences as the map and a
+    zero sample: it measures 0 - (w - x) = -(w - x), the step's squares."""
+    return int(esom.bmu_indices(esom.SomGrid(1, diff.shape[1], diff.T.copy()),
+                                np.zeros((1, len(diff))))[0])
+
+
 class TestOnlineTrainer:
     """`train_som` stores, step by step, the bytes of the neuron-major
     oracle `train_som_reference`."""
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @example(case=RECHECK_DECIDES)
+    @example(case=ROW_FORMULA_DIFFERS)
     @given(case=trainer_cases())
     def test_equals_reference(self, case):
         (got, got_snaps), (want, want_snaps) = train_both(case)
@@ -265,7 +284,40 @@ class TestOnlineTrainer:
             esom.train_som(np.zeros(7), esom.SomConfig(rows=3, cols=3, epochs=1),
                            np.random.default_rng(1))
 
-    def test_recheck_decides_the_pinned_case(self, monkeypatch):
+    @pytest.mark.parametrize("nonfinite", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e154, 1e-310])
+    @pytest.mark.parametrize("n,stride", [(192, 192), (192, 200), (4000, 4000), (4000, 4008)])
+    def test_screen_is_the_exact_distance_bit_for_bit(self, n, stride, scale, nonfinite):
+        # the premise of the one BMU rule: on contiguous and padded rows the
+        # trainer's screen sums the squares in the order `_exact_d2` does, in
+        # the gathered (k, dim) form and in bmu_indices' (r, N, dim) redo form
+        rng = np.random.default_rng(n + stride)
+        weights = np.empty((7, stride))[:, :n]
+        weights[:, : n // 2] = rng.integers(-2, 3, size=(7, n // 2))   # exact ties
+        weights[:, n // 2 :] = rng.normal(size=(7, n - n // 2))
+        samples = np.vstack([rng.integers(-2, 3, size=(2, 7)), rng.normal(size=(2, 7)),
+                             weights[:, [3, n - 1]].T])
+        weights *= scale
+        samples *= scale
+        if nonfinite:
+            weights.flat[rng.choice(7 * n, size=6, replace=False)] = [np.nan, np.inf, -np.inf] * 2
+            samples.flat[[2, 17, 40]] = np.nan, np.inf, -np.inf
+        neuron_major = weights.T.copy()
+        diff = np.empty((7, stride))[:, :n]
+        screen = np.empty(n)
+        screens = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in samples:
+                np.subtract(weights, x[:, None], out=diff)
+                bmu = esom._online_bmu(diff, screen)
+                gathered = esom._exact_d2(np.repeat(x[None], n, axis=0), neuron_major)
+                assert same_bits(screen, gathered)
+                assert bmu == int(np.argmin(gathered))
+                screens.append(screen.copy())
+            redo = esom._exact_d2(samples[:, None, :], neuron_major)
+        assert same_bits(np.array(screens), redo)
+
+    def test_trainer_and_classifier_share_one_bmu_rule(self, monkeypatch):
         steps = []
         online_bmu = esom._online_bmu
 
@@ -275,38 +327,40 @@ class TestOnlineTrainer:
             return bmu
 
         monkeypatch.setattr(esom, "_online_bmu", spy)
-        (got, _), (want, _) = train_both(RECHECK_DECIDES)
+        (got, _), (want, _) = train_both(ROW_FORMULA_DIFFERS)
         assert got == want and len(steps) == 72
-        screen_only = 0
+        row_formula_differs = 0
         for diff, bmu in steps:
+            assert bmu == classifier_bmu(diff)
             rows = diff.T.copy()
-            assert bmu == np.argmin(np.einsum("ij,ij->i", rows, rows))
-            screen_only += bmu != np.argmin(np.einsum("ij,ij->j", diff, diff))
-        assert screen_only > 0
+            row_formula_differs += bmu != np.argmin(np.einsum("ij,ij->i", rows, rows))
+        assert row_formula_differs > 0
 
     @staticmethod
     def tied_pair(a, b):
         """Two neurons whose squares are a², b², b² with b² half an ulp of
-        a² (an even a²): the screen's left fold sums (b², b², a²) exactly to
-        a² + ulp and rounds (a², b², b²) down to a², while the row formula
-        rounds both down to a²; neuron 1 wins on the screen, neuron 0 by
-        the row formula's tie rule."""
+        a² (an even a²): the left fold sums (b², b², a²) exactly to a² + ulp
+        and rounds (a², b², b²) down to a², while the row formula rounds
+        both down to a²; neuron 1 wins by the left fold, neuron 0 by the
+        row formula's tie rule."""
         diff = np.zeros((7, 2))
         diff[:3, 0] = b, b, a
         diff[:3, 1] = a, b, b
         rows = diff.T.copy()
-        assert np.argmin(np.einsum("ij,ij->j", diff, diff)) == 1
         assert np.argmin(np.einsum("ij,ij->i", rows, rows)) == 0
         return diff
 
-    def test_recheck_overrules_a_screen_that_is_one_ulp_off(self):
+    def test_a_one_ulp_near_tie_goes_to_the_least_left_fold(self):
         diff = self.tied_pair(3.0, 2.0 ** -25)
-        assert esom._online_bmu(diff, np.empty(2)) == 0
+        assert esom._online_bmu(diff, np.empty(2)) == 1
+        assert classifier_bmu(diff) == 1
 
-    def test_overflowing_bound_falls_back_to_the_row_formula(self):
-        # a² is one ulp below the largest double, so the bound overflows
+    def test_a_near_tie_at_the_largest_double_goes_to_the_least_left_fold(self):
+        # a² is one ulp below the largest double: bmu_indices' screen bound
+        # overflows and it measures every neuron with `_exact_d2`
         diff = self.tied_pair(float.fromhex("0x1.fffffffffffffp+511"), 2.0 ** 485)
-        assert esom._online_bmu(diff, np.empty(2)) == 0
+        assert esom._online_bmu(diff, np.empty(2)) == 1
+        assert classifier_bmu(diff) == 1
 
 
 class TestUMatrix:

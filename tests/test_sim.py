@@ -1052,6 +1052,8 @@ class TestScenarioParser:
 
     @pytest.mark.parametrize("line, message", [
         ("som_rows = 1", "at least 2x2"),
+        ("som_rows = 65536", "lattice 65536x16 does not fit the model file"),
+        ("som_cols = 65536", "lattice 12x65536 does not fit the model file"),
         ("som_epochs = 0", "epochs must be positive"),
         ("hill_quantile = 1.5", "hill_quantile"),
         ("dropper_counts = 2,-1", "dropper sweep count -1"),
