@@ -204,6 +204,9 @@ class ProtocolNode:
         }
         # Test-only negative control: disables replay defenses.
         self.unsafe_skip_nonce_checks = unsafe_skip_nonce_checks
+        # [(kind, key bytes, payload), fields or None] of the last open;
+        # a GroupSession hands all its nodes one list (see _open)
+        self.last_open: list = [None, None]
 
     # -- orchestrator-facing helpers ----------------------------------------
 
@@ -308,11 +311,30 @@ class ProtocolNode:
             key = self._receive_key(msg)
             if key is None:
                 return self._drop("unexpected")
-            try:
-                fields = wire.unpack(msg.kind, self.suite.decrypt(key, msg.payload))
-            except (IntegrityFailure, wire.WireError):
+            fields = self._open(msg.kind, key, msg.payload)
+            if fields is None:
                 return self._drop("integrity_failures")
         return handler(self, msg, *fields)
+
+    def _open(self, kind: MessageKind, key: KeyMaterial, payload: bytes) -> tuple | None:
+        """The fields of a sealed frame under `key`; None if it fails to
+        authenticate or to parse.
+
+        Opened once per kind, key bytes and payload: a pump steps all
+        receivers of a frame in a row, so the next receiver that matches all
+        three is served `last_open`. The open is a pure function of those
+        three (the suite is stateless, every field immutable), so no byte
+        can move; each receiver still counts its own drop.
+        """
+        frame = (kind, key.data, payload)
+        memo = self.last_open
+        if memo[0] != frame:
+            try:
+                fields = wire.unpack(kind, self.suite.decrypt(key, payload))
+            except (IntegrityFailure, wire.WireError):
+                fields = None
+            memo[:] = frame, fields
+        return memo[1]
 
     def _receive_key(self, msg: ProtocolMessage) -> KeyMaterial | None:
         """The key a sealed frame must open under here; None if this node holds none."""
@@ -638,6 +660,8 @@ class Transport:
 
     def deliver(self, msg: ProtocolMessage,
                 members: Collection[int]) -> list[tuple[int, ProtocolMessage]]:
+        """Log `msg`; every (receiver, frame) it reaches, returned together so
+        that a pump steps them in a row (`ProtocolNode._open` relies on it)."""
         self.messages.append(msg)
         msg = self.channel(msg)
         if msg is None:
@@ -688,6 +712,7 @@ class GroupSession:
         self.tree = build_tree(root, members, self.graph, checker)
         self.unsafe_skip_nonce_checks = unsafe_skip_nonce_checks
         self.lives: dict[NodeId, int] = {}  # how many nodes each id has had
+        self.last_open: list = [None, None]  # every node's one open memo
         self.nodes = {m: self._new_node(m, master_key) for m in sorted(members)}
         self.keys: SessionKeys | None = None
 
@@ -725,14 +750,19 @@ class GroupSession:
         self.lives[node_id] = life + 1
         label = f"node:{node_id}/{life}" if life else f"node:{node_id}"
         rng = random.Random(_sub_seed(self.seed, label))
-        return ProtocolNode(node_id, self.suite, master, self.tree, rng,
+        node = ProtocolNode(node_id, self.suite, master, self.tree, rng,
                             unsafe_skip_nonce_checks=self.unsafe_skip_nonce_checks)
+        node.last_open = self.last_open
+        return node
 
     def _configure_all(self) -> None:
         for node in self.nodes.values():
             node.configure(self.tree)
 
     def _pump(self, initial: list[ProtocolMessage]) -> None:
+        """Deliver `initial` and every frame it provokes, first sent first,
+        each to all its receivers in a row: `ProtocolNode._open` shares one
+        open among a broadcast's receivers only because of that order."""
         queue = deque(initial)
         while queue:
             msg = queue.popleft()

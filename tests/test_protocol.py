@@ -680,6 +680,127 @@ class TestRobustness:
         assert h.hexdigest() == self.REPLAY_SHA256
 
 
+def count_calls(monkeypatch, cls, name, calls):
+    """Replace cls.name by a wrapper that appends each call's arguments to `calls`."""
+    original = getattr(cls, name)
+
+    def spy(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, spy)
+
+
+def ring_chord(n, chord):
+    """The lossless benchmark topology: a ring with a chord from i to i+chord."""
+    return make_graph([(i, (i + step) % n) for i in range(n) for step in (1, chord)])
+
+
+class TestSharedOpen:
+    """A sealed frame is opened once per key: the receivers of a broadcast
+    that hold its key share one AES-GCM open and parse, while every receiver
+    still runs step() and counts its own drops."""
+
+    def test_no_open_is_lent_across_keys(self, fig4_session, monkeypatch):
+        s = fig4_session
+        s.establish()
+        [frame] = s.nodes[1].begin_agreement()  # the root's z, sealed under the master key
+        right, shared, wrong = (s.nodes[n] for n in (6, 7, 8))
+        wrong.state.master_key = KeyMaterial(bytes(16))
+        opens = []
+        count_calls(monkeypatch, CipherSuite, "decrypt", opens)
+
+        stale = right.state.pending_nonces["agree_root"]  # establish's
+        right.step(frame)
+        assert len(opens) == 1
+        shared.step(frame)  # same key bytes: served the open
+        assert len(opens) == 1
+        fresh = right.state.pending_nonces["agree_root"]
+        assert fresh != stale and shared.state.pending_nonces["agree_root"] == fresh
+
+        before = wrong.state.checkpoint()
+        assert wrong.step(frame) == []  # other key bytes: its own open, which fails
+        assert len(opens) == 2
+        assert wrong.counters["integrity_failures"] == 1
+        assert wrong.state == before
+
+        # the same payload under the same key as another kind opens again;
+        # its plaintext is too long for an AUTH_STEP1, so it is an integrity drop
+        relabeled = dataclasses.replace(frame, kind=MessageKind.AUTH_STEP1)
+        third = s.nodes[9]
+        third.step(frame)
+        assert len(opens) == 3
+        before = third.state.checkpoint()
+        assert third.step(relabeled) == []
+        assert len(opens) == 4
+        assert third.counters == {"integrity_failures": 1, "nonce_mismatch": 0,
+                                  "unexpected": 0, "join_requests": 0}
+        assert third.state == before
+
+    @pytest.mark.parametrize("kind, op, error", [
+        (MessageKind.AGREE_STEP2, "establish", CheckerVerificationFailure),
+        (MessageKind.GLOBAL_REKEY, "periodic_global_rekey", RekeyFailure),
+    ])
+    def test_a_tampered_broadcast_counts_at_every_receiver(self, fig4_graph, suite,
+                                                          monkeypatch, kind, op, error):
+        on = []
+        bad = TamperingTransport(lambda m: on and m.kind == kind)
+        s = GroupSession(fig4_graph, 1, set(range(1, 19)), suite, seed=3,
+                         checker=5, transport=bad)
+        if op != "establish":
+            s.establish()
+        keys = s.keys
+        failures = {n: node.counters["integrity_failures"] for n, node in s.nodes.items()}
+        states = {n: node.state.fingerprint() for n, node in s.nodes.items()}
+        opens = []
+        count_calls(monkeypatch, CipherSuite, "decrypt", opens)
+        on.append(True)
+        with pytest.raises(error):
+            getattr(s, op)()
+        assert bad.hits == 1
+        receivers = set(s.nodes) - {s.checker}
+        assert {n: node.counters["integrity_failures"] - failures[n]
+                for n, node in s.nodes.items()} == {n: int(n in receivers) for n in s.nodes}
+        # the failure was opened once and served to the other receivers
+        last = {n: s.transport.delivered[n][-1] for n in receivers}
+        [payload] = {m.payload for m in last.values()}
+        assert all(m.kind == kind for m in last.values())
+        assert sum(ct == payload for _, ct in opens) == 1
+        # the epoch rolled back as it always has
+        assert s.keys is keys and s.epoch == (0 if keys is None else keys.epoch)
+        if op != "establish":
+            assert {n: node.state.fingerprint() for n, node in s.nodes.items()} == states
+            assert all(node.state.session_key == keys.gk for node in s.nodes.values())
+        else:
+            assert all(node.state.session_key is None for node in s.nodes.values())
+
+    @pytest.mark.parametrize("epoch", ["establish", "periodic_global_rekey",
+                                       "periodic_local_rekey", "member_join", "member_leave"])
+    def test_one_open_per_sealed_frame(self, suite, monkeypatch, epoch):
+        """On a lossless ring+chord group every receiver of a frame holds its
+        key, so each epoch kind opens exactly as many frames as it seals,
+        and step() still runs once per delivery."""
+        n = 50
+        s = GroupSession(ring_chord(n, 17), 0, set(range(n)), suite, seed=11)
+        if epoch != "establish":
+            s.establish()
+        args = {"periodic_local_rekey": (s.tree.children[s.root][0],),
+                "member_join": (n, {3, 20}), "member_leave": (25,)}.get(epoch, ())
+        seals, opens, steps = [], [], []
+        count_calls(monkeypatch, CipherSuite, "encrypt", seals)
+        count_calls(monkeypatch, CipherSuite, "decrypt", opens)
+        count_calls(monkeypatch, ProtocolNode, "step", steps)
+        delivered = sum(map(len, s.transport.delivered.values()))
+        sent = len(s.transport.messages)
+        getattr(s, epoch)(*args)
+        shared = [m for m in s.transport.messages[sent:]
+                  if m.receiver == BROADCAST and m.kind in SEALED_KINDS]
+        assert shared or epoch == "periodic_local_rekey"
+        assert all(node.last_open is s.last_open for node in s.nodes.values())
+        assert len(seals) > 0 and len(opens) == len(seals), epoch
+        assert len(steps) == sum(map(len, s.transport.delivered.values())) - delivered, epoch
+
+
 class TestTranscriptHygiene:
     def test_no_cleartext_secrets_quick(self, fig4_session):
         from manetsec.adversary import scan_for_secrets
@@ -727,7 +848,7 @@ class TestStoredOnce:
         fig4_session.establish()
         assert set(vars(fig4_session)) == {
             "suite", "seed", "graph", "transport", "rng", "tree",
-            "unsafe_skip_nonce_checks", "lives", "nodes", "keys"}
+            "unsafe_skip_nonce_checks", "lives", "last_open", "nodes", "keys"}
         assert tuple(f.name for f in dataclasses.fields(SessionKeys)) == ("gk", "epoch")
         for name in ("root", "checker", "members", "master_key", "epoch", "local_keys"):
             assert isinstance(inspect.getattr_static(GroupSession, name), property), name
