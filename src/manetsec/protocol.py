@@ -185,6 +185,25 @@ def _canonical(value):
     return value
 
 
+@dataclass(slots=True)
+class BroadcastMemo:
+    """The last value of each derivation that the receivers of one
+    broadcast make alike, as (inputs, value), keyed by all of its inputs:
+    a frame's open, a session key with its confirmation digest (the checker
+    derives the one it expects here too) and a master-key roll.
+
+    Each value is a pure function of its inputs (the suite is stateless,
+    KeyMaterial frozen), so serving it to the next node with equal inputs
+    moves no byte. One entry per derivation suffices because a pump steps
+    all receivers of a frame in a row, and every member rolls a leave's
+    master key from the same key over the same roster and salt.
+    """
+
+    open: tuple = (None, None)     # (kind, key bytes, payload) -> fields or None
+    confirm: tuple = (None, None)  # (checker, nonce, carrier, delta bytes) -> (key, digest)
+    roll: tuple = (None, None)     # (old master bytes, roster, salt bytes) -> master key
+
+
 class ProtocolNode:
     """Single-owner actor wrapping a NodeState.
 
@@ -204,9 +223,8 @@ class ProtocolNode:
         }
         # Test-only negative control: disables replay defenses.
         self.unsafe_skip_nonce_checks = unsafe_skip_nonce_checks
-        # [(kind, key bytes, payload), fields or None] of the last open;
-        # a GroupSession hands all its nodes one list (see _open)
-        self.last_open: list = [None, None]
+        # a GroupSession hands all its nodes one memo
+        self.memo = BroadcastMemo()
 
     # -- orchestrator-facing helpers ----------------------------------------
 
@@ -250,16 +268,17 @@ class ProtocolNode:
         assert st.role == ROLE_CHECKER and st.session_key is not None
         fresh = KeyMaterial.random(self.rng)
         # the checker commits its side now; the members confirm or the epoch aborts
-        old, st.session_key = st.session_key, st.session_key ^ fresh
-        nonce = self._await_confirmations(st.session_key)
+        old = st.session_key
+        nonce = self._await_confirmations(old, fresh)
         return [self._seal(MessageKind.GLOBAL_REKEY, BROADCAST, (st.my_id,), old,
                            st.my_id, fresh, nonce)]
 
-    def _await_confirmations(self, key: KeyMaterial) -> int:
-        """Checker: draw the challenge nonce and open a confirmation window for `key`."""
+    def _await_confirmations(self, carrier: KeyMaterial, delta: KeyMaterial) -> int:
+        """Checker: draw the challenge nonce, adopt carrier ^ delta as the
+        session key and open a confirmation window for it."""
         st = self.state
         nonce = self.nonces.fresh()
-        st.expected_confirm = self._confirm_digest(MessageKind.AGREE_STEP3, st.my_id, nonce, key)
+        st.session_key, st.expected_confirm = self._confirmation(st.my_id, nonce, carrier, delta)
         st.confirmations = set()
         st.confirm_failures = set()
         return nonce
@@ -285,7 +304,7 @@ class ProtocolNode:
         """Root only: rotate with fresh entropy and pass it to its children and the checker."""
         st = self.state
         assert st.role == ROLE_ROOT
-        st.master_key = derive_master_key(self.suite, st.master_key, roster, salt.data)
+        st.master_key = self._roll(roster, salt)
         return self._forward_master_rekey(salt, [*st.children, st.tree.checker])
 
     def join_request(self) -> list[ProtocolMessage]:
@@ -320,21 +339,41 @@ class ProtocolNode:
         """The fields of a sealed frame under `key`; None if it fails to
         authenticate or to parse.
 
-        Opened once per kind, key bytes and payload: a pump steps all
-        receivers of a frame in a row, so the next receiver that matches all
-        three is served `last_open`. The open is a pure function of those
-        three (the suite is stateless, every field immutable), so no byte
-        can move; each receiver still counts its own drop.
+        Opened once per kind, key bytes and payload (`BroadcastMemo.open`);
+        each receiver still counts its own drop.
         """
         frame = (kind, key.data, payload)
-        memo = self.last_open
-        if memo[0] != frame:
+        memo = self.memo
+        if memo.open[0] != frame:
             try:
                 fields = wire.unpack(kind, self.suite.decrypt(key, payload))
             except (IntegrityFailure, wire.WireError):
                 fields = None
-            memo[:] = frame, fields
-        return memo[1]
+            memo.open = frame, fields
+        return memo.open[1]
+
+    def _confirmation(self, cid: NodeId, nonce: int, carrier: KeyMaterial,
+                      delta: KeyMaterial) -> tuple[KeyMaterial, bytes]:
+        """The session key carrier ^ delta and its AGREE_STEP3 digest for
+        checker `cid`'s challenge `nonce`, derived once per checker, nonce,
+        carrier and delta bytes (`BroadcastMemo.confirm`)."""
+        inputs = (cid, nonce, carrier.data, delta.data)
+        memo = self.memo
+        if memo.confirm[0] != inputs:
+            key = carrier ^ delta
+            memo.confirm = inputs, (key, self._confirm_digest(MessageKind.AGREE_STEP3, cid,
+                                                              nonce, key))
+        return memo.confirm[1]
+
+    def _roll(self, roster: tuple[bytes, bytes], salt: KeyMaterial) -> KeyMaterial:
+        """This node's master key rolled over `roster` with `salt`, derived once
+        per old master bytes, roster and salt bytes (`BroadcastMemo.roll`)."""
+        old = self.state.master_key
+        inputs = (old.data, roster, salt.data)
+        memo = self.memo
+        if memo.roll[0] != inputs:
+            memo.roll = inputs, derive_master_key(self.suite, old, roster, salt.data)
+        return memo.roll[1]
 
     def _receive_key(self, msg: ProtocolMessage) -> KeyMaterial | None:
         """The key a sealed frame must open under here; None if this node holds none."""
@@ -481,8 +520,7 @@ class ProtocolNode:
         st.pending_nonces["agree_root"] = nonce_root
         if st.role == ROLE_CHECKER:
             self.refresh_share()
-            st.session_key = z ^ st.share
-            nonce_ch = self._await_confirmations(st.session_key)
+            nonce_ch = self._await_confirmations(z, st.share)
             return [self._seal(MessageKind.AGREE_STEP2, BROADCAST, (st.my_id,), st.master_key,
                                st.my_id, st.share, nonce_root + 1, nonce_ch)]
         if st.parent_id == st.tree.root and st.share is not None:
@@ -500,13 +538,13 @@ class ProtocolNode:
             return self._drop("nonce_mismatch")
         if not self._nonce_fresh(cid, nonce_ch):
             return self._drop("nonce_mismatch")
-        return self._confirm(cid, nonce_ch, st.subkey ^ share_ch)
+        return self._confirm(cid, nonce_ch, st.subkey, share_ch)
 
-    def _confirm(self, cid: NodeId, nonce: int, key: KeyMaterial) -> list[ProtocolMessage]:
-        """Member: adopt `key` as the session key and confirm it to the checker."""
+    def _confirm(self, cid: NodeId, nonce: int, carrier: KeyMaterial,
+                 delta: KeyMaterial) -> list[ProtocolMessage]:
+        """Member: adopt carrier ^ delta as the session key and confirm it to the checker."""
         st = self.state
-        st.session_key = key
-        digest = self._confirm_digest(MessageKind.AGREE_STEP3, cid, nonce, key)
+        st.session_key, digest = self._confirmation(cid, nonce, carrier, delta)
         return [ProtocolMessage(MessageKind.AGREE_STEP3, st.my_id, cid, (st.my_id, cid), digest)]
 
     # confirmation digests flow to the checker for both agreement and rekey
@@ -532,7 +570,7 @@ class ProtocolNode:
             return self._drop("unexpected")
         if not self._nonce_fresh(cid, nonce_ch):
             return self._drop("nonce_mismatch")
-        return self._confirm(cid, nonce_ch, st.session_key ^ fresh)
+        return self._confirm(cid, nonce_ch, st.session_key, fresh)
 
     def _on_local_rekey1(self, msg: ProtocolMessage, jid: NodeId, fresh: KeyMaterial,
                          nonce_j: int) -> list[ProtocolMessage]:
@@ -564,8 +602,7 @@ class ProtocolNode:
             return self._drop("unexpected")
         if not self._nonce_fresh(sid, nonce):
             return self._drop("nonce_mismatch")
-        st.master_key = derive_master_key(self.suite, st.master_key, st.pending_membership,
-                                          salt.data)
+        st.master_key = self._roll(st.pending_membership, salt)
         st.pending_membership = None
         return self._forward_master_rekey(salt, st.children)
 
@@ -661,7 +698,7 @@ class Transport:
     def deliver(self, msg: ProtocolMessage,
                 members: Collection[int]) -> list[tuple[int, ProtocolMessage]]:
         """Log `msg`; every (receiver, frame) it reaches, returned together so
-        that a pump steps them in a row (`ProtocolNode._open` relies on it)."""
+        that a pump steps them in a row (`BroadcastMemo` relies on it)."""
         self.messages.append(msg)
         msg = self.channel(msg)
         if msg is None:
@@ -694,7 +731,9 @@ class GroupSession:
     It keeps on purpose what must not run backwards: each node's
     `seen_nonces`, so nonces burned during the aborted epoch stay burned;
     `NonceSource.used`; the drop `counters`; every RNG position; and `lives`,
-    so a retry, a joiner's included, draws fresh shares and nonces.
+    so a retry, a joiner's included, draws fresh shares and nonces; and the
+    nodes' one `memo`, whose entries are pure functions of the inputs they
+    are keyed on, so a value derived in an aborted epoch is still right.
     """
 
     def __init__(self, graph: Graph, root: NodeId, members: set[NodeId], suite: CipherSuite,
@@ -712,7 +751,7 @@ class GroupSession:
         self.tree = build_tree(root, members, self.graph, checker)
         self.unsafe_skip_nonce_checks = unsafe_skip_nonce_checks
         self.lives: dict[NodeId, int] = {}  # how many nodes each id has had
-        self.last_open: list = [None, None]  # every node's one open memo
+        self.memo = BroadcastMemo()  # handed to every node by _new_node
         self.nodes = {m: self._new_node(m, master_key) for m in sorted(members)}
         self.keys: SessionKeys | None = None
 
@@ -752,7 +791,7 @@ class GroupSession:
         rng = random.Random(_sub_seed(self.seed, label))
         node = ProtocolNode(node_id, self.suite, master, self.tree, rng,
                             unsafe_skip_nonce_checks=self.unsafe_skip_nonce_checks)
-        node.last_open = self.last_open
+        node.memo = self.memo
         return node
 
     def _configure_all(self) -> None:
@@ -761,8 +800,8 @@ class GroupSession:
 
     def _pump(self, initial: list[ProtocolMessage]) -> None:
         """Deliver `initial` and every frame it provokes, first sent first,
-        each to all its receivers in a row: `ProtocolNode._open` shares one
-        open among a broadcast's receivers only because of that order."""
+        each to all its receivers in a row: `BroadcastMemo` shares a
+        broadcast's derivations among its receivers only because of that order."""
         queue = deque(initial)
         while queue:
             msg = queue.popleft()

@@ -7,7 +7,8 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from manetsec.crypto import MAX_NONCE, CipherSuite, KeyMaterial, xor_combine
+from manetsec import wire
+from manetsec.crypto import MAX_NONCE, CipherSuite, IntegrityFailure, KeyMaterial, xor_combine
 from manetsec.protocol import (
     CheckerVerificationFailure,
     GroupSession,
@@ -779,26 +780,216 @@ class TestSharedOpen:
     def test_one_open_per_sealed_frame(self, suite, monkeypatch, epoch):
         """On a lossless ring+chord group every receiver of a frame holds its
         key, so each epoch kind opens exactly as many frames as it seals,
-        and step() still runs once per delivery."""
+        and step() still runs once per delivery. The checker and the members
+        derive one confirmation digest between them, and a join or a leave
+        rolls the master key once."""
         n = 50
         s = GroupSession(ring_chord(n, 17), 0, set(range(n)), suite, seed=11)
         if epoch != "establish":
             s.establish()
         args = {"periodic_local_rekey": (s.tree.children[s.root][0],),
                 "member_join": (n, {3, 20}), "member_leave": (25,)}.get(epoch, ())
-        seals, opens, steps = [], [], []
+        seals, opens, steps, digests, derived = [], [], [], [], []
         count_calls(monkeypatch, CipherSuite, "encrypt", seals)
         count_calls(monkeypatch, CipherSuite, "decrypt", opens)
         count_calls(monkeypatch, ProtocolNode, "step", steps)
+        count_calls(monkeypatch, CipherSuite, "digest", digests)
+        count_calls(monkeypatch, CipherSuite, "derive_key", derived)
         delivered = sum(map(len, s.transport.delivered.values()))
         sent = len(s.transport.messages)
         getattr(s, epoch)(*args)
         shared = [m for m in s.transport.messages[sent:]
                   if m.receiver == BROADCAST and m.kind in SEALED_KINDS]
         assert shared or epoch == "periodic_local_rekey"
-        assert all(node.last_open is s.last_open for node in s.nodes.values())
+        assert all(node.memo is s.memo for node in s.nodes.values())
         assert len(seals) > 0 and len(opens) == len(seals), epoch
         assert len(steps) == sum(map(len, s.transport.delivered.values())) - delivered, epoch
+        # a local rekey's two digests are the member's proof and the root's check
+        assert len(digests) == (2 if epoch == "periodic_local_rekey" else 1), epoch
+        rolls = [parts for parts in derived if parts[0] == b"master"]
+        assert len(rolls) == (epoch in ("member_join", "member_leave")), epoch
+
+
+class DivergingTransport(Transport):
+    """Lossless, but hands `victim` each frame of `kind` through `diverge`,
+    which may change the victim's state or the frame it gets."""
+
+    def __init__(self):
+        super().__init__()
+        self.kind = self.victim = self.diverge = None
+
+    def deliver(self, msg, members):
+        return [(t, self.diverge(m) if (t, m.kind) == (self.victim, self.kind) else m)
+                for t, m in super().deliver(msg, members)]
+
+
+def reference_derivation(suite, entry, inputs):
+    """What one node derives alone from `inputs`, by hand."""
+    if entry == "open":
+        kind, key, payload = inputs
+        try:
+            return wire.unpack(kind, suite.decrypt(key, payload))
+        except (IntegrityFailure, wire.WireError):
+            return None
+    if entry == "confirm":
+        cid, nonce, carrier, delta = inputs
+        key = carrier ^ delta
+        return key, suite.digest(pack(MessageKind.AGREE_STEP3, cid, nonce + 1, key))
+    old, roster, salt = inputs
+    return derive_master_key(suite, old, roster, salt.data)
+
+
+def shared_derivation(node, entry, inputs):
+    """What `node` derives from `inputs` through the session's memo."""
+    if entry == "open":
+        return node._open(*inputs)
+    if entry == "confirm":
+        return node._confirmation(*inputs)
+    node.state.master_key = inputs[0]
+    return node._roll(*inputs[1:])
+
+
+class TestSharedDerivations:
+    """The values a broadcast's receivers derive alike (an open, a session
+    key with its confirmation digest, a master-key roll) are shared through
+    the session's one memo, and never lent to a node whose inputs differ."""
+
+    @pytest.mark.parametrize("entry, changed", [
+        *(("open", i) for i in range(3)),
+        *(("confirm", i) for i in range(4)),
+        *(("roll", i) for i in range(3)),
+    ])
+    def test_no_entry_is_lent_across_inputs(self, fig4_session, suite, entry, changed):
+        s = fig4_session
+        s.establish()
+        [frame] = s.nodes[1].begin_agreement()
+        [other] = s.nodes[1].begin_agreement()
+        k = [KeyMaterial(bytes([i]) * 16) for i in range(1, 5)]
+        base, varied = {
+            "open": ((frame.kind, s.master_key, frame.payload),
+                     (MessageKind.AUTH_STEP1, k[0], other.payload)),
+            "confirm": ((5, 1000, k[0], k[1]), (6, 1001, k[2], k[3])),
+            "roll": ((k[0], membership(3, [1, 2]), k[1]), (k[2], membership(4, [1]), k[3])),
+        }[entry]
+        inputs = base[:changed] + (varied[changed],) + base[changed + 1:]
+        first, second = s.nodes[6], s.nodes[7]
+        assert first.memo is second.memo
+        want = reference_derivation(suite, entry, base)
+        assert shared_derivation(first, entry, base) == want
+        assert shared_derivation(second, entry, base) == want
+        own = reference_derivation(suite, entry, inputs)
+        assert own != want
+        assert shared_derivation(second, entry, inputs) == own
+
+    @pytest.mark.parametrize("op, kind, error", [
+        ("member_join", MessageKind.AGREE_STEP2, CheckerVerificationFailure),
+        ("periodic_global_rekey", MessageKind.GLOBAL_REKEY, RekeyFailure),
+    ])
+    def test_a_diverging_member_confirms_its_own_key(self, fig4_graph, suite, monkeypatch,
+                                                     op, kind, error):
+        """A member whose z differs from the others' on AGREE_STEP2, or whose
+        GK is stale on GLOBAL_REKEY (a rekey sealed under its own GK),
+        derives its own key and digest and lands in the checker's
+        confirm_failures; the epoch aborts and rolls every node back."""
+        t = DivergingTransport()
+        s = GroupSession(fig4_graph, 1, set(range(1, 19)), suite, seed=7, checker=5, transport=t)
+        s.establish()
+        victim = s.nodes[12].state
+        carrier = KeyMaterial(bytes([0x5A]) * 16)
+        if kind == MessageKind.AGREE_STEP2:
+            def diverge(msg):
+                victim.subkey = carrier
+                return msg
+        else:
+            victim.session_key = carrier
+            gk = s.keys.gk
+
+            def diverge(msg):
+                pt = suite.decrypt(gk, msg.payload)
+                return dataclasses.replace(msg, payload=suite.encrypt(carrier, pt, random.Random(0)))
+        t.kind, t.victim, t.diverge = kind, 12, diverge
+        args = (19, {6}) if op == "member_join" else ()
+        live = {n: node.state for n, node in s.nodes.items()}
+        before = {n: st.checkpoint() for n, st in live.items()}
+        keys, sent = s.keys, len(t.messages)
+        digests = []
+        count_calls(monkeypatch, CipherSuite, "digest", digests)
+        with pytest.raises(error):
+            getattr(s, op)(*args)
+
+        # the shared digest, the victim's own, and the shared one again for
+        # the members after it in the pump (one entry per derivation)
+        assert len(digests) == 3
+        checker = live[5]
+        assert checker.confirm_failures == {12}
+        [sealed] = [m.payload for m in t.messages[sent:] if m.kind == kind]
+        fields = wire.unpack(kind, suite.decrypt(
+            live[1].master_key if kind == MessageKind.AGREE_STEP2 else keys.gk, sealed))
+        delta, nonce = fields[1], fields[-1]
+        assert victim.session_key == carrier ^ delta != checker.session_key
+        confirms = {m.sender: m.payload for m in t.messages[sent:]
+                    if m.kind == MessageKind.AGREE_STEP3}
+        assert confirms.pop(12) == suite.digest(pack(MessageKind.AGREE_STEP3, 5, nonce + 1,
+                                                     victim.session_key))
+        assert set(confirms.values()) == {checker.expected_confirm}
+        assert all(live[n].session_key == checker.session_key for n in confirms if n in live)
+        # every checkpoint is back
+        assert s.keys is keys and set(s.nodes) == set(live)
+        assert all(s.nodes[n].state is not live[n] for n in live)
+        assert {n: node.state for n, node in s.nodes.items()} == before
+
+    @pytest.mark.parametrize("field", ["master_key", "pending_membership"])
+    def test_a_member_with_another_master_or_roster_rolls_its_own(self, fig4_graph, suite,
+                                                                   monkeypatch, field):
+        """On a leave, a member holding another master key or roster when its
+        MASTER_REKEY arrives rolls its own key; every other member shares one
+        roll, and the epoch aborts and rolls every node back."""
+        t = DivergingTransport()
+        s = GroupSession(fig4_graph, 1, set(range(1, 19)), suite, seed=7, checker=5, transport=t)
+        s.establish()
+        victim = s.nodes[18].state
+        other = {"master_key": KeyMaterial(bytes([0x3C]) * 16),
+                 "pending_membership": membership(99, [1, 18])}[field]
+
+        def diverge(msg):
+            setattr(victim, field, other)
+            return msg
+        t.kind, t.victim, t.diverge = MessageKind.MASTER_REKEY, 18, diverge
+        live = {n: node.state for n, node in s.nodes.items() if n != 14}
+        before = {n: node.state.checkpoint() for n, node in s.nodes.items()}
+        keys = s.keys
+        derived = []
+        count_calls(monkeypatch, CipherSuite, "derive_key", derived)
+        with pytest.raises(ProtocolAbort):
+            s.member_leave(14)
+
+        rolls = {parts for parts in derived if parts[0] == b"master"}
+        assert len(rolls) == 2
+        [mine] = [parts for parts in rolls if suite.derive_key(*parts) == victim.master_key]
+        [theirs] = rolls - {mine}
+        shared = live[1].master_key
+        assert suite.derive_key(*theirs) == shared != victim.master_key
+        assert mine[1] == other.data if field == "master_key" else mine[2:4] == other
+        assert all(st.master_key is shared for n, st in live.items() if n != 18)
+        assert s.keys is keys
+        assert {n: node.state for n, node in s.nodes.items()} == before
+
+
+class TestHeaderBinding:
+    @pytest.mark.xfail(strict=True, reason=(
+        "a frame's header is not authenticated: AES-GCM seals with no associated "
+        "data and AUTH_STEP1 and JOIN_STEP_A share a layout, so the relabeled "
+        "frame opens under the same key and is answered (ROADMAP open item)"))
+    def test_a_relabeled_exchange_frame_is_dropped(self, fig4_session):
+        s = fig4_session
+        s.establish()
+        [frame] = s.nodes[6].begin_exchange(MessageKind.AUTH_STEP1, set())
+        assert frame.receiver == 2
+        relabeled = dataclasses.replace(frame, kind=MessageKind.JOIN_STEP_A)
+        parent = s.nodes[2]
+        drops = sum(parent.counters.values())
+        assert parent.step(relabeled) == []
+        assert sum(parent.counters.values()) == drops + 1
 
 
 class TestTranscriptHygiene:
@@ -848,7 +1039,7 @@ class TestStoredOnce:
         fig4_session.establish()
         assert set(vars(fig4_session)) == {
             "suite", "seed", "graph", "transport", "rng", "tree",
-            "unsafe_skip_nonce_checks", "lives", "last_open", "nodes", "keys"}
+            "unsafe_skip_nonce_checks", "lives", "memo", "nodes", "keys"}
         assert tuple(f.name for f in dataclasses.fields(SessionKeys)) == ("gk", "epoch")
         for name in ("root", "checker", "members", "master_key", "epoch", "local_keys"):
             assert isinstance(inspect.getattr_static(GroupSession, name), property), name
@@ -1180,7 +1371,9 @@ class TestMasterKeyRoll:
                 if (epoch, salt) in self.PINNED:
                     assert key.data.hex() == self.PINNED[epoch, salt]
 
-    def test_one_roll_per_join_and_one_per_holder_on_leave(self, suite, monkeypatch):
+    def test_one_roll_per_join_and_one_per_leave(self, suite, monkeypatch):
+        """Every holder of the master key rolls it over one roster and salt,
+        so the session's nodes share one derivation per join and per leave."""
         n = 40
         graph = make_graph([(i, (i + step) % n) for i in range(n) for step in (1, 7)])
         s = GroupSession(graph, 0, set(range(n)), suite, seed=5)
@@ -1203,5 +1396,5 @@ class TestMasterKeyRoll:
             return len(calls)
 
         assert rolls(s.member_join, n, {3, 9}) == 1
-        assert rolls(s.member_leave, 17) == len(s.nodes)
-        assert rolls(s.member_leave, s.checker) == len(s.nodes)
+        assert rolls(s.member_leave, 17) == 1
+        assert rolls(s.member_leave, s.checker) == 1
