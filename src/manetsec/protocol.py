@@ -12,7 +12,10 @@ paths; periodic rekeys ratchet GK and the local keys by XOR.
 Nodes never raise on bad input: undecryptable, replayed or out-of-phase
 messages are dropped and counted, which is what the replay/tamper harnesses
 assert against. Orchestration-level failures (timeouts, checker mismatch)
-abort the epoch and roll every node back to its pre-epoch checkpoint.
+abort the epoch and roll back every node it touched: an epoch records a
+node's field dict the first time it steps a frame for the node or writes
+it, and copies a container field the first time it changes it in place, so
+an epoch costs in proportion to the nodes it touches, not to the group.
 """
 
 from __future__ import annotations
@@ -138,13 +141,16 @@ class NodeState:
             repr([_canonical(getattr(self, name)) for name in _FIELDS]).encode()).hexdigest()
 
     def checkpoint(self) -> NodeState:
-        """Copy that a rollback can reinstate as the live state.
+        """An independent copy of this state, for comparing a state before
+        and after a step (`adversary.replay_moves_state` and the tests).
 
         A copy of the instance dict in which every dict and set field is
         copied one level deep: their values are frozen KeyMaterials, tuples
         and ints. Every other field is kept by reference, `tree` too, since a
         KeyTree is frozen. `seen_nonces` is shared on purpose, so nonces
-        burned during an aborted epoch stay burned.
+        burned during an aborted epoch stay burned. An epoch's rollback takes
+        no checkpoint: it records the field dict alone, and a container is
+        copied when the epoch first changes it (`ProtocolNode._own`).
         """
         snap = object.__new__(NodeState)
         snap.__dict__ = fields = self.__dict__.copy()
@@ -210,6 +216,12 @@ class ProtocolNode:
     Frames change the state only through step(). The session also sets the
     values it computes once per epoch for every member: the master key on a
     join, the roster on a leave and, through configure(), the tree after both.
+
+    `record` is the field dict the running epoch recorded at its first touch
+    of this node (`GroupSession._touch`), None when it has not touched it or
+    no epoch runs. The record shares every container with the live state, so
+    a container field is changed in place only through `_own`, except
+    `seen_nonces`, which the record shares on purpose.
     """
 
     def __init__(self, node_id: NodeId, suite: CipherSuite, master_key: KeyMaterial,
@@ -225,6 +237,17 @@ class ProtocolNode:
         self.unsafe_skip_nonce_checks = unsafe_skip_nonce_checks
         # a GroupSession hands all its nodes one memo
         self.memo = BroadcastMemo()
+        self.record: dict | None = None
+
+    def _own(self, name: str):
+        """The container field `name`, ready to change in place: copied first
+        if it is still the object this epoch's record holds."""
+        st = self.state
+        value = getattr(st, name)
+        if self.record is not None and self.record[name] is value:
+            value = value.copy()
+            setattr(st, name, value)
+        return value
 
     # -- orchestrator-facing helpers ----------------------------------------
 
@@ -236,8 +259,8 @@ class ProtocolNode:
         st.children_received = {c: v for c, v in st.children_received.items() if c in children}
         # a member re-layered away from level 1 (or drafted as checker)
         # loses its pairwise local key
-        if st.parent_id != tree.root or st.role == ROLE_CHECKER:
-            st.local_keys.pop(st.my_id, None)
+        if (st.parent_id != tree.root or st.role == ROLE_CHECKER) and st.my_id in st.local_keys:
+            del self._own("local_keys")[st.my_id]
 
     def refresh_share(self) -> None:
         self.state.share = KeyMaterial.random(self.rng)
@@ -251,7 +274,7 @@ class ProtocolNode:
             self._maybe_finish_root()
             return []
         nonce = self.nonces.fresh()
-        st.pending_nonces["up_echo"] = nonce
+        self._own("pending_nonces")["up_echo"] = nonce
         return [self._seal(step1, st.parent_id, (st.my_id, st.parent_id), st.master_key,
                            st.my_id, st.parent_id, nonce)]
 
@@ -259,7 +282,7 @@ class ProtocolNode:
         st = self.state
         assert st.role == ROLE_ROOT and st.subkey is not None
         nonce = self.nonces.fresh()
-        st.pending_nonces["agree_root"] = nonce
+        self._own("pending_nonces")["agree_root"] = nonce
         return [self._seal(MessageKind.AGREE_STEP1, BROADCAST, (st.my_id,), st.master_key,
                            st.my_id, st.subkey, nonce)]
 
@@ -296,7 +319,7 @@ class ProtocolNode:
         msg3 = ProtocolMessage(MessageKind.LOCAL_REKEY_STEP3, st.my_id, st.tree.root,
                                (st.my_id,), digest)
         # the member commits its side now; the root confirms or the epoch aborts
-        st.local_keys[st.my_id] = lk_new
+        self._own("local_keys")[st.my_id] = lk_new
         return [msg1, msg3]
 
     def begin_master_rekey(self, salt: KeyMaterial,
@@ -431,8 +454,9 @@ class ProtocolNode:
         if not self._nonce_fresh(id_d, nonce_d):
             return self._drop("nonce_mismatch")
         nonce_a = self.nonces.fresh()
-        st.pending_nonces[f"down_echo:{id_d}"] = nonce_a
-        st.pending_nonces[f"down_seen:{id_d}"] = nonce_d
+        pending = self._own("pending_nonces")
+        pending[f"down_echo:{id_d}"] = nonce_a
+        pending[f"down_seen:{id_d}"] = nonce_d
         return [self._seal(_NEXT_STEP[msg.kind], id_d, (st.my_id, id_d), st.master_key,
                            st.my_id, id_d, nonce_d + 1, nonce_a)]
 
@@ -448,9 +472,10 @@ class ProtocolNode:
             return self._drop("nonce_mismatch")
         if not self._nonce_fresh(id_a, nonce_a):
             return self._drop("nonce_mismatch")
-        del st.pending_nonces["up_echo"]
-        st.edge_keys[id_a] = self._edge_key(st.my_id, id_a, my_nonce, nonce_a)
-        st.pending_nonces["up_final"] = nonce_a
+        pending = self._own("pending_nonces")
+        del pending["up_echo"]
+        self._own("edge_keys")[id_a] = self._edge_key(st.my_id, id_a, my_nonce, nonce_a)
+        pending["up_final"] = nonce_a
         return self._maybe_send_step3(_NEXT_STEP[msg.kind])
 
     def _maybe_send_step3(self, step3: MessageKind) -> list[ProtocolMessage]:
@@ -470,7 +495,7 @@ class ProtocolNode:
             k_up = xor_combine(parts)
             st.intermediate = k_up
             share = st.share
-        nonce_a = st.pending_nonces.pop("up_final")
+        nonce_a = self._own("pending_nonces").pop("up_final")
         return [self._seal(step3, st.parent_id, (st.parent_id, st.my_id), st.master_key,
                            st.parent_id, st.my_id, nonce_a + 1, k_up, share)]
 
@@ -483,15 +508,16 @@ class ProtocolNode:
         expected = st.pending_nonces.get(f"down_echo:{id_d}")
         if expected is None or echoed != expected + 1:
             return self._drop("nonce_mismatch")
-        nonce_d = st.pending_nonces.pop(f"down_seen:{id_d}")
-        del st.pending_nonces[f"down_echo:{id_d}"]
-        st.edge_keys[id_d] = self._edge_key(id_d, st.my_id, nonce_d, expected)
+        pending = self._own("pending_nonces")
+        nonce_d = pending.pop(f"down_seen:{id_d}")
+        del pending[f"down_echo:{id_d}"]
+        self._own("edge_keys")[id_d] = self._edge_key(id_d, st.my_id, nonce_d, expected)
         if id_d == st.tree.checker:
             return []  # root<->checker exchange carries no key contribution
         if id_d not in st.children:
             return self._drop("unexpected")
-        st.children_received[id_d] = (k_up, share)
-        st.pending_children.discard(id_d)
+        self._own("children_received")[id_d] = (k_up, share)
+        self._own("pending_children").discard(id_d)
         if st.role == ROLE_ROOT:
             self._maybe_finish_root()
             return []
@@ -517,14 +543,14 @@ class ProtocolNode:
         if not self._nonce_fresh(rid, nonce_root):
             return self._drop("nonce_mismatch")
         st.subkey = z
-        st.pending_nonces["agree_root"] = nonce_root
+        self._own("pending_nonces")["agree_root"] = nonce_root
         if st.role == ROLE_CHECKER:
             self.refresh_share()
             nonce_ch = self._await_confirmations(z, st.share)
             return [self._seal(MessageKind.AGREE_STEP2, BROADCAST, (st.my_id,), st.master_key,
                                st.my_id, st.share, nonce_root + 1, nonce_ch)]
         if st.parent_id == st.tree.root and st.share is not None:
-            st.local_keys[st.my_id] = z ^ st.share
+            self._own("local_keys")[st.my_id] = z ^ st.share
         return []
 
     # agreement step 2: checker broadcast its share; compute K and confirm
@@ -555,9 +581,9 @@ class ProtocolNode:
         if msg.ids != (msg.sender, st.my_id):
             return self._drop("unexpected")
         if hmac.compare_digest(msg.payload, st.expected_confirm):
-            st.confirmations.add(msg.sender)
+            self._own("confirmations").add(msg.sender)
         else:
-            st.confirm_failures.add(msg.sender)
+            self._own("confirm_failures").add(msg.sender)
         return []
 
     def _on_join_request(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
@@ -580,8 +606,8 @@ class ProtocolNode:
         if not self._nonce_fresh(jid, nonce_j):
             return self._drop("nonce_mismatch")
         # the root commits too; step 3 must prove the new key against nonce_j
-        st.local_keys[jid] = st.local_keys[jid] ^ fresh
-        st.local_rekey_peer[jid] = nonce_j
+        self._own("local_keys")[jid] = st.local_keys[jid] ^ fresh
+        self._own("local_rekey_peer")[jid] = nonce_j
         return []
 
     def _on_local_rekey3(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
@@ -592,7 +618,7 @@ class ProtocolNode:
                                     st.local_rekey_peer[msg.sender], st.local_keys[msg.sender])
         if not hmac.compare_digest(msg.payload, want):
             return self._drop("integrity_failures")
-        del st.local_rekey_peer[msg.sender]
+        del self._own("local_rekey_peer")[msg.sender]
         return []
 
     def _on_master_rekey(self, msg: ProtocolMessage, sid: NodeId, salt: KeyMaterial,
@@ -719,13 +745,14 @@ class GroupSession:
     may be shared, as a radio cell shares the world's, non-members included:
     every keytree rule reads members only. Each public operation either
     commits a new epoch (returning SessionKeys) or raises a ProtocolAbort
-    after rolling back to the pre-epoch checkpoint. All five epoch methods
+    after rolling back to the pre-epoch state. All five epoch methods
     run their body inside `_epoch()`, the one place a rollback happens.
 
     Each fact is stored once: `members`, `root` and `checker`, `master_key`
     and `local_keys`, and `epoch` are read-only views of `nodes`, `tree`, the
-    root's NodeState and the commit record `keys`. A rollback restores every
-    node's state (NodeState.checkpoint), the node set (a leaver or a dropped
+    root's NodeState and the commit record `keys`. A rollback restores the
+    state of every node the epoch touched (`touched`, each node's `record`;
+    the others were never written), the node set (a leaver or a dropped
     member comes back, a joiner goes), the tree, the graph and `keys`; the
     views follow.
     It keeps on purpose what must not run backwards: each node's
@@ -754,6 +781,7 @@ class GroupSession:
         self.memo = BroadcastMemo()  # handed to every node by _new_node
         self.nodes = {m: self._new_node(m, master_key) for m in sorted(members)}
         self.keys: SessionKeys | None = None
+        self.touched: list[ProtocolNode] | None = None  # the running epoch's, in touch order
 
     # -- views of the stored state ---------------------------------------------
 
@@ -794,9 +822,19 @@ class GroupSession:
         node.memo = self.memo
         return node
 
+    def _touch(self, nid: NodeId) -> ProtocolNode:
+        """Node `nid`, to be written: the running epoch records its field dict
+        the first time. A shallow copy: the containers stay shared until
+        `ProtocolNode._own` copies one, and `seen_nonces` stays shared."""
+        node = self.nodes[nid]
+        if node.record is None and self.touched is not None:
+            node.record = node.state.__dict__.copy()
+            self.touched.append(node)
+        return node
+
     def _configure_all(self) -> None:
-        for node in self.nodes.values():
-            node.configure(self.tree)
+        for nid in self.nodes:
+            self._touch(nid).configure(self.tree)
 
     def _pump(self, initial: list[ProtocolMessage]) -> None:
         """Deliver `initial` and every frame it provokes, first sent first,
@@ -806,7 +844,7 @@ class GroupSession:
         while queue:
             msg = queue.popleft()
             for rcv, delivered in self.transport.deliver(msg, self.nodes.keys()):
-                queue.extend(self.nodes[rcv].step(delivered))
+                queue.extend(self._touch(rcv).step(delivered))
 
     @contextmanager
     def _epoch(self):
@@ -814,23 +852,33 @@ class GroupSession:
 
         This is the only place a rollback happens. The body replaces `nodes`,
         `tree`, `graph` and `keys` instead of changing them in place (KeyTree
-        is frozen), so those four are kept by reference and only the node
-        states are checkpointed.
+        is frozen), so those four are kept by reference. The body writes a
+        node only through `_touch`, which records the node's field dict at
+        the first touch, and changes a container only through
+        `ProtocolNode._own`, which copies it at the first change; so each
+        record is the node's pre-epoch state, and an abort reinstates the
+        records of the touched nodes, a joiner's included (it leaves with
+        the node set), while every other node was never written.
         """
         saved = (self.nodes, self.tree, self.graph, self.keys)
-        states = [(node, node.state.checkpoint()) for node in self.nodes.values()]
+        self.touched = touched = []
         try:
             yield
         except (ProtocolAbort, TreeError):
             self.nodes, self.tree, self.graph, self.keys = saved
-            for node, st in states:
-                node.state = st
+            for node in touched:
+                node.state = restored = object.__new__(NodeState)
+                restored.__dict__ = node.record
             raise
+        finally:
+            self.touched = None
+            for node in touched:
+                node.record = None
 
     def _commit(self) -> SessionKeys:
         # close the checker's confirmation window so stale confirmation
         # replays can never poison a later epoch's verification
-        ch = self.nodes[self.checker].state
+        ch = self._touch(self.checker).state
         ch.expected_confirm = None
         ch.confirmations = set()
         ch.confirm_failures = set()
@@ -865,12 +913,12 @@ class GroupSession:
         Complete only when the root awaits no child and holds every child's
         fold; a z left from the last epoch does not count."""
         for n in fresh:
-            self.nodes[n].refresh_share()
+            self._touch(n).refresh_share()
         folding = set(order)
         msgs: list[ProtocolMessage] = []
         for n in order:
             awaited = {c for c in self.tree.children.get(n, ()) if c in folding}
-            msgs.extend(self.nodes[n].begin_exchange(step1, awaited))
+            msgs.extend(self._touch(n).begin_exchange(step1, awaited))
         self._pump(msgs)
         root = self.nodes[self.root].state
         missing = {c for c in root.children if c not in root.children_received}
@@ -888,7 +936,7 @@ class GroupSession:
 
     def run_session_agreement(self) -> KeyMaterial:
         """Root broadcasts z, checker answers with its share, all confirm."""
-        self._pump(self.nodes[self.root].begin_agreement())
+        self._pump(self._touch(self.root).begin_agreement())
         bad = self._unconfirmed()
         if bad:
             raise CheckerVerificationFailure(bad)
@@ -930,8 +978,8 @@ class GroupSession:
             # and the joiner is provisioned with the new key out of band
             roster = membership(self.epoch + 1, [*self.nodes, joiner])
             master = derive_master_key(self.suite, self.master_key, roster)
-            for node in self.nodes.values():
-                node.state.master_key = master
+            for nid in self.nodes:
+                self._touch(nid).state.master_key = master
             joiner_node = self._new_node(joiner, master)
             self.nodes = {**self.nodes, joiner: joiner_node}
             self._pump(joiner_node.join_request())
@@ -961,7 +1009,7 @@ class GroupSession:
                            if leaver == self.checker else None)
             det = detach_member(old, leaver, self.graph, checker=new_checker)
             if new_checker is not None:
-                self.nodes[new_checker].state.share = None
+                self._touch(new_checker).state.share = None
             self.tree, self.graph = det.tree, graph
             gone = det.dropped | {leaver}
             self.nodes = {n: node for n, node in self.nodes.items() if n not in gone}
@@ -972,7 +1020,7 @@ class GroupSession:
             fresh_edges = [(c, p) for c, p in links
                            if self.nodes[c].state.edge_keys.get(p) is None]
             self._pump([m for child, _ in fresh_edges
-                        for m in self.nodes[child].begin_exchange(MessageKind.AUTH_STEP1, set())])
+                        for m in self._touch(child).begin_exchange(MessageKind.AUTH_STEP1, set())])
             for child, parent in fresh_edges:
                 if self.nodes[child].state.edge_keys.get(parent) is None:
                     raise InitiationTimeout({child})
@@ -980,10 +1028,10 @@ class GroupSession:
             # fresh entropy rides the edge keys so the leaver cannot follow the chain
             salt = KeyMaterial.random(self.rng)
             roster = membership(self.epoch + 1, self.nodes)
-            for nid, node in self.nodes.items():
+            for nid in self.nodes:
                 if nid != self.root:
-                    node.state.pending_membership = roster
-            self._pump(self.nodes[self.root].begin_master_rekey(salt, roster))
+                    self._touch(nid).state.pending_membership = roster
+            self._pump(self._touch(self.root).begin_master_rekey(salt, roster))
             stale = [nid for nid, node in self.nodes.items()
                      if node.state.pending_membership is not None]
             if stale:
@@ -1017,7 +1065,7 @@ class GroupSession:
         """Checker-driven GK ratchet: GK_new = GK_old xor fresh share."""
         self._require_established()
         with self._epoch():
-            checker = self.nodes[self.checker]
+            checker = self._touch(self.checker)
             self._pump(checker.begin_global_rekey())
             bad = self._unconfirmed()
             if bad:
@@ -1035,7 +1083,7 @@ class GroupSession:
         if node.state.local_keys.get(member) is None:
             raise RekeyFailure(f"node {member} holds no local key with the root")
         with self._epoch():
-            self._pump(node.begin_local_rekey())
+            self._pump(self._touch(member).begin_local_rekey())
             lk_member = node.state.local_keys[member]
             lk_root = root.state.local_keys.get(member)
             if member in root.state.local_rekey_peer or lk_root is None or \

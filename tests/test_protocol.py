@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import random
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -1039,7 +1040,7 @@ class TestStoredOnce:
         fig4_session.establish()
         assert set(vars(fig4_session)) == {
             "suite", "seed", "graph", "transport", "rng", "tree",
-            "unsafe_skip_nonce_checks", "lives", "memo", "nodes", "keys"}
+            "unsafe_skip_nonce_checks", "lives", "memo", "nodes", "keys", "touched"}
         assert tuple(f.name for f in dataclasses.fields(SessionKeys)) == ("gk", "epoch")
         for name in ("root", "checker", "members", "master_key", "epoch", "local_keys"):
             assert isinstance(inspect.getattr_static(GroupSession, name), property), name
@@ -1223,6 +1224,20 @@ def rollback_view(session):
              for n, node in session.nodes.items()})
 
 
+def record_spy(on_record):
+    """A `GroupSession._touch` that calls `on_record(session, node)` after
+    each first-touch record, for use with `mock.patch.object`."""
+    original = GroupSession._touch
+
+    def touch(self, nid):
+        fresh = self.touched is not None and self.nodes[nid].record is None
+        node = original(self, nid)
+        if fresh:
+            on_record(self, node)
+        return node
+    return touch
+
+
 class TestRollback:
     def test_aborted_leave_keeps_the_leaver(self, fig4_graph, suite):
         lost = {MessageKind.MASTER_REKEY}
@@ -1320,6 +1335,75 @@ class TestRollback:
                 assert st.tree is s.tree
                 assert (st.role, st.parent_id, tuple(st.children)) == configured_place(s.tree, nid)
             assert stray_keys(s) == set()
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(**CHURN)
+    def test_no_recorded_container_changes(self, seed, n, rate, ops):
+        """Every container a first-touch record holds keeps its contents
+        through the attempt, committed or aborted: a change in place that
+        skipped `ProtocolNode._own` would write through into the record
+        even when no abort reads it. A node the attempt never recorded is
+        never written either."""
+        s = lossy_session(seed, n, rate)
+        if s is None:
+            return
+        records = []
+
+        def keep(_, node):
+            records.append((node.record, {name: node.record[name].copy() for name in _COPIED}))
+
+        next_id = n
+        with mock.patch.object(GroupSession, "_touch", record_spy(keep)):
+            for kind, pick in [("establish", 0)] + ops:
+                records.clear()
+                prints = {nid: node.state.fingerprint() for nid, node in s.nodes.items()}
+                try:
+                    churn_attempt(s, kind, pick, next_id)
+                except (ProtocolAbort, TreeError):
+                    pass
+                next_id += next_id in s.nodes
+                for record, contents in records:
+                    assert {name: record[name] for name in _COPIED} == contents
+                touched = {record["my_id"] for record, _ in records}
+                for nid, node in s.nodes.items():
+                    if nid not in touched and nid in prints:
+                        assert node.state.fingerprint() == prints[nid], nid
+
+
+class TestFirstTouch:
+    """An epoch records a node at its first touch and copies a container at
+    its first change, so its cost follows the nodes it touches, not N."""
+
+    @pytest.mark.parametrize("n", [50, 800])
+    def test_records_per_epoch_kind(self, suite, n):
+        s = GroupSession(ring_chord(n, 17), 0, set(range(n)), suite, seed=11)
+        assert (s.root, s.checker) == (0, n - 1)
+        recorded = []
+        checkpoints = []
+        with mock.patch.object(GroupSession, "_touch",
+                               record_spy(lambda _, node: recorded.append(node.state.my_id))), \
+                mock.patch.object(NodeState, "checkpoint",
+                                  lambda st: checkpoints.append(st.my_id)):
+            counts = {}
+            for label, op, args in [
+                    ("establish", "establish", ()),
+                    ("local", "periodic_local_rekey", (1,)),
+                    ("global", "periodic_global_rekey", ()),
+                    ("join", "member_join", (n, {3, 20})),
+                    ("leave", "member_leave", (25,)),
+                    ("checker leave", "member_leave", (n - 1,))]:
+                recorded.clear()
+                getattr(s, op)(*args)
+                assert len(set(recorded)) == len(recorded), label
+                counts[label] = len(recorded)
+                if label == "local":  # the member, the root and the checker
+                    assert recorded == [1, 0, s.checker]
+        assert counts == {"establish": n, "local": 3, "global": n,
+                          "join": n + 1,   # the joiner included
+                          "leave": n,      # n + 1 members, less the leaver
+                          "checker leave": n - 1}
+        assert checkpoints == []  # no epoch copies a whole state
 
 
 class TestByteIdentity:
