@@ -253,7 +253,15 @@ def compute_umatrix(grid: SomGrid) -> np.ndarray:
     return (total / count).ravel()
 
 
-_BMU_BLOCK = 256  # samples per GEMM block: a (256, n_neurons) float64 screen
+# Working memory of a batch kernel: each block takes as many rows as fit
+# its largest per-row temporary in this many bytes. Every row's result is
+# decided inside its own row, so the block size never changes an output.
+_WORK_BYTES = 2**19
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block when one row's largest temporary takes `row_bytes`."""
+    return max(1, _WORK_BYTES // row_bytes)
 
 
 def _exact_d2(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -269,6 +277,15 @@ def bmu_indices(grid: SomGrid, data: np.ndarray) -> np.ndarray:
     a rounding bound of each row's screen minimum, and only those are
     measured with `_exact_d2`. A row without a finite bound or a finite
     exact minimum (overflow, inf or nan) is measured against every neuron.
+
+    Working memory follows `_WORK_BYTES`, not the batch: the screen takes
+    `_block_rows(8·N)` rows at a time (16 at 50x80, 341 at 12x16) and the
+    exact fallback, an (r, N, d) cube, `_block_rows(8·N·d)`. The screen's
+    rounding bound holds for any summation order, so the GEMM's block
+    shape cannot move a result. The exact step's temporaries take about
+    3d + 5 values per candidate: a few candidates per row on a trained map,
+    but N on a map of tied neurons, where a block then peaks near 3d + 5
+    screens.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     w = np.asarray(grid.weights, dtype=float)
@@ -286,8 +303,10 @@ def bmu_indices(grid: SomGrid, data: np.ndarray) -> np.ndarray:
     finfo = np.finfo(float)
     tol_scale = 16 * (w.shape[1] + 2)
     out = np.empty(len(data), dtype=np.int64)
-    for s in range(0, len(data), _BMU_BLOCK):
-        x = data[s : s + _BMU_BLOCK]
+    step = _block_rows(8 * len(w))
+    redo_step = _block_rows(8 * w.size)
+    for s in range(0, len(data), step):
+        x = data[s : s + step]
         with np.errstate(over="ignore", invalid="ignore"):
             screen = x @ w.T
             screen *= -2.0
@@ -304,9 +323,10 @@ def bmu_indices(grid: SomGrid, data: np.ndarray) -> np.ndarray:
         best = np.full(len(x), np.nan)
         best[rows[win]] = exact[win]
         out[s + rows[win]] = cols[win]
-        redo = np.flatnonzero(~np.isfinite(best))
-        if redo.size:
-            out[s + redo] = np.argmin(_exact_d2(x[redo, None, :], w), axis=1)
+        redo = s + np.flatnonzero(~np.isfinite(best))
+        for r in range(0, redo.size, redo_step):
+            blk = redo[r : r + redo_step]
+            out[blk] = np.argmin(_exact_d2(data[blk, None, :], w), axis=1)
     return out
 
 
@@ -330,7 +350,8 @@ def label_regions(grid: SomGrid, umatrix: np.ndarray, data: np.ndarray,
     neurons take the majority label of the training samples that map to them
     (ties go to attack); valley neurons no sample maps to inherit the label
     of the nearest labeled valley neuron in lattice distance, lowest neuron
-    index on ties.
+    index on ties. The fill takes `_block_rows(8·|labeled|)` unlabeled
+    neurons at a time, each to its own argmin.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     labels = _training_labels(labels, len(data))
@@ -356,16 +377,18 @@ def label_regions(grid: SomGrid, umatrix: np.ndarray, data: np.ndarray,
     todo = np.flatnonzero(out == -1)
     source = np.flatnonzero(valley & mapped)
     if todo.size and source.size:
-        for s in range(0, todo.size, 256):
-            blk = todo[s : s + 256]
-            d2 = (rr[blk, None] - rr[source]) ** 2 + (cc[blk, None] - cc[source]) ** 2
+        step = _block_rows(8 * source.size)
+        rs, cs = rr[source], cc[source]
+        for s in range(0, todo.size, step):
+            blk = todo[s : s + step]
+            d2 = (rr[blk, None] - rs) ** 2 + (cc[blk, None] - cs) ** 2
             out[blk] = out[source[np.argmin(d2, axis=1)]]
     elif todo.size:
         out[todo] = LABEL_NORMAL  # no labeled valley at all; stay conservative
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Classification:
     verdict: str
     best_match: int

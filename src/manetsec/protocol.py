@@ -877,11 +877,14 @@ class GroupSession:
 
     def _commit(self) -> SessionKeys:
         # close the checker's confirmation window so stale confirmation
-        # replays can never poison a later epoch's verification
-        ch = self._touch(self.checker).state
-        ch.expected_confirm = None
-        ch.confirmations = set()
-        ch.confirm_failures = set()
+        # replays can never poison a later epoch's verification; a window
+        # already closed is left untouched
+        ch = self.nodes[self.checker].state
+        if ch.expected_confirm is not None or ch.confirmations or ch.confirm_failures:
+            self._touch(self.checker)
+            ch.expected_confirm = None
+            ch.confirmations = set()
+            ch.confirm_failures = set()
         self.keys = SessionKeys(gk=self.nodes[self.root].state.session_key,
                                 epoch=self.epoch + 1)
         return self.keys

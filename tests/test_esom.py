@@ -1,6 +1,7 @@
 import struct
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -532,7 +533,8 @@ def bmu_cases(draw):
     if n > 1 and draw(st.booleans()):   # neurons one ulp from another
         src, dst = rng.integers(n, size=(2, n // 2))
         weights[dst] = np.nextafter(weights[src], rng.choice([-np.inf, np.inf], size=(len(src), 7)))
-    length = draw(st.sampled_from([257, 256, 255, 10000, 1, 0]))
+    block = esom._block_rows(8 * n)   # rows of one screen block on this map
+    length = draw(st.sampled_from([block + 1, block, block - 1, 10000, 1, 0]))
     kind = rng.integers(5, size=length)
     a, b = rng.integers(n, size=(2, length))
     scale = np.where(rng.random((length, 1)) < 0.5, mag,
@@ -584,20 +586,76 @@ class TestBmuSearch:
         assert np.array_equal(got, want)
         assert got[-1] == 5
 
+    # budgets giving 1-row blocks everywhere; 5-row screens and a 1-row
+    # fallback; 23-row screens and a 3-row fallback (on 20 neurons, 7 features)
+    @pytest.mark.parametrize("budget", [1, 8 * 20 * 5, 8 * 20 * (7 * 3 + 2)])
+    def test_small_blocks_equal_reference(self, budget):
+        rng = np.random.default_rng(79)
+        weights = rng.integers(0, 3, size=(20, 7)).astype(float)   # exact ties
+        grid = esom.SomGrid(4, 5, weights)
+        data = np.vstack([weights[rng.integers(20, size=17)],      # on a neuron
+                          (weights[:9] + weights[9:18]) / 2,       # equidistant
+                          np.full((7, 7), 1e200),                  # exact fallback
+                          -np.full((3, 7), 1e300),
+                          rng.normal(size=(17, 7))])
+        data = data[rng.permutation(len(data))]   # 53 rows, fallback rows scattered
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_bmu_indices(grid, data)
+            with mock.patch.object(esom, "_WORK_BYTES", budget):
+                got = esom.bmu_indices(grid, data)
+        assert np.array_equal(got, want)
+
+        grid = esom.SomGrid(12, 16, rng.normal(size=(192, 7)))
+        u = esom.compute_umatrix(grid)
+        data = rng.normal(size=(150, 7))
+        labels = rng.integers(0, 2, size=150)
+        want = esom.label_regions(grid, u, data, labels)
+        with mock.patch.object(esom, "_WORK_BYTES", budget):
+            assert np.array_equal(esom.label_regions(grid, u, data, labels), want)
+
+    # Working memory follows esom._WORK_BYTES, not the batch: the traced
+    # peak of each kernel at 50x80 stays under a few budgets.
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
     def test_classify_memory_is_bounded(self):
-        # the broadcast search held a (512, 4000, 7) float64 cube: 115 MB
+        # the broadcast search held a (512, 4000, 7) float64 cube: 115 MB,
+        # and 256-row screens 16 MB
         rng = np.random.default_rng(73)
         grid = esom.SomGrid(50, 80, rng.normal(size=(4000, 7)))
         labeling = rng.integers(0, 3, size=4000).astype(np.int8)
         points = rng.normal(size=(10000, 7))
-        tracemalloc.start()
-        try:
-            results = esom.classify_batch(grid, labeling, points)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        results, peak = self.traced_peak(lambda: esom.classify_batch(grid, labeling, points))
         assert len(results) == 10000
-        assert peak < 32 * 2**20
+        assert peak < 8 * esom._WORK_BYTES
+
+    def test_exact_fallback_memory_is_bounded(self):
+        # every row overflows the screen; 256-row fallback cubes took 70 MB
+        rng = np.random.default_rng(83)
+        grid = esom.SomGrid(50, 80, rng.normal(size=(4000, 7)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, peak = self.traced_peak(
+                lambda: esom.bmu_indices(grid, np.full((10000, 7), 1e200)))
+        assert np.all(got == 0)   # every distance inf
+        assert peak < 8 * esom._WORK_BYTES
+
+    def test_label_regions_memory_is_bounded(self):
+        # the nearest-labeled-valley fill in 256-row blocks took 17 MB
+        rng = np.random.default_rng(89)
+        grid = esom.SomGrid(50, 80, rng.normal(size=(4000, 7)))
+        u = esom.compute_umatrix(grid)
+        labels = rng.integers(0, 2, size=2000)
+        labeling, peak = self.traced_peak(
+            lambda: esom.label_regions(grid, u, rng.normal(size=(2000, 7)), labels))
+        assert labeling.shape == (4000,)
+        assert peak < 8 * esom._WORK_BYTES
 
 
 class TestEvaluate:

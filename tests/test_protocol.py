@@ -1397,9 +1397,9 @@ class TestFirstTouch:
                 getattr(s, op)(*args)
                 assert len(set(recorded)) == len(recorded), label
                 counts[label] = len(recorded)
-                if label == "local":  # the member, the root and the checker
-                    assert recorded == [1, 0, s.checker]
-        assert counts == {"establish": n, "local": 3, "global": n,
+                if label == "local":  # the member and the root: the checker's window is closed
+                    assert recorded == [1, 0]
+        assert counts == {"establish": n, "local": 2, "global": n,
                           "join": n + 1,   # the joiner included
                           "leave": n,      # n + 1 members, less the leaver
                           "checker leave": n - 1}
