@@ -191,7 +191,15 @@ def train_som(data: np.ndarray, config: SomConfig, rng: np.random.Generator,
     The neighbourhood of a BMU at (rb, cb) is read off one table of squared
     lattice offsets, `d2[i, j] = (i - rows + 1)² + (j - cols + 1)²`, as the
     window whose corner is `(rows - 1 - rb, cols - 1 - cb)`: the same exact
-    integers the per-axis sum gave, divided by the same operand.
+    integers the per-axis sum gave, divided by the same operand. The
+    windows are views made once per call, one per neuron.
+
+    The schedule is computed once per epoch as float64 arrays of that
+    epoch's n steps: `t = step / denom`, `lr`, and the Gaussian's divisor
+    `-2·rad²`. Each element goes through the IEEE operations a per-step
+    Python float went through, in the same order, so the loop reads the
+    same values (as Python floats, through `tolist`), and no array grows
+    with epochs × n.
     """
     config.validate()
     data = np.asarray(data, dtype=float)
@@ -211,24 +219,22 @@ def train_som(data: np.ndarray, config: SomConfig, rng: np.random.Generator,
     h_flat = h.reshape(-1)
     d2 = ((np.arange(1 - rows, rows, dtype=float) ** 2)[:, None]
           + np.arange(1 - cols, cols, dtype=float) ** 2)
+    windows = [d2[rows - 1 - rb : 2 * rows - 1 - rb, cols - 1 - cb : 2 * cols - 1 - cb]
+               for rb in range(rows) for cb in range(cols)]
     r0 = max(rows, cols) / 2
-    total = config.epochs * n
-    step = 0
-    denom = max(total - 1, 1)
+    denom = max(config.epochs * n - 1, 1)
     for epoch in range(config.epochs):
-        for idx in rng.permutation(n):
-            t = step / denom
-            lr = _LR_START + (_LR_END - _LR_START) * t
-            rad = r0 + (_RADIUS_END - r0) * t
-            np.subtract(weights, samples[idx], out=diff)
-            rb, cb = divmod(_online_bmu(diff, screen), cols)
-            np.divide(d2[rows - 1 - rb : 2 * rows - 1 - rb, cols - 1 - cb : 2 * cols - 1 - cb],
-                      -2.0 * rad * rad, out=h)
-            np.exp(h, out=h)
-            np.multiply(lr, h, out=h)
-            np.multiply(h_flat, diff, out=diff)
+        t = np.arange(epoch * n, (epoch + 1) * n, dtype=float) / denom
+        lrs = _LR_START + (_LR_END - _LR_START) * t
+        rad = r0 + (_RADIUS_END - r0) * t
+        scales = -2.0 * rad * rad
+        for idx, lr, scale in zip(rng.permutation(n).tolist(), lrs.tolist(), scales.tolist()):
+            np.subtract(weights, samples[idx], diff)
+            np.divide(windows[_online_bmu(diff, screen)], scale, h)
+            np.exp(h, h)
+            np.multiply(lr, h, h)
+            np.multiply(h_flat, diff, diff)
             weights -= diff
-            step += 1
         if on_epoch is not None:
             on_epoch(epoch, weights.T.copy())
     return SomGrid(rows=rows, cols=cols, weights=weights.T.copy())
@@ -283,9 +289,11 @@ def bmu_indices(grid: SomGrid, data: np.ndarray) -> np.ndarray:
     exact fallback, an (r, N, d) cube, `_block_rows(8·N·d)`. The screen's
     rounding bound holds for any summation order, so the GEMM's block
     shape cannot move a result. The exact step's temporaries take about
-    3d + 5 values per candidate: a few candidates per row on a trained map,
-    but N on a map of tied neurons, where a block then peaks near 3d + 5
-    screens.
+    3d + 5 values per candidate, and a map of tied neurons makes every
+    neuron a candidate of every row, so the exact step measures a block's
+    candidates `_block_rows(8·(3d + 5))` at a time (2520 at d = 7). A row
+    split across chunks keeps its least distance, and on a tie the earlier
+    chunk's lower index: the winner of one pass over all its candidates.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     w = np.asarray(grid.weights, dtype=float)
@@ -305,6 +313,7 @@ def bmu_indices(grid: SomGrid, data: np.ndarray) -> np.ndarray:
     out = np.empty(len(data), dtype=np.int64)
     step = _block_rows(8 * len(w))
     redo_step = _block_rows(8 * w.size)
+    cand_step = _block_rows(8 * (3 * w.shape[1] + 5))
     for s in range(0, len(data), step):
         x = data[s : s + step]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -315,14 +324,20 @@ def bmu_indices(grid: SomGrid, data: np.ndarray) -> np.ndarray:
             thresh = screen.min(axis=1) + tol_scale * (
                 finfo.eps * (x2 + w2.max()) + finfo.smallest_subnormal)
         thresh[~np.isfinite(thresh)] = np.nan  # compares false: no candidates
-        rows, cols = np.divmod(np.flatnonzero(screen <= thresh[:, None]), len(w))
-        exact = _exact_d2(x[rows], w[cols])
-        # one winner per row: least exact distance, then lowest neuron index
-        order = np.lexsort((cols, exact, rows))
-        win = order[np.flatnonzero(np.diff(rows, prepend=-1))]
-        best = np.full(len(x), np.nan)
-        best[rows[win]] = exact[win]
-        out[s + rows[win]] = cols[win]
+        candidates = np.flatnonzero(screen <= thresh[:, None])
+        del screen   # the exact step gets its budget
+        best = np.full(len(x), np.inf)
+        for c in range(0, candidates.size, cand_step):
+            rows, cols = np.divmod(candidates[c : c + cand_step], len(w))
+            exact = _exact_d2(x[rows], w[cols])
+            # each row's winner in this chunk: least exact distance, then
+            # lowest neuron index; a later chunk holds only higher indices
+            # of a row, so it takes the row only with a smaller distance
+            order = np.lexsort((cols, exact, rows))
+            win = order[np.flatnonzero(np.diff(rows, prepend=-1))]
+            win = win[exact[win] < best[rows[win]]]
+            best[rows[win]] = exact[win]
+            out[s + rows[win]] = cols[win]
         redo = s + np.flatnonzero(~np.isfinite(best))
         for r in range(0, redo.size, redo_step):
             blk = redo[r : r + redo_step]

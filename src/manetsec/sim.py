@@ -281,36 +281,37 @@ def init_world(config: ScenarioConfig, seed: int) -> World:
 def mobility_step(world: World, dt: float) -> World:
     """Random waypoint: head to the target, pause on arrival, pick anew.
 
-    The loop runs on Python floats; each operation is the IEEE one the
-    per-row numpy form did, so every position is the same to the bit.
+    The loop runs on Python floats, one list per coordinate, written back
+    by column; each operation is the IEEE one the per-row numpy form did,
+    so every position is the same to the bit.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     cfg = world.config
     w, h = cfg.area_width, cfg.area_height
     now, rng = world.time, world.rng
-    positions, waypoints = world.positions.tolist(), world.waypoints.tolist()
+    xs, ys = world.positions.T.tolist()
+    wxs, wys = world.waypoints.T.tolist()
     speeds, pause_until = world.speeds.tolist(), world.pause_until.tolist()
-    for i, (px, py) in enumerate(positions):
-        if now < pause_until[i]:
+    for i, until in enumerate(pause_until):
+        if now < until:
             continue
-        wx, wy = waypoints[i]
+        px, py, wx, wy = xs[i], ys[i], wxs[i], wys[i]
         gx, gy = wx - px, wy - py
         dist = math.hypot(gx, gy)
         step = speeds[i] * dt
         if dist <= step or dist == 0.0:
-            positions[i] = waypoints[i]
+            xs[i], ys[i] = wx, wy
             pause_until[i] = now + cfg.pause_time
-            waypoints[i] = [rng.uniform(0.0, w), rng.uniform(0.0, h)]
+            wxs[i], wys[i] = rng.uniform(0.0, w), rng.uniform(0.0, h)
             speeds[i] = rng.uniform(cfg.speed_min, cfg.speed_max)
         else:
             f = step / dist
-            positions[i] = [px + gx * f, py + gy * f]
-    if positions:
-        world.positions[:] = positions
-        world.waypoints[:] = waypoints
-        world.speeds[:] = speeds
-        world.pause_until[:] = pause_until
+            xs[i], ys[i] = px + gx * f, py + gy * f
+    world.positions[:, 0], world.positions[:, 1] = xs, ys
+    world.waypoints[:, 0], world.waypoints[:, 1] = wxs, wys
+    world.speeds[:] = speeds
+    world.pause_until[:] = pause_until
     world.time += dt
     world.version += 1
     return world

@@ -227,9 +227,22 @@ class TestOnlineTrainer:
     """`train_som` stores, step by step, the bytes of the neuron-major
     oracle `train_som_reference`."""
 
+    # n = 1 and 2 at epochs 1 and 3, the schedule's edges: denom =
+    # max(epochs * n - 1, 1) is clamped to 1 (n = 1, one epoch), or is 2, 1
+    # and 5; the oracle computes each step's floats on its own
     @settings(derandomize=True, max_examples=300, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @example(case=ROW_FORMULA_DIFFERS)
+    @example(case=(np.array([[0.5, -1.0, 2.0, 0.0, 3.0, -0.25, 1.0]]),
+                   esom.SomConfig(rows=2, cols=3, epochs=1), 41))
+    @example(case=(np.array([[0.5, -1.0, 2.0, 0.0, 3.0, -0.25, 1.0]]),
+                   esom.SomConfig(rows=3, cols=2, epochs=3), 43))
+    @example(case=(np.array([[0.5, -1.0, 2.0, 0.0, 3.0, -0.25, 1.0],
+                             [-2.0, 1.5, 0.0, 4.0, -1.0, 0.75, 2.0]]),
+                   esom.SomConfig(rows=2, cols=3, epochs=1), 47))
+    @example(case=(np.array([[0.5, -1.0, 2.0, 0.0, 3.0, -0.25, 1.0],
+                             [-2.0, 1.5, 0.0, 4.0, -1.0, 0.75, 2.0]]),
+                   esom.SomConfig(rows=3, cols=4, epochs=3), 53))
     @given(case=trainer_cases())
     def test_equals_reference(self, case):
         (got, got_snaps), (want, want_snaps) = train_both(case)
@@ -586,8 +599,9 @@ class TestBmuSearch:
         assert np.array_equal(got, want)
         assert got[-1] == 5
 
-    # budgets giving 1-row blocks everywhere; 5-row screens and a 1-row
-    # fallback; 23-row screens and a 3-row fallback (on 20 neurons, 7 features)
+    # budgets giving 1-row blocks and 1-candidate chunks everywhere; 5-row
+    # screens, a 1-row fallback and 3-candidate chunks; 23-row screens, a
+    # 3-row fallback and 17-candidate chunks (on 20 neurons, 7 features)
     @pytest.mark.parametrize("budget", [1, 8 * 20 * 5, 8 * 20 * (7 * 3 + 2)])
     def test_small_blocks_equal_reference(self, budget):
         rng = np.random.default_rng(79)
@@ -599,6 +613,15 @@ class TestBmuSearch:
                           -np.full((3, 7), 1e300),
                           rng.normal(size=(17, 7))])
         data = data[rng.permutation(len(data))]   # 53 rows, fallback rows scattered
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_bmu_indices(grid, data)
+            with mock.patch.object(esom, "_WORK_BYTES", budget):
+                got = esom.bmu_indices(grid, data)
+        assert np.array_equal(got, want)
+
+        # four neurons, each repeated at indices k, k + 4, ...: a row's tied
+        # candidates span chunks, and the lowest index must win
+        grid = esom.SomGrid(4, 5, np.tile(weights[:4], (5, 1)))
         with np.errstate(over="ignore", invalid="ignore"):
             want = reference_bmu_indices(grid, data)
             with mock.patch.object(esom, "_WORK_BYTES", budget):
@@ -644,6 +667,16 @@ class TestBmuSearch:
             got, peak = self.traced_peak(
                 lambda: esom.bmu_indices(grid, np.full((10000, 7), 1e200)))
         assert np.all(got == 0)   # every distance inf
+        assert peak < 8 * esom._WORK_BYTES
+
+    def test_tied_map_memory_is_bounded(self):
+        # on an all-zero map every neuron is a candidate of every row; the
+        # exact step measured a whole 16-row block's 64 000 candidates at
+        # once and peaked at 13.2 MiB
+        grid = esom.SomGrid(50, 80, np.zeros((4000, 7)))
+        data = np.random.default_rng(97).normal(size=(1000, 7))
+        got, peak = self.traced_peak(lambda: esom.bmu_indices(grid, data))
+        assert np.all(got == 0)   # every distance ties: the lowest index
         assert peak < 8 * esom._WORK_BYTES
 
     def test_label_regions_memory_is_bounded(self):

@@ -305,6 +305,31 @@ class TestWorldGraph:
         assert len(set(graphs)) == len(graphs) and set(graphs) <= set(matrices)
         assert 0 < len(graphs) < ticks
 
+    def test_earlier_topologies_keep_their_matrix(self):
+        # a Topology keeps its version's in-range matrix through later
+        # ticks, joins and leaves: no later build may write into it, even
+        # one that reuses work arrays
+        w = sim.init_world(small_config(node_count=12, pause_time=0.0), 5)
+        r2 = w.config.range_m ** 2
+        kept = []
+        for op in ["move", "move", "add", "move", "remove", "move", "add", "move"]:
+            topology = w.topology()
+            xy = w.positions.tolist()
+            want = np.array([[i != j and (a - c) * (a - c) + (b - d) * (b - d) <= r2
+                              for j, (c, d) in enumerate(xy)] for i, (a, b) in enumerate(xy)])
+            assert np.array_equal(topology.within, want)
+            kept.append((topology, topology.within.tobytes()))
+            if op == "move":
+                sim.mobility_step(w, 40.0)
+            elif op == "add":
+                w.add_node(100 + len(kept), w.positions[0] + 30.0)
+            else:
+                w.remove_node(w.ids[2])
+        w.topology()
+        assert len({raw for _, raw in kept}) > 4   # the graph did change
+        for topology, raw in kept:
+            assert topology.within.tobytes() == raw
+
 
 def member_subgraph(graph, members):
     """The members-only copy of the radio graph a session was once handed."""
