@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crypto import KEY_BYTES, CipherSuite, KeyMaterial
-from .protocol import GroupSession, derive_master_key, membership
+from .protocol import GroupSession, derive_master_key, membership, sub_seed
 from .wire import BROADCAST, MessageKind, ProtocolMessage
 from . import wire
 
@@ -231,7 +231,7 @@ def run_security_suite(seed: int, cycles: int = 1000,
     """
     t0 = time.monotonic()
     suite = CipherSuite()
-    rng = random.Random(seed)
+    rng = random.Random(sub_seed(seed, "suite/cycles"))
     base = 8
     graph: dict[int, set[int]] = {i: set() for i in range(base)}
     ring = [(i, (i + 1) % base) for i in range(base)]
@@ -285,7 +285,7 @@ def run_security_suite(seed: int, cycles: int = 1000,
     report.transcript_bytes = len(transcript)
     report.transcript_hits = scan_for_secrets(transcript, all_secrets)
 
-    replay_rng = random.Random(seed ^ 0x5EED1E55)
+    replay_rng = random.Random(sub_seed(seed, "suite/replay"))
     for _ in range(replay_trials):
         report.replay_trials += 1
         if replay_once(session, replay_rng):

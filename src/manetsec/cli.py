@@ -18,6 +18,7 @@ import numpy as np
 
 from . import esom
 from .adversary import run_security_suite
+from .protocol import sub_seed
 from .sim import ScenarioError, parse_scenario, run_scenario
 
 EXIT_OK = 0
@@ -138,7 +139,7 @@ def cmd_train(args) -> int:
         config.validate()
     except ValueError as e:
         return _input_error(str(e))
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x50D]))
+    rng = np.random.default_rng(sub_seed(args.seed, "som"))
     model = esom.fit_detector(data, labels, config, rng)
     esom.save_model(args.model, model)
     print(f"wrote {args.model} ({config.rows}x{config.cols}, {len(data)} samples)")

@@ -771,7 +771,7 @@ class GroupSession:
         self.graph = graph
         members = set(members)
         self.transport = transport if transport is not None else Transport()
-        self.rng = random.Random(_sub_seed(seed, "session"))
+        self.rng = random.Random(sub_seed(seed, "session"))
         master_key = KeyMaterial.random(self.rng)
         if checker is None:
             checker = select_checker(root, self.graph, self.rng, members)
@@ -816,7 +816,7 @@ class GroupSession:
         life = self.lives.get(node_id, 0)
         self.lives[node_id] = life + 1
         label = f"node:{node_id}/{life}" if life else f"node:{node_id}"
-        rng = random.Random(_sub_seed(self.seed, label))
+        rng = random.Random(sub_seed(self.seed, label))
         node = ProtocolNode(node_id, self.suite, master, self.tree, rng,
                             unsafe_skip_nonce_checks=self.unsafe_skip_nonce_checks)
         node.memo = self.memo
@@ -876,6 +876,11 @@ class GroupSession:
                 node.record = None
 
     def _commit(self) -> SessionKeys:
+        # a commit leaves no exchange half open: an answer (step 2 or 3) of
+        # this epoch that arrives late meets no pending nonce and is dropped
+        for node in self.touched:
+            if node.state.pending_nonces:
+                node.state.pending_nonces = {}
         # close the checker's confirmation window so stale confirmation
         # replays can never poison a later epoch's verification; a window
         # already closed is left untouched
@@ -1058,9 +1063,8 @@ class GroupSession:
         involved: set[NodeId] = set()
         for n in reporters:
             involved.update(key_path(self.tree, n))
-        # same-level nodes keep the set's order, which depends on insertion order
         self._refold(MessageKind.JOIN_STEP_A, fresh,
-                     sorted(involved, key=lambda x: -self.tree.level[x]))
+                     sorted(involved, key=lambda x: (-self.tree.level[x], x)))
 
     # -- periodic rekeys ---------------------------------------------------------
 
@@ -1096,6 +1100,8 @@ class GroupSession:
             return lk_member
 
 
-def _sub_seed(seed: int, label: str) -> int:
+def sub_seed(seed: int, label: str) -> int:
+    """The seed of the stream named `label` under `seed`: every stream of a
+    run is a path in one tree, such as a cell's `features` or `node:<id>`."""
     digest = hashlib.sha256(f"{seed}/{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .crypto import CipherSuite, NonceSource
 from .keytree import Graph, NodeId, TreeError, bfs_parents
-from .protocol import GroupSession, ProtocolAbort, Transport, _sub_seed
+from .protocol import GroupSession, ProtocolAbort, Transport, sub_seed
 from . import adversary as adv
 from . import esom
 from . import response as resp
@@ -260,6 +260,9 @@ class World:
 def init_world(config: ScenarioConfig, seed: int) -> World:
     """Uniform random placement; every node starts in its initial pause."""
     config.validate()
+    # the one stream not derived by sub_seed: deriving it moves which nodes
+    # reach the root (scenario_basic's group from 34 to 2 of 50), so it moves
+    # with the sweeps' shared per-replicate streams (ROADMAP item 11)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
     n = config.node_count
     pos = np.column_stack([
@@ -557,7 +560,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> MetricsRepo
             droppers = config.droppers if dcount is None else config._dropper_pool()[:dcount]
             cell_cfg = replace(config, pause_time=pause, droppers=tuple(droppers))
             # float() so that pause 20 and 20.0 seed the same cell
-            row, ev = _run_cell(cell_cfg, _sub_seed(seed, f"{float(pause)}/{dcount}"))
+            row, ev = _run_cell(cell_cfg, sub_seed(seed, f"{float(pause)}/{dcount}"))
             row["pause_time"] = pause
             row["dropper_count"] = len(cell_cfg.droppers)
             rows.append(row)
@@ -568,7 +571,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> MetricsRepo
 def _run_cell(config: ScenarioConfig, seed: int):
     world = init_world(config, seed)
     suite = CipherSuite()
-    feat_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFEA7]))
+    feat_rng = np.random.default_rng(sub_seed(seed, "features"))
     events: list[tuple[float, str, object, object, str]] = []
     row: dict = {c: None for c in _COLUMNS}
 
@@ -642,8 +645,6 @@ def _run_cell(config: ScenarioConfig, seed: int):
         mobility_step(world, config.sample_interval)
         t = world.time
 
-    # detector: even/odd split per class; samples arrive per tick in source
-    # order, so each half can hold every second source only (ROADMAP item 9)
     row.update(_detect_and_respond(config, suite, session, world, samples, events, seed))
 
     # adversary verdicts; unscheduled replayers dump their whole capture at
@@ -754,18 +755,18 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
     data = np.array([v for _, v, _ in samples])
     labels = np.array([1 if a else 0 for _, _, a in samples], dtype=int)
     nodes_of = [n for n, _, _ in samples]
-    # biased even/odd split per class: with samples in per-tick source order,
-    # an even source count puts every second source in each half (ROADMAP item 9)
+    # each class split by a seeded permutation, the first half rounded up training
+    split_rng = np.random.default_rng(sub_seed(seed, "split"))
     train_idx, test_idx = [], []
     for cls in (0, 1):
-        cls_idx = np.flatnonzero(labels == cls)
-        train_idx.extend(cls_idx[0::2])
-        test_idx.extend(cls_idx[1::2])
+        train, test = np.array_split(split_rng.permutation(np.flatnonzero(labels == cls)), 2)
+        train_idx.extend(train)
+        test_idx.extend(test)
     train_idx, test_idx = sorted(train_idx), sorted(test_idx)
     out["train_samples"] = len(train_idx)
     out["test_samples"] = len(test_idx)
 
-    som_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x50D]))
+    som_rng = np.random.default_rng(sub_seed(seed, "som"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = esom.fit_detector(data[train_idx], labels[train_idx], config.som, som_rng)
@@ -804,7 +805,7 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
             return (payload, digest) if receiver in graph[sender] else None
 
         if root in maps and lks:
-            nonces = NonceSource(random.Random(seed ^ 0xA1A))
+            nonces = NonceSource(random.Random(sub_seed(seed, "response/maps")))
             res = resp.distribute_local_maps(suite, root, lks, maps, nonces,
                                              now=world.time, channel=radio)
             events.extend(res.events)
@@ -812,7 +813,7 @@ def _detect_and_respond(config: ScenarioConfig, suite: CipherSuite, session: Gro
         tables = {n: resp.RoutingTable(owner=n) for n in session.members}
         for nid, smap in sorted(maps.items()):
             if resp.check_global_trigger(smap, min_window=config.coverage_window):
-                nonces = NonceSource(random.Random(seed ^ nid))
+                nonces = NonceSource(random.Random(sub_seed(seed, f"response/alarm:{nid}")))
                 res = resp.global_alarm(suite, smap, session.keys.gk, tables, graph,
                                         nonces, now=world.time,
                                         min_window=config.coverage_window)

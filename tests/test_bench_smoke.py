@@ -21,9 +21,9 @@ def load_workloads():
 
 # sha256 of each workload's unit-0 outputs at smoke size, seed 1
 SMOKE_DIGESTS = {
-    "churn_suite": "38751412d98001c7078d18c313574a68af8c17648f856c25f02b425c43e756f1",
+    "churn_suite": "79156be5d6214513fab2ac2a0c4affdea011138be53a42568b82b175163ae1cb",
     "group_n200": "dd98cbfcdd83a4812c54a14a0a4115caabd94494b940489f31c462da6b1256e7",
-    "radio_200": "dd9f21429d15a1d150074837b2e2f030c096b857364792452170d1f98a606b97",
+    "radio_200": "821056a8ff8a05b1c899c5de8e68be095fb7e37cc266402f7a02bb72b72fe7df",
     "detector_50x80": "91da9ab91a4d996cc331fe3e7b015c399933ef0dbb1178c5ed65d6ac13d97f8b",
 }
 
@@ -31,9 +31,9 @@ SMOKE_DIGESTS = {
 # sha256 of each workload's unit-0 outputs at full size, seed 1: the digests
 # a benchmark run reports. Only full size trains a map on padded rows (50x80).
 FULL_DIGESTS = {
-    "churn_suite": "ba7f9efcd0a430d5de57c8f953897ea33bd461b65be41d8bd015d6b65b59dc47",
-    "group_n200": "5b36d6694e49ba1cc63ce5db72793f1c0a31925972698197dee6feadb45ddf06",
-    "radio_200": "360356befab3053c513b425b6eedc7ca43346945d1d25064173a9e750ab8c8aa",
+    "churn_suite": "e9c2f65a3a531f77be83cd99e4c18f3a7d35a20b1d790471fa57355f0d9f4f6e",
+    "group_n200": "9b3d411653ce9fc862581fa09c2e7db3cad1b28a3dd2b25fd40eb9fb78a930c4",
+    "radio_200": "66ede558b3e410411c28614e6d39a888de958ad9ad247e562ee50ebbc4dfb1a2",
     "detector_50x80": "76a90865de2814939c081d0233080d46fa467084aea561274bc7b2f61d6f10b2",
 }
 

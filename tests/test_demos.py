@@ -30,17 +30,17 @@ DEMO_OUTPUTS_SHA256 = {
     ("scenario_basic", "events.log"):
         "34829cd61a835d7429d0c4f3c27f0d3ce7f55db1951d2af5c6e4eaf7af486a40",
     ("scenario_basic", "metrics.csv"):
-        "f190de25d51a8e71fc03111f6659178c67bccf6c5e058df89a90a4d09b0b69ca",
+        "a3ce4967942f903b1d1242d0ffeb6cc8d04d7fc73986542ec513114eb3385277",
     ("scenario_dropper_sweep", "events.log"):
-        "f79523db232c5f91a5f36b722c24921fca0a9a1630b1c1b07258668125e5d786",
+        "7ff7710a0a1795f073e0f477f8101e9e46665ceb0f38ce517de24a7544b9c052",
     ("scenario_dropper_sweep", "metrics.csv"):
-        "a4dacd26535a4c4a247ba0f2c425f2eee780ce4da1c099648119841744b2025b",
+        "e5fade9464484aba1afa3240594c2628cdea98c3b8c62f740c8264f5abdcb76b",
     ("scenario_pause_sweep", "events.log"):
-        "6efc5e1a83e4240370b5252055c6fc4083657c3cd6df6b619c9cad7119c19110",
+        "92847c1dae885c540a04f8e33343d175bb3f22e97f021593e017e2e864e1a064",
     ("scenario_pause_sweep", "metrics.csv"):
-        "3da91488773e3e6bd9fd9d0a1a835f16ab587005564fd32ea67376e724d589e9",
+        "418a5da1b7ab9ddb26a67113b7d247f6ed70be3ebbbbd32ff255fc9173e63172",
     ("attack-suite --seed 77", "attack_suite.txt"):
-        "3c2a58825a7773783eb0715aa630f57e456e2c0ee0235a2bcb654e5592cbe29f",
+        "5b87791aac0f068ca6e1ccb299aa353817497060d49f89df233814fd9ea6292c",
 }
 
 

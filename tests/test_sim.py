@@ -964,8 +964,9 @@ leave_at = 20:1000
 
 class TestScale:
     def test_radio_1000_outputs_are_pinned(self, tmp_path, capsys):
-        # the paper's scale question: 1000 mobile nodes; the digests are
-        # those of the earlier per-frame topology build
+        # the paper's scale question: 1000 mobile nodes; the events digest is
+        # that of the earlier per-frame topology build, and metrics.csv was
+        # re-pinned when the detector's streams came from `sub_seed`
         cfg = tmp_path / "radio_1000.cfg"
         cfg.write_text(RADIO_1000)
         out = tmp_path / "out"
@@ -975,7 +976,7 @@ class TestScale:
         assert (row["members"], row["epochs_succeeded"], row["epochs_aborted"]) == \
             ("906", "5", "0")
         assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == \
-            "f5b428e5a043c97631b00b58215f4f48527f370d94852b186d11afbb18abe9c8"
+            "44909d47afc3dcf5d6f5a1cd9c5c78f9cbaa5a52ef3626cdf2932f4961156fb3"
         assert hashlib.sha256((out / "events.log").read_bytes()).hexdigest() == \
             "168412956758ac73ebc33ca532cd626e5a9ab52626dfd949d6d0ba6dcc6454a7"
 
