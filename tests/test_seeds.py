@@ -16,27 +16,32 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def calls_named(tree, name):
-    """(enclosing function, call) for every call of `<x>.name(...)` or `name(...)`."""
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef):
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and name in (
-                        getattr(node.func, "attr", None), getattr(node.func, "id", None)):
-                    yield fn.name, node
+    """(enclosing function, or "<module>", and call) for every call of
+    `<x>.name(...)` or `name(...)` anywhere in the module."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "attr", None), getattr(child.func, "id", None)):
+                yield where, child
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else where
+            yield from visit(child, inner)
+    yield from visit(tree, "<module>")
 
 
 def test_no_stream_is_seeded_outside_the_tree():
-    """One `SeedSequence(`, in `init_world`, and no `random.Random(` whose
-    seed XORs a constant in or is a bare seed."""
-    sequences, randoms = [], []
+    """One `SeedSequence(`, in `init_world`, and no `random.Random(` or
+    `default_rng(` whose seed XORs a constant in or is a bare seed."""
+    sequences, streams = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         sequences += [(path.name, fn) for fn, _ in calls_named(tree, "SeedSequence")]
-        randoms += [(path.name, call) for _, call in calls_named(tree, "Random")]
+        streams += [(path.name, kind, call) for kind in ("Random", "default_rng")
+                    for _, call in calls_named(tree, kind)]
     assert sequences == [("sim.py", "init_world")]
-    assert randoms
-    for name, call in randoms:
-        for arg in call.args:
+    assert {kind for _, kind, _ in streams} == {"Random", "default_rng"}
+    for name, _, call in streams:
+        for arg in [*call.args, *(k.value for k in call.keywords)]:
             assert not isinstance(arg, (ast.Name, ast.Attribute)), (name, call.lineno)
             assert not any(isinstance(op, ast.BitXor) for op in ast.walk(arg)), \
                 (name, call.lineno)
