@@ -279,21 +279,19 @@ def bmu_indices(grid: SomGrid, data: np.ndarray) -> np.ndarray:
     """Exhaustive best-matching unit per sample, ties to the lowest index.
 
     Bit for bit the argmin of `_exact_d2` over all neurons. A GEMM screen
-    ‖w‖² − 2·x·wᵀ (the squared distance less ‖x‖²) keeps the neurons within
-    a rounding bound of each row's screen minimum, and only those are
-    measured with `_exact_d2`. A row without a finite bound or a finite
-    exact minimum (overflow, inf or nan) is measured against every neuron.
+    ‖w‖² − 2·x·wᵀ (the squared distance less ‖x‖²) bounds where that
+    argmin lies: every exact minimum is within a rounding bound of the
+    row's screen minimum. A row with exactly one neuron inside the bound
+    takes the screen's argmin m when `_exact_d2(x, w[m])` is finite: a tie
+    would put two neurons inside, so m is the unique exact minimum. Every
+    other row (ties, near-ties, no finite bound, overflow, inf or nan) is
+    measured against every neuron.
 
     Working memory follows `_WORK_BYTES`, not the batch: the screen takes
     `_block_rows(8·N)` rows at a time (16 at 50x80, 341 at 12x16) and the
-    exact fallback, an (r, N, d) cube, `_block_rows(8·N·d)`. The screen's
-    rounding bound holds for any summation order, so the GEMM's block
-    shape cannot move a result. The exact step's temporaries take about
-    3d + 5 values per candidate, and a map of tied neurons makes every
-    neuron a candidate of every row, so the exact step measures a block's
-    candidates `_block_rows(8·(3d + 5))` at a time (2520 at d = 7). A row
-    split across chunks keeps its least distance, and on a tie the earlier
-    chunk's lower index: the winner of one pass over all its candidates.
+    exhaustive search, an (r, N, d) cube, `_block_rows(8·N·d)`. The
+    screen's rounding bound holds for any summation order, so the GEMM's
+    block shape cannot move a result.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     w = np.asarray(grid.weights, dtype=float)
@@ -313,35 +311,29 @@ def bmu_indices(grid: SomGrid, data: np.ndarray) -> np.ndarray:
     out = np.empty(len(data), dtype=np.int64)
     step = _block_rows(8 * len(w))
     redo_step = _block_rows(8 * w.size)
-    cand_step = _block_rows(8 * (3 * w.shape[1] + 5))
     for s in range(0, len(data), step):
         x = data[s : s + step]
         with np.errstate(over="ignore", invalid="ignore"):
             screen = x @ w.T
             screen *= -2.0
             screen += w2
+            rows = np.arange(len(x))
+            m = screen.argmin(axis=1)   # a row's first nan, if it holds one
             x2 = np.einsum("ij,ij->i", x, x)
-            thresh = screen.min(axis=1) + tol_scale * (
+            thresh = screen[rows, m] + tol_scale * (
                 finfo.eps * (x2 + w2.max()) + finfo.smallest_subnormal)
-        thresh[~np.isfinite(thresh)] = np.nan  # compares false: no candidates
-        candidates = np.flatnonzero(screen <= thresh[:, None])
-        del screen   # the exact step gets its budget
-        best = np.full(len(x), np.inf)
-        for c in range(0, candidates.size, cand_step):
-            rows, cols = np.divmod(candidates[c : c + cand_step], len(w))
-            exact = _exact_d2(x[rows], w[cols])
-            # each row's winner in this chunk: least exact distance, then
-            # lowest neuron index; a later chunk holds only higher indices
-            # of a row, so it takes the row only with a smaller distance
-            order = np.lexsort((cols, exact, rows))
-            win = order[np.flatnonzero(np.diff(rows, prepend=-1))]
-            win = win[exact[win] < best[rows[win]]]
-            best[rows[win]] = exact[win]
-            out[s + rows[win]] = cols[win]
-        redo = s + np.flatnonzero(~np.isfinite(best))
-        for r in range(0, redo.size, redo_step):
-            blk = redo[r : r + redo_step]
-            out[blk] = np.argmin(_exact_d2(data[blk, None, :], w), axis=1)
+            thresh[~np.isfinite(thresh)] = np.nan  # compares false: not settled
+            screen[rows, m] = np.inf
+            settled = screen.min(axis=1) > thresh   # no neuron but m is within
+            del screen   # the exhaustive search gets its budget
+            # the bound assumes finite exact distances: one that overflows
+            # may tie with others at inf, where the lowest index wins
+            settled[settled] = np.isfinite(_exact_d2(x[settled], w[m[settled]]))
+            out[s : s + len(x)] = m
+            redo = s + np.flatnonzero(~settled)
+            for r in range(0, redo.size, redo_step):
+                blk = redo[r : r + redo_step]
+                out[blk] = np.argmin(_exact_d2(data[blk, None, :], w), axis=1)
     return out
 
 

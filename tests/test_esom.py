@@ -520,7 +520,8 @@ def reference_bmu_indices(grid, data, chunk=512):
     out = np.empty(len(data), dtype=np.int64)
     for s in range(0, len(data), chunk):
         block = data[s : s + chunk]
-        d2 = ((block[:, None, :] - grid.weights[None, :, :]) ** 2).sum(axis=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = ((block[:, None, :] - grid.weights[None, :, :]) ** 2).sum(axis=2)
         out[s : s + chunk] = np.argmin(d2, axis=1)
     return out
 
@@ -535,7 +536,10 @@ def bmu_cases(draw):
         weights = rng.integers(0, 3, size=(n, 7)).astype(float)
     else:
         weights = rng.normal(size=(n, 7))
-    exps = [-162, -158, -150, -8, 0, 8, 150]   # squares below 1e-308 are subnormal
+    # squares below 1e-308 are subnormal; at 10^153.43 ≈ 2.7e153 a sample
+    # and a neuron on opposite sides can have a finite screen but an exact
+    # distance that overflows
+    exps = [-162, -158, -150, -8, 0, 8, 150, 153.43]
     mag = 10.0 ** draw(st.sampled_from(exps))
     if draw(st.booleans()):   # one magnitude per neuron
         weights *= 10.0 ** rng.choice(exps, size=(n, 1))
@@ -599,9 +603,47 @@ class TestBmuSearch:
         assert np.array_equal(got, want)
         assert got[-1] == 5
 
-    # budgets giving 1-row blocks and 1-candidate chunks everywhere; 5-row
-    # screens, a 1-row fallback and 3-candidate chunks; 23-row screens, a
-    # 3-row fallback and 17-candidate chunks (on 20 neurons, 7 features)
+    def test_a_lone_candidate_whose_exact_distance_overflows_is_searched(self):
+        # both screens stay finite and only neuron 1 lies within the bound,
+        # but both exact distances overflow: they tie at inf, so neuron 0
+        a = 2.7e153
+        grid = esom.SomGrid(1, 2, np.array([[-1.01 * a] * 7, [-a] * 7]))
+        data = np.full((1, 7), a)
+        assert esom.bmu_indices(grid, data)[0] == reference_bmu_indices(grid, data)[0] == 0
+
+    def test_the_exhaustive_search_is_silent(self):
+        grid = esom.SomGrid(4, 5, np.random.default_rng(67).normal(size=(20, 7)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(esom.bmu_indices(grid, np.full((2, 7), 1e200)) == 0)
+
+    def test_traffic_rows_need_no_exhaustive_search(self, small_model, monkeypatch):
+        # on trained maps and traffic-like samples the screen settles every
+        # row: `_exact_d2` only ever sees the (r, d) rows of settled samples,
+        # never the (r, N, d) cube of the exhaustive search
+        ndims = []
+        exact_d2 = esom._exact_d2
+
+        def spy(x, w):
+            ndims.append(np.ndim(x))
+            return exact_d2(x, w)
+
+        model, data, labels = small_model
+        rng = np.random.default_rng(103)
+        fresh, fresh_labels = make_two_class(300, 1.5, rng)
+        held_out, _ = make_two_class(300, 1.5, rng)
+        monkeypatch.setattr(esom, "_exact_d2", spy)
+        points = esom.apply_normalization(model.stats, data)
+        esom.label_regions(model.grid, esom.compute_umatrix(model.grid), points, labels)
+        esom.classify_batch(model.grid, model.labeling, points)
+        fresh_model = esom.fit_detector(fresh, fresh_labels, SMALL, np.random.default_rng(5))
+        esom.classify_batch(fresh_model.grid, fresh_model.labeling,
+                            esom.apply_normalization(fresh_model.stats, held_out))
+        assert len(ndims) == 10 and set(ndims) == {2}   # one call per screen block
+
+    # budgets giving 1-row screens and a 1-row exhaustive search; 5-row
+    # screens and a 1-row search; 23-row screens and a 3-row search (on 20
+    # neurons, 7 features)
     @pytest.mark.parametrize("budget", [1, 8 * 20 * 5, 8 * 20 * (7 * 3 + 2)])
     def test_small_blocks_equal_reference(self, budget):
         rng = np.random.default_rng(79)
@@ -619,8 +661,8 @@ class TestBmuSearch:
                 got = esom.bmu_indices(grid, data)
         assert np.array_equal(got, want)
 
-        # four neurons, each repeated at indices k, k + 4, ...: a row's tied
-        # candidates span chunks, and the lowest index must win
+        # four neurons, each repeated at indices k, k + 4, ...: every row's
+        # best match is one of five equal neurons, and the lowest index must win
         grid = esom.SomGrid(4, 5, np.tile(weights[:4], (5, 1)))
         with np.errstate(over="ignore", invalid="ignore"):
             want = reference_bmu_indices(grid, data)
